@@ -29,7 +29,8 @@ __all__ = [
 
 MAX_N = 10**8
 
-# Peak resident bytes per table index during construction: spf(4) + mu(1)
+# Peak resident bytes per table index during construction: the transient
+# smallest-prime-factor sieve (4) + mu(1)
 # + lambda(8) + mubar(8) + upsilon(8) + transient convolution inputs and
 # the squarefree-product helper (~19).
 _BYTES_PER_INDEX = 48
@@ -45,13 +46,11 @@ class CapacityError(ValueError):
 class ArithmeticTable:
     """Immutable sieve output, arrays indexed 1..n_max (slot 0 unused).
 
-    spf holds smallest prime factors with the convention spf[1] = 1;
     lam is Lambda(n); mu is the Moebius function in int8; mubar and
     upsilon are the two sqrt-weighted convolutions in float64.
     """
 
     n_max: int
-    spf: np.ndarray
     lam: np.ndarray
     mu: np.ndarray
     mubar_arr: np.ndarray
@@ -151,6 +150,7 @@ def build_sieve(n_max: int, mem_budget_bytes: int = DEFAULT_MEM_BUDGET) -> Arith
     spf = _spf_sieve(n_max)
     idx = np.arange(n_max + 1, dtype=np.int64)
     primes = idx[(spf == idx) & (idx >= 2)]
+    del spf
 
     lam = np.zeros(n_max + 1)
     if primes.size:
@@ -191,8 +191,6 @@ def build_sieve(n_max: int, mem_budget_bytes: int = DEFAULT_MEM_BUDGET) -> Arith
     mubar[1] = 1.0
     upsilon[1] = 1.0
 
-    for arr in (spf, lam, mu, mubar, upsilon):
+    for arr in (lam, mu, mubar, upsilon):
         arr.setflags(write=False)
-    return ArithmeticTable(
-        n_max=n_max, spf=spf, lam=lam, mu=mu, mubar_arr=mubar, upsilon_arr=upsilon
-    )
+    return ArithmeticTable(n_max=n_max, lam=lam, mu=mu, mubar_arr=mubar, upsilon_arr=upsilon)

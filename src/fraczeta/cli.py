@@ -75,6 +75,7 @@ class IdentityReport:
     adjudication: str = ""
     rhs_printed: float | None = None
     elapsed_s: float = 0.0
+    rhs_round_bound: float = 0.0
 
 
 def _verdict(abs_diff: float, budget: float, tolerance: float, rhs: float) -> str:
@@ -93,7 +94,7 @@ def _verdict(abs_diff: float, budget: float, tolerance: float, rhs: float) -> st
 # ---------------------------------------------------------------------------
 
 _CACHE_MAGIC = b"FZTB"
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 _TABLES: dict[int, ArithmeticTable] = {}
 
 
@@ -105,7 +106,7 @@ def _cache_dir() -> Path:
 
 
 def _table_arrays(t: ArithmeticTable):
-    return (t.spf, t.lam, t.mu, t.mubar_arr, t.upsilon_arr)
+    return (t.lam, t.mu, t.mubar_arr, t.upsilon_arr)
 
 
 def _save_table(t: ArithmeticTable, path: Path) -> None:
@@ -135,18 +136,17 @@ def _load_table(path: Path, n_max: int) -> ArithmeticTable | None:
     except OSError:
         return None
     n = n_max + 1
-    sizes = [4 * n, 8 * n, n, 8 * n, 8 * n]
+    sizes = [8 * n, n, 8 * n, 8 * n]
     if len(payload) != sum(sizes):
         return None
     if zlib.crc32(payload) != crc:
         return None
     offs = np.cumsum([0] + sizes)
-    spf = np.frombuffer(payload, dtype=np.int32, count=n, offset=offs[0])
-    lam = np.frombuffer(payload, dtype=np.float64, count=n, offset=offs[1])
-    mu = np.frombuffer(payload, dtype=np.int8, count=n, offset=offs[2])
-    mubar = np.frombuffer(payload, dtype=np.float64, count=n, offset=offs[3])
-    ups = np.frombuffer(payload, dtype=np.float64, count=n, offset=offs[4])
-    return ArithmeticTable(n_max=n_max, spf=spf, lam=lam, mu=mu, mubar_arr=mubar, upsilon_arr=ups)
+    lam = np.frombuffer(payload, dtype=np.float64, count=n, offset=offs[0])
+    mu = np.frombuffer(payload, dtype=np.int8, count=n, offset=offs[1])
+    mubar = np.frombuffer(payload, dtype=np.float64, count=n, offset=offs[2])
+    ups = np.frombuffer(payload, dtype=np.float64, count=n, offset=offs[3])
+    return ArithmeticTable(n_max=n_max, lam=lam, mu=mu, mubar_arr=mubar, upsilon_arr=ups)
 
 
 def get_table(n_max: int, use_disk_cache: bool = True) -> ArithmeticTable:
@@ -197,7 +197,7 @@ def _run_th2_mu(x: float, N: int, tolerance: float) -> IdentityReport:
     rhs = fourier.rhs_th2_mu(x)
     printed = 2.0 * rhs  # statement-level constant 1/pi^2 instead of 1/(2 pi^2)
     diff = abs(lhs.value - rhs)
-    budget = lhs.tail_bound
+    budget = lhs.tail_bound + lhs.round_bound
     adj = _constant_adjudication(lhs.value, rhs, printed, budget)
     return IdentityReport(
         identity_id="th2-mu",
@@ -234,7 +234,7 @@ def _run_th2_log(x: float, N: int, tolerance: float) -> IdentityReport:
     lhs = fourier.lhs_weighted_sdot(tab, "lambda", 2.0, x, N)
     rhs = fourier.rhs_th2_log(x, N)
     diff = abs(lhs.value - rhs.value)
-    budget = lhs.tail_bound + rhs.tail_bound + tolerance
+    budget = lhs.tail_bound + lhs.round_bound + rhs.tail_bound + rhs.round_bound + tolerance
     adj = _constant_adjudication(lhs.value, rhs.value, 2.0 * rhs.value, budget)
     return IdentityReport(
         identity_id="th2-log",
@@ -242,6 +242,7 @@ def _run_th2_log(x: float, N: int, tolerance: float) -> IdentityReport:
         lhs=lhs,
         rhs_canonical=rhs.value,
         rhs_budget=rhs.tail_bound,
+        rhs_round_bound=rhs.round_bound,
         abs_diff=diff,
         budget=budget,
         verdict=_verdict(diff, budget, 0.0, rhs.value),
@@ -257,7 +258,7 @@ def _run_th4(x: float, N: int, tolerance: float) -> IdentityReport:
     lhs = fourier.lhs_weighted_sdot(tab, "mu", 1.5, x, N)
     rhs = fourier.rhs_th4_upsilon(tab, x, N)
     diff = abs(lhs.value - rhs.value)
-    budget = lhs.tail_bound + rhs.tail_bound + tolerance
+    budget = lhs.tail_bound + lhs.round_bound + rhs.tail_bound + rhs.round_bound + tolerance
     adj = _constant_adjudication(lhs.value, rhs.value, 2.0 * rhs.value, budget)
     adj += "; absolutely convergent, verified without RH assumption"
     return IdentityReport(
@@ -266,6 +267,7 @@ def _run_th4(x: float, N: int, tolerance: float) -> IdentityReport:
         lhs=lhs,
         rhs_canonical=rhs.value,
         rhs_budget=rhs.tail_bound,
+        rhs_round_bound=rhs.round_bound,
         abs_diff=diff,
         budget=budget,
         verdict=_verdict(diff, budget, 0.0, rhs.value),
@@ -282,7 +284,7 @@ def _run_th1(k: int, x: float, N: int, zeros_count: int, tolerance: float) -> Id
     lhs = explicit.lhs_theorem1(tab, k, x, N)
     rhs = explicit.rhs_theorem1(k, x, zeros)
     diff = abs(lhs.value - rhs.total)
-    budget = lhs.tail_bound + rhs.budget
+    budget = lhs.tail_bound + lhs.round_bound + rhs.budget
 
     # Sign adjudication: rebuild the right side with sigma = +1.
     rhs_plus = explicit.rhs_theorem1(k, x, zeros, sign=+1.0)
@@ -470,20 +472,24 @@ def _report_dict(r: IdentityReport) -> dict:
             "value": r.lhs.value,
             "terms_used": r.lhs.terms_used,
             "tail_bound": r.lhs.tail_bound,
+            "round_bound": r.lhs.round_bound,
         },
-        "rhs_canonical": {"value": r.rhs_canonical, "budget": r.rhs_budget},
+        "rhs_canonical": {
+            "value": r.rhs_canonical, "budget": r.rhs_budget, "round_bound": r.rhs_round_bound,
+        },
         "rhs_printed": r.rhs_printed,
         "abs_diff": r.abs_diff,
         "budget": r.budget,
         "verdict": r.verdict,
         "adjudication": r.adjudication,
+        "elapsed_s": r.elapsed_s,
     }
 
 
 _CSV_FIELDS = [
     "identity_id", "params", "lhs_value", "lhs_terms_used", "lhs_tail_bound",
-    "rhs_canonical", "rhs_budget", "rhs_printed", "abs_diff", "budget",
-    "verdict", "adjudication",
+    "lhs_round_bound", "rhs_canonical", "rhs_budget", "rhs_round_bound", "rhs_printed",
+    "abs_diff", "budget", "verdict", "adjudication", "elapsed_s",
 ]
 
 
@@ -503,10 +509,11 @@ def emit_report(reports: list[IdentityReport], fmt: str, path: str | Path) -> Pa
                         r.identity_id,
                         ";".join(f"{k}={v}" for k, v in r.params.items()),
                         _fmt(r.lhs.value), r.lhs.terms_used, _fmt(r.lhs.tail_bound),
-                        _fmt(r.rhs_canonical), _fmt(r.rhs_budget),
+                        _fmt(r.lhs.round_bound), _fmt(r.rhs_canonical), _fmt(r.rhs_budget),
+                        _fmt(r.rhs_round_bound),
                         "" if r.rhs_printed is None else _fmt(r.rhs_printed),
                         _fmt(r.abs_diff), _fmt(r.budget),
-                        r.verdict, r.adjudication,
+                        r.verdict, r.adjudication, _fmt(r.elapsed_s),
                     ])
         else:
             raise UsageError(f"unknown report format {fmt!r}")

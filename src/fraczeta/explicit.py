@@ -38,6 +38,7 @@ from .zeta import (
 
 __all__ = [
     "TruncatedSum",
+    "blocked_sum",
     "ExplicitFormulaRHS",
     "GeometryError",
     "lhs_theorem1",
@@ -56,6 +57,9 @@ RESIDUE_NODES = 64
 # radius-independence invariant.
 RESIDUE_QUAD_BOUND = 1e-10
 
+SUM_BLOCK = 2**16
+_UNIT_ROUNDOFF = 2.0**-53
+
 
 class GeometryError(ValueError):
     """Residue circle touches another singularity."""
@@ -63,18 +67,38 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class TruncatedSum:
-    """A partial series value with a rigorous bound on the omitted tail."""
+    """A partial series value with rigorous bounds on its omitted tail and summation rounding."""
 
     value: float
     terms_used: int
     tail_bound: float
     note: str = ""
+    round_bound: float = 0.0
 
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise ValueError("series value must be finite")
-        if not (math.isfinite(self.tail_bound) and self.tail_bound >= 0.0):
-            raise ValueError("tail bound must be finite and nonnegative")
+        if not all(math.isfinite(b) and b >= 0.0 for b in (self.tail_bound, self.round_bound)):
+            raise ValueError("tail and rounding bounds must be finite and nonnegative")
+
+
+def blocked_sum(block_terms, *columns: np.ndarray) -> tuple[float, float]:
+    """Sum block_terms over SUM_BLOCK slices of the columns; returns (value, rounding bound).
+
+    Blocks are summed by np.sum, in any order within gamma_{B-1} sum |v_i|,
+    gamma_m = m u/(1 - m u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 4.2); fsum of the block sums adds u |value|.  gamma_B
+    in place of gamma_{B-1} leaves ~u sum |v_i| of slack for the rounding
+    of the bound itself.  Temporaries never outgrow one block.
+    """
+    partials, mass = [], []
+    for lo in range(0, len(columns[0]), SUM_BLOCK):
+        v = block_terms(*(c[lo : lo + SUM_BLOCK] for c in columns))
+        partials.append(float(np.sum(v)))
+        mass.append(float(np.sum(np.abs(v))))
+    value = math.fsum(partials)
+    gamma = SUM_BLOCK * _UNIT_ROUNDOFF / (1.0 - SUM_BLOCK * _UNIT_ROUNDOFF)
+    return value, gamma * math.fsum(mass) + _UNIT_ROUNDOFF * abs(value)
 
 
 @dataclass(frozen=True)
@@ -91,7 +115,11 @@ class ExplicitFormulaRHS:
 
 
 def lhs_theorem1(t: ArithmeticTable, k: int, x: float, N: int) -> TruncatedSum:
-    """sum_{x < n <= N} Lambda(n) n^-(k+1) I_k(n/x), compensated, ascending n.
+    """sum_{x < n <= N} Lambda(n) n^-(k+1) I_k(n/x), summed by blocked_sum.
+
+    blocked_sum joins 2^16-term np.sum blocks by fsum; round_bound =
+    gamma_B sum |v_i| + u |value| covers the rounding of that summation,
+    not the error in evaluating each term.
 
     Tail bound: Lambda(n) <= log n and |I_k| <= M_k give
     M_k * integral_N^inf log(t) t^-(k+1) dt
@@ -108,13 +136,14 @@ def lhs_theorem1(t: ArithmeticTable, k: int, x: float, N: int) -> TruncatedSum:
 
     pp = t.prime_powers
     pp = pp[(pp > x) & (pp <= N)]
-    vals = t.lam[pp] * pp.astype(np.float64) ** (-(k + 1)) * integral_ik_array(
-        k, pp.astype(np.float64) / x
+    value, err = blocked_sum(
+        lambda lam, n: lam * n ** (-(k + 1)) * integral_ik_array(k, n / x),
+        t.lam[pp], pp.astype(np.float64),
     )
-    value = math.fsum(vals.tolist())
     mk = ik_envelope(k)
     tail = mk * (math.log(N) / (k * N**k) + 1.0 / (k * k * N**k))
-    return TruncatedSum(value, len(vals), tail, note="log-integral tail with |I_k| envelope")
+    note = "log-integral tail with |I_k| envelope"
+    return TruncatedSum(value, len(pp), tail, note=note, round_bound=err)
 
 
 def residue_at(k: int, x: float, s0: float, radius: float = 0.25) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .arith import ArithmeticTable
 from .bernpoly import sdot_array
-from .explicit import TruncatedSum
+from .explicit import TruncatedSum, blocked_sum
 
 __all__ = [
     "SlopeFit",
@@ -75,7 +75,11 @@ class SlopeFit:
 def lhs_weighted_sdot(
     t: ArithmeticTable, weight: str, p: float, x: float, N: int
 ) -> TruncatedSum:
-    """sum_{n<=N} w(n) n^-p sdot(n/x), compensated, ascending n.
+    """sum_{n<=N} w(n) n^-p sdot(n/x), summed by blocked_sum.
+
+    blocked_sum joins 2^16-term np.sum blocks by fsum; round_bound =
+    gamma_B sum |v_i| + u |value| covers the rounding of that summation,
+    not the error in evaluating each term.
 
     Tail bounds use |sdot| <= 1/8 against a weight-specific majorant:
     log n for Lambda, 1 for mu at p = 2, and the divisor-sqrt family
@@ -83,11 +87,14 @@ def lhs_weighted_sdot(
     (it majorizes both sum_{n>N} sigma_{1/2}(n)/n^2, which a split of the
     divisor sum at d = N bounds by 8/sqrt(N), and sum_{n>N} n^-3/2).
     """
+    return _sdot_sum(*_weighted_coefficients(t, weight, p, N), x)
+
+
+def _weighted_coefficients(t: ArithmeticTable, weight: str, p: float, N: int):
+    """Points n with w(n) != 0 as floats, w(n) n^-p there, the tail bound and its note."""
     p = float(p)
     if (weight, p) not in _SUPPORTED:
         raise ValueError(f"unsupported (weight, p) pair: ({weight!r}, {p})")
-    if not x > 0:
-        raise ValueError("x must be > 0")
     if not 1 <= N <= t.n_max:
         raise ValueError(f"N must be in 1..{t.n_max}")
 
@@ -113,8 +120,14 @@ def lhs_weighted_sdot(
         note = "divisor sqrt-sum majorant"
 
     nf = idx.astype(np.float64)
-    vals = w * nf ** (-p) * sdot_array(nf / x)
-    return TruncatedSum(math.fsum(vals.tolist()), len(vals), tail, note=note)
+    return nf, w * nf ** (-p), tail, note
+
+
+def _sdot_sum(nf: np.ndarray, coef: np.ndarray, tail: float, note: str, x: float) -> TruncatedSum:
+    if not x > 0:
+        raise ValueError("x must be > 0")
+    value, err = blocked_sum(lambda n, c: c * sdot_array(n / x), nf, coef)
+    return TruncatedSum(value, len(nf), tail, note=note, round_bound=err)
 
 
 def rhs_th2_log(x: float, N: int) -> TruncatedSum:
@@ -126,10 +139,10 @@ def rhs_th2_log(x: float, N: int) -> TruncatedSum:
     if N < 2:
         return TruncatedSum(0.0, 0, (math.log(2.0) + 1.0) / (math.pi**2), note="empty sum")
     n = np.arange(2, N + 1, dtype=np.float64)
-    vals = np.log(n) / n**2 * (np.cos(2.0 * np.pi * n / x) - 1.0)
-    value = math.fsum(vals.tolist()) / TWO_PI_SQ
+    value, err = blocked_sum(lambda m: np.log(m) / m**2 * (np.cos(2.0 * np.pi * m / x) - 1.0), n)
     tail = (math.log(N) + 1.0) / (N * math.pi**2)
-    return TruncatedSum(value, len(vals), tail, note="log-integral majorant, |cos-1| <= 2")
+    note = "log-integral majorant, |cos-1| <= 2"
+    return TruncatedSum(value / TWO_PI_SQ, len(n), tail, note=note, round_bound=err / TWO_PI_SQ)
 
 
 def rhs_th2_mu(x: float) -> float:
@@ -150,10 +163,12 @@ def rhs_th4_upsilon(t: ArithmeticTable, x: float, N: int) -> TruncatedSum:
     if not 1 <= N <= t.n_max:
         raise ValueError(f"N must be in 1..{t.n_max}")
     n = np.arange(1, N + 1, dtype=np.float64)
-    vals = t.upsilon_arr[1 : N + 1] / n**2 * (np.cos(2.0 * np.pi * n / x) - 1.0)
-    value = math.fsum(vals.tolist()) / TWO_PI_SQ
+    value, err = blocked_sum(
+        lambda u, m: u / m**2 * (np.cos(2.0 * np.pi * m / x) - 1.0), t.upsilon_arr[1 : N + 1], n
+    )
     tail = (2.0 / math.sqrt(N)) * (1.0 + math.log(N)) / math.pi**2
-    return TruncatedSum(value, len(vals), tail, note="sqrt majorant tail")
+    note = "sqrt majorant tail"
+    return TruncatedSum(value / TWO_PI_SQ, len(n), tail, note=note, round_bound=err / TWO_PI_SQ)
 
 
 def rh_slope(values: list[tuple[float, float, float]]) -> SlopeFit:
@@ -200,9 +215,13 @@ def rh_decay_profile(
     points: int = 20,
     N: int = 10**7,
 ) -> list[tuple[float, float, float]]:
-    """mubar-weighted sums on a log-spaced grid, with their noise floors."""
+    """mubar-weighted sums on a log-spaced grid, with their noise floors (tail + round_bound).
+
+    mubar(n) n^-2 is formed once per call, shared by the grid, and not kept.
+    """
+    coefficients = _weighted_coefficients(t, "mubar", 2.0, N)
     out = []
     for x in np.geomspace(x_min, x_max, points):
-        ts = lhs_weighted_sdot(t, "mubar", 2.0, float(x), N)
-        out.append((float(x), ts.value, ts.tail_bound))
+        ts = _sdot_sum(*coefficients, float(x))
+        out.append((float(x), ts.value, ts.tail_bound + ts.round_bound))
     return out

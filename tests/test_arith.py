@@ -39,7 +39,7 @@ class TestBuildSieve:
     def test_determinism(self):
         a = build_sieve(3000)
         b = build_sieve(3000)
-        assert np.array_equal(a.spf, b.spf)
+        assert np.array_equal(a.prime_powers, b.prime_powers)
         assert np.array_equal(a.lam, b.lam)
         assert np.array_equal(a.mu, b.mu)
         assert np.array_equal(a.mubar_arr, b.mubar_arr)
@@ -139,12 +139,8 @@ class TestMubarUpsilon:
     def test_upsilon_prime_factor_product(self, table_small):
         # upsilon(n) = prod over distinct primes p | n of (1 - sqrt(p))
         for n in (2, 9, 30, 210, 1024, 9972):
-            m, prod = n, 1.0
-            while m > 1:
-                p = int(table_small.spf[m])
-                prod *= 1.0 - math.sqrt(p)
-                while m % p == 0:
-                    m //= p
+            primes = [p for p in range(2, n + 1) if n % p == 0 and len(brute_divisors(p)) == 2]
+            prod = math.prod(1.0 - math.sqrt(p) for p in primes)
             assert table_small.upsilon(n) == pytest.approx(prod, rel=1e-12)
 
     @settings(max_examples=60, deadline=None)

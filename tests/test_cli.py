@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -45,6 +46,17 @@ class TestRunIdentity:
         with pytest.raises(UsageError):
             run_identity("th2-mu", {"x": "not a number"})
 
+    @pytest.mark.parametrize("ident,params", [
+        ("th2-mu", {"x": 3.5}), ("th2-log", {"x": 3.7}), ("th4", {"x": 4.6}),
+        ("th1", {"k": 1, "x": 10.5}),
+    ])
+    def test_budget_includes_round_bounds(self, table_1e6, zeros100, ident, params):
+        r = run_identity(ident, dict(params, N=10**6))
+        assert r.lhs.round_bound > 0.0
+        assert r.budget >= r.lhs.tail_bound + r.lhs.round_bound + r.rhs_budget + r.rhs_round_bound
+        if ident in ("th2-log", "th4"):
+            assert r.rhs_round_bound > 0.0
+
     def test_determinism(self, table_1e6):
         a = run_identity("th2-mu", {"x": 3.5, "N": 10**6})
         b = run_identity("th2-mu", {"x": 3.5, "N": 10**6})
@@ -72,6 +84,23 @@ class TestEmitReport:
         doc = json.loads(p.read_text())
         assert doc[0]["verdict"] == "pass"
         assert doc[0]["lhs"]["value"] == -0.10132118364233778
+
+    def test_round_bounds_and_elapsed_roundtrip(self, tmp_path):
+        r = self._sample_report()
+        r.lhs = TruncatedSum(-0.10132118364233778, 607, 1.25e-7, note="t",
+                             round_bound=2.2737367544323206e-13)
+        r.rhs_round_bound = 1.1368683772161603e-17
+        r.elapsed_s = 0.12345678901234568
+        emit_report([r], "json", tmp_path / "r.json")
+        emit_report([r], "csv", tmp_path / "r.csv")
+        doc = json.loads((tmp_path / "r.json").read_text())[0]
+        with open(tmp_path / "r.csv", newline="") as fh:
+            row = next(csv.DictReader(fh))
+        for got in (
+            (doc["lhs"]["round_bound"], doc["rhs_canonical"]["round_bound"], doc["elapsed_s"]),
+            tuple(float(row[k]) for k in ("lhs_round_bound", "rhs_round_bound", "elapsed_s")),
+        ):
+            assert got == (r.lhs.round_bound, r.rhs_round_bound, r.elapsed_s)
 
     def test_json_17_significant_digits(self, tmp_path):
         p = tmp_path / "r.json"

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fraczeta.bernpoly import integral_ik_array
 from fraczeta.explicit import (
+    SUM_BLOCK,
     TruncatedSum,
+    blocked_sum,
     lhs_theorem1,
     printed_Pk,
     residue_at,
@@ -22,8 +26,52 @@ class TestTruncatedSum:
             TruncatedSum(math.nan, 1, 0.0)
         with pytest.raises(ValueError):
             TruncatedSum(1.0, 1, -1e-3)
+        with pytest.raises(ValueError):
+            TruncatedSum(1.0, 1, 0.0, round_bound=-1e-20)
+        with pytest.raises(ValueError):
+            TruncatedSum(1.0, 1, 0.0, round_bound=math.inf)
         ts = TruncatedSum(1.0, 3, 0.5, note="x")
         assert ts.terms_used == 3
+        assert ts.round_bound == 0.0
+
+
+def exact_excess(value, terms):
+    """value minus the exact sum of terms, rounded once."""
+    return math.fsum([value] + [-float(v) for v in terms])
+
+
+class TestBlockedSum:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.floats(-1e300, 1e300, allow_nan=False), min_size=1, max_size=40),
+        st.sampled_from([1, 7, SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1, 3 * SUM_BLOCK + 5]),
+    )
+    def test_within_bound_of_fsum(self, xs, n):
+        v = np.resize(np.array(xs), n)
+        value, bound = blocked_sum(lambda b: b, v)
+        assert abs(exact_excess(value, v)) <= bound
+
+    @pytest.mark.parametrize("reps", [1, SUM_BLOCK // 3, SUM_BLOCK // 3 + 1, SUM_BLOCK])
+    def test_cancellation(self, reps):
+        v = np.tile([1e16, 1.0, -1e16], reps)
+        value, bound = blocked_sum(lambda b: b, v)
+        assert abs(value - reps) <= bound  # the exact sum is reps
+
+    @pytest.mark.parametrize("n", [1, SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1])
+    def test_lengths_and_block_sizes(self, n):
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n) * 10.0 ** rng.uniform(-20, 20, n)
+        w = np.arange(n, dtype=np.float64)
+        seen = []
+
+        def terms(a, b):
+            seen.append(len(a))
+            return a * b
+
+        value, bound = blocked_sum(terms, v, w)
+        assert seen == [SUM_BLOCK] * (n // SUM_BLOCK) + ([n % SUM_BLOCK] if n % SUM_BLOCK else [])
+        assert abs(exact_excess(value, v * w)) <= bound
+        assert bound > 0.0 or not np.any(v * w)
 
 
 class TestLhsTheorem1:
@@ -47,6 +95,15 @@ class TestLhsTheorem1:
     def test_k_range(self, table_1e6):
         with pytest.raises(ValueError):
             lhs_theorem1(table_1e6, 5, 10.5, 10**4)
+
+    @pytest.mark.parametrize("k,x", [(1, 10.5), (2, 5.5)])
+    def test_blocked_sum_matches_fsum(self, table_1e6, k, x):
+        ts = lhs_theorem1(table_1e6, k, x, 10**6)
+        pp = table_1e6.prime_powers
+        pf = pp[pp > x].astype(np.float64)
+        vals = table_1e6.lam[pp[pp > x]] * pf ** (-(k + 1)) * integral_ik_array(k, pf / x)
+        assert 0.0 < ts.round_bound <= 1e-12
+        assert abs(exact_excess(ts.value, vals)) <= ts.round_bound
 
     def test_truncation_consistency(self, table_1e6):
         # enlarging N can only move the value by at most the smaller tail bound

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraczeta.bernpoly import sdot_array
 from fraczeta.fourier import (
+    TWO_PI_SQ,
     InsufficientDataError,
     lhs_weighted_sdot,
     rh_decay_profile,
@@ -33,6 +35,24 @@ class TestLhsWeightedSdot:
         assert math.isfinite(ts.value)
         assert ts.tail_bound <= 2e-3
 
+    @pytest.mark.parametrize("weight,p", [("lambda", 2.0), ("mu", 2.0), ("mu", 1.5), ("mubar", 2.0)])
+    def test_blocked_sum_matches_fsum(self, table_1e6, weight, p):
+        t, x = table_1e6, 3.7
+        if weight == "lambda":
+            idx = t.prime_powers
+            w = t.lam[idx]
+        elif weight == "mu":
+            idx = np.nonzero(t.mu)[0]
+            w = t.mu[idx].astype(np.float64)
+        else:
+            idx = np.arange(1, t.n_max + 1)
+            w = t.mubar_arr[1:]
+        nf = idx.astype(np.float64)
+        vals = w * nf ** (-p) * sdot_array(nf / x)
+        ts = lhs_weighted_sdot(t, weight, p, x, t.n_max)
+        assert 0.0 < ts.round_bound <= 1e-10
+        assert abs(ts.value - math.fsum(vals.tolist())) <= ts.round_bound
+
     def test_unsupported_pair(self, table_small):
         with pytest.raises(ValueError):
             lhs_weighted_sdot(table_small, "lambda", 1.5, 2.0, 10**4)
@@ -58,6 +78,13 @@ class TestRhsTheorem2Log:
     def test_empty_sum(self):
         assert rhs_th2_log(2.0, 1).value == 0.0
 
+    def test_blocked_sum_matches_fsum(self):
+        n = np.arange(2, 10**6 + 1, dtype=np.float64)
+        vals = np.log(n) / n**2 * (np.cos(2.0 * np.pi * n / 3.7) - 1.0)
+        ts = rhs_th2_log(3.7, 10**6)
+        assert 0.0 < ts.round_bound <= 1e-12
+        assert abs(ts.value - math.fsum(vals.tolist()) / TWO_PI_SQ) <= ts.round_bound
+
 
 class TestRhsTheorem2Mu:
     def test_x2(self):
@@ -82,6 +109,13 @@ class TestRhsTheorem4:
     def test_tail_bound(self, table_1e6):
         ts = rhs_th4_upsilon(table_1e6, 4.6, 10**6)
         assert ts.tail_bound <= 6e-3
+
+    def test_blocked_sum_matches_fsum(self, table_1e6):
+        n = np.arange(1, 10**6 + 1, dtype=np.float64)
+        vals = table_1e6.upsilon_arr[1:] / n**2 * (np.cos(2.0 * np.pi * n / 4.6) - 1.0)
+        ts = rhs_th4_upsilon(table_1e6, 4.6, 10**6)
+        assert 0.0 < ts.round_bound <= 1e-10
+        assert abs(ts.value - math.fsum(vals.tolist()) / TWO_PI_SQ) <= ts.round_bound
 
 
 class TestTheorem2Identities:
@@ -191,3 +225,9 @@ class TestDecayProfile:
         xs = [p[0] for p in prof]
         assert xs == sorted(xs)
         assert all(f > 0 for _, _, f in prof)
+
+    def test_matches_single_sums(self, table_1e6):
+        for x, value, floor in rh_decay_profile(table_1e6, x_min=5.0, x_max=20.0, points=4, N=10**6):
+            ts = lhs_weighted_sdot(table_1e6, "mubar", 2.0, x, 10**6)
+            assert abs(value - ts.value) <= ts.round_bound
+            assert floor == ts.tail_bound + ts.round_bound
