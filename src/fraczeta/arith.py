@@ -27,15 +27,14 @@ __all__ = [
     "dirichlet_convolve",
 ]
 
-MAX_N = 10**8
-
 # Peak resident bytes per table index during construction: the transient
 # smallest-prime-factor sieve (4) + mu(1)
 # + lambda(8) + mubar(8) + upsilon(8) + transient convolution inputs and
 # the squarefree-product helper (~19).
 _BYTES_PER_INDEX = 48
 
-DEFAULT_MEM_BUDGET = 2 * 2**30
+# 2 GiB: the largest table is n_max = 44739242 (~4.47e7).
+MEM_BUDGET = 2 * 2**30
 
 
 class CapacityError(ValueError):
@@ -133,18 +132,18 @@ def _spf_sieve(n: int) -> np.ndarray:
     return spf
 
 
-def build_sieve(n_max: int, mem_budget_bytes: int = DEFAULT_MEM_BUDGET) -> ArithmeticTable:
+def build_sieve(n_max: int) -> ArithmeticTable:
     """Sieve all four weight arrays up to n_max.
 
-    Raises CapacityError when n_max is 0, exceeds 10^8, or the estimated
-    peak memory would exceed mem_budget_bytes (default 2 GiB).
+    Raises CapacityError, before allocating, when n_max < 1 or the
+    estimated peak memory would exceed MEM_BUDGET.
     """
-    if n_max < 1 or n_max > MAX_N:
-        raise CapacityError(f"n_max must be in 1..{MAX_N}, got {n_max}")
-    if n_max * _BYTES_PER_INDEX > mem_budget_bytes:
+    if n_max < 1:
+        raise CapacityError(f"n_max must be >= 1, got {n_max}")
+    if n_max * _BYTES_PER_INDEX > MEM_BUDGET:
         raise CapacityError(
             f"n_max={n_max} needs ~{n_max * _BYTES_PER_INDEX / 2**30:.2f} GiB, "
-            f"budget is {mem_budget_bytes / 2**30:.2f} GiB"
+            f"budget is {MEM_BUDGET / 2**30:.2f} GiB"
         )
 
     spf = _spf_sieve(n_max)

@@ -4,9 +4,13 @@ Subcommands
 -----------
 selftest            run the invariant suite at reduced N (exit 0 on success)
 verify IDENTITY     run one identity check and print/emit the report
-rh-explore          decay-slope diagnostic over a log-spaced grid
+rh-explore          verify rh-slope with its grid flags (--xmin, --xmax, --points)
 zeros refine        refine the bundled zero ordinates and print residuals
-em-check            Euler-Maclaurin self-check over the registered functions
+em-check            verify em-check
+
+Every identity id, its parameters and their defaults live in one table,
+IDENTITIES; run_identity is the one path that runs them.  A flag the
+identity does not take is a usage error.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 IO/format
 error.  Reports serialize to JSON or CSV with numbers at 17 significant
@@ -40,19 +44,6 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-IDENTITY_IDS = ("th1", "th2-log", "th2-mu", "th4", "em-check", "rh-slope")
-
-# Default tolerances mirror the acceptance criteria; a budget larger than
-# the tolerance governs instead.  Overridable per run, never silently
-# loosened.
-DEFAULT_TOLERANCES = {
-    "th2-mu": 5e-7,
-    "th2-log": 1e-7,   # added on top of the combined tail budget
-    "th4": 0.0,        # combined tail budget governs
-    "th1": {1: 1e-3, 2: 1e-6, 3: 1e-6, 4: 1e-6},
-    "em-check": 1e-10,
-}
-
 RH_SLOPE_BAND = (-1.45, -0.55)
 
 
@@ -76,17 +67,6 @@ class IdentityReport:
     rhs_printed: float | None = None
     elapsed_s: float = 0.0
     rhs_round_bound: float = 0.0
-
-
-def _verdict(abs_diff: float, budget: float, tolerance: float, rhs: float) -> str:
-    # A diff inside the error budget (or the configured tolerance) passes;
-    # otherwise a right side indistinguishable from its own budget cannot
-    # adjudicate and the check is inconclusive.
-    if abs_diff <= max(budget, tolerance):
-        return "pass"
-    if abs(rhs) <= 3.0 * budget:
-        return "inconclusive"
-    return "fail"
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +129,7 @@ def _load_table(path: Path, n_max: int) -> ArithmeticTable | None:
     return ArithmeticTable(n_max=n_max, lam=lam, mu=mu, mubar_arr=mubar, upsilon_arr=ups)
 
 
-def get_table(n_max: int, use_disk_cache: bool = True) -> ArithmeticTable:
+def get_table(n_max: int) -> ArithmeticTable:
     """Sieve table for n_max, memoized in process and cached on disk.
 
     A corrupt or stale cache file (bad magic, version, size, or checksum)
@@ -157,18 +137,15 @@ def get_table(n_max: int, use_disk_cache: bool = True) -> ArithmeticTable:
     """
     if n_max in _TABLES:
         return _TABLES[n_max]
-    t = None
     path = _cache_dir() / f"table_{n_max}.bin"
-    if use_disk_cache:
-        t = _load_table(path, n_max)
+    t = _load_table(path, n_max)
     if t is None:
         t = build_sieve(n_max)
-        if use_disk_cache:
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                _save_table(t, path)
-            except OSError:
-                pass  # cache is best-effort
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            _save_table(t, path)
+        except OSError:
+            pass  # cache is best-effort
     _TABLES[n_max] = t
     return t
 
@@ -187,107 +164,85 @@ def get_refined_zeros(count: int = 100) -> zeta.ZeroTable:
 
 
 # ---------------------------------------------------------------------------
-# Identity runners
+# Identity checks
 # ---------------------------------------------------------------------------
 
-def _run_th2_mu(x: float, N: int, tolerance: float) -> IdentityReport:
-    t0 = time.perf_counter()
-    tab = get_table(N)
-    lhs = fourier.lhs_weighted_sdot(tab, "mu", 2.0, x, N)
-    rhs = fourier.rhs_th2_mu(x)
-    printed = 2.0 * rhs  # statement-level constant 1/pi^2 instead of 1/(2 pi^2)
-    diff = abs(lhs.value - rhs)
-    budget = lhs.tail_bound + lhs.round_bound
-    adj = _constant_adjudication(lhs.value, rhs, printed, budget)
-    return IdentityReport(
-        identity_id="th2-mu",
-        params={"x": x, "N": N},
-        lhs=lhs,
-        rhs_canonical=rhs,
-        rhs_budget=0.0,
-        abs_diff=diff,
-        budget=budget,
-        verdict=_verdict(diff, budget, tolerance, rhs),
-        adjudication=adj,
-        rhs_printed=printed,
-        elapsed_s=time.perf_counter() - t0,
-    )
+def _check(identity_id: str, params: dict, lhs: TruncatedSum, rhs: TruncatedSum,
+           tolerance: float, adjudication: str, printed: float | None,
+           add_tolerance: bool = False) -> IdentityReport:
+    """Report lhs against rhs within both sides' tail and rounding bounds.
 
-
-def _constant_adjudication(lhs: float, canonical: float, printed: float, budget: float) -> str:
-    d_can = abs(lhs - canonical)
-    d_pr = abs(lhs - printed)
-    if d_can <= d_pr:
-        return (
-            f"proof constant 1/(2 pi^2) matches (|d|={d_can:.3e}); "
-            f"statement constant 1/pi^2 misses by {d_pr:.3e}"
-        )
-    return (
-        f"statement constant 1/pi^2 matches (|d|={d_pr:.3e}); "
-        f"proof constant misses by {d_can:.3e}"
-    )
-
-
-def _run_th2_log(x: float, N: int, tolerance: float) -> IdentityReport:
-    t0 = time.perf_counter()
-    tab = get_table(N)
-    lhs = fourier.lhs_weighted_sdot(tab, "lambda", 2.0, x, N)
-    rhs = fourier.rhs_th2_log(x, N)
+    The tolerance is a floor under the budget, or with add_tolerance an
+    allowance on top of it.
+    """
     diff = abs(lhs.value - rhs.value)
-    budget = lhs.tail_bound + lhs.round_bound + rhs.tail_bound + rhs.round_bound + tolerance
-    adj = _constant_adjudication(lhs.value, rhs.value, 2.0 * rhs.value, budget)
+    budget = lhs.tail_bound + lhs.round_bound + rhs.tail_bound + rhs.round_bound
+    if add_tolerance:
+        budget, tolerance = budget + tolerance, 0.0
+    # A diff inside the error budget (or the tolerance) passes; otherwise a
+    # right side indistinguishable from its own budget cannot adjudicate
+    # and the check is inconclusive.
+    if diff <= max(budget, tolerance):
+        verdict = "pass"
+    elif abs(rhs.value) <= 3.0 * budget:
+        verdict = "inconclusive"
+    else:
+        verdict = "fail"
     return IdentityReport(
-        identity_id="th2-log",
-        params={"x": x, "N": N},
-        lhs=lhs,
-        rhs_canonical=rhs.value,
-        rhs_budget=rhs.tail_bound,
-        rhs_round_bound=rhs.round_bound,
-        abs_diff=diff,
-        budget=budget,
-        verdict=_verdict(diff, budget, 0.0, rhs.value),
-        adjudication=adj,
-        rhs_printed=2.0 * rhs.value,
-        elapsed_s=time.perf_counter() - t0,
+        identity_id=identity_id, params=params, lhs=lhs, rhs_canonical=rhs.value,
+        rhs_budget=rhs.tail_bound, rhs_round_bound=rhs.round_bound, abs_diff=diff,
+        budget=budget, verdict=verdict, adjudication=adjudication, rhs_printed=printed,
     )
 
 
-def _run_th4(x: float, N: int, tolerance: float) -> IdentityReport:
-    t0 = time.perf_counter()
+def _constant_adjudication(lhs: float, canonical: float) -> str:
+    # The statement prints 1/pi^2 where the proof gives 1/(2 pi^2).
+    d_can, d_pr = abs(lhs - canonical), abs(lhs - 2.0 * canonical)
+    if d_can <= d_pr:
+        return (f"proof constant 1/(2 pi^2) matches (|d|={d_can:.3e}); "
+                f"statement constant 1/pi^2 misses by {d_pr:.3e}")
+    return (f"statement constant 1/pi^2 matches (|d|={d_pr:.3e}); "
+            f"proof constant misses by {d_can:.3e}")
+
+
+def _th2_mu(x: float, N: int, tolerance: float) -> IdentityReport:
+    lhs = fourier.lhs_weighted_sdot(get_table(N), "mu", 2.0, x, N)
+    rhs = fourier.rhs_th2_mu(x)
+    return _check("th2-mu", {"x": x, "N": N}, lhs, TruncatedSum(rhs, 1, 0.0), tolerance,
+                  _constant_adjudication(lhs.value, rhs), 2.0 * rhs)
+
+
+def _th2_log(x: float, N: int, tolerance: float) -> IdentityReport:
+    lhs = fourier.lhs_weighted_sdot(get_table(N), "lambda", 2.0, x, N)
+    rhs = fourier.rhs_th2_log(x, N)
+    return _check("th2-log", {"x": x, "N": N}, lhs, rhs, tolerance,
+                  _constant_adjudication(lhs.value, rhs.value), 2.0 * rhs.value,
+                  add_tolerance=True)
+
+
+def _th4(x: float, N: int, tolerance: float) -> IdentityReport:
     tab = get_table(N)
     lhs = fourier.lhs_weighted_sdot(tab, "mu", 1.5, x, N)
     rhs = fourier.rhs_th4_upsilon(tab, x, N)
-    diff = abs(lhs.value - rhs.value)
-    budget = lhs.tail_bound + lhs.round_bound + rhs.tail_bound + rhs.round_bound + tolerance
-    adj = _constant_adjudication(lhs.value, rhs.value, 2.0 * rhs.value, budget)
+    adj = _constant_adjudication(lhs.value, rhs.value)
     adj += "; absolutely convergent, verified without RH assumption"
-    return IdentityReport(
-        identity_id="th4",
-        params={"x": x, "N": N},
-        lhs=lhs,
-        rhs_canonical=rhs.value,
-        rhs_budget=rhs.tail_bound,
-        rhs_round_bound=rhs.round_bound,
-        abs_diff=diff,
-        budget=budget,
-        verdict=_verdict(diff, budget, 0.0, rhs.value),
-        adjudication=adj,
-        rhs_printed=2.0 * rhs.value,
-        elapsed_s=time.perf_counter() - t0,
-    )
+    return _check("th4", {"x": x, "N": N}, lhs, rhs, tolerance, adj, 2.0 * rhs.value,
+                  add_tolerance=True)
 
 
-def _run_th1(k: int, x: float, N: int, zeros_count: int, tolerance: float) -> IdentityReport:
-    t0 = time.perf_counter()
+def _th1(k: int, x: float, N: int, zeros: int, tolerance: float | None) -> IdentityReport:
+    if not 1 <= k <= 4:
+        raise UsageError("th1 needs k in 1..4")
+    if tolerance is None:
+        tolerance = 1e-3 if k == 1 else 1e-6
     tab = get_table(N)
-    zeros = get_refined_zeros(zeros_count)
+    zero_table = get_refined_zeros(zeros)
     lhs = explicit.lhs_theorem1(tab, k, x, N)
-    rhs = explicit.rhs_theorem1(k, x, zeros)
+    rhs = explicit.rhs_theorem1(k, x, zero_table)
     diff = abs(lhs.value - rhs.total)
-    budget = lhs.tail_bound + lhs.round_bound + rhs.budget
 
     # Sign adjudication: rebuild the right side with sigma = +1.
-    rhs_plus = explicit.rhs_theorem1(k, x, zeros, sign=+1.0)
+    rhs_plus = explicit.rhs_theorem1(k, x, zero_table, sign=+1.0)
     diff_plus = abs(lhs.value - rhs_plus.total)
     winner = "-1" if diff <= diff_plus else "+1"
     adj = (
@@ -302,68 +257,47 @@ def _run_th1(k: int, x: float, N: int, zeros_count: int, tolerance: float) -> Id
     rhs_printed = None
     if k <= 2:
         # Published main term substituted for the contour residue at s = 1.
-        printed_total = explicit.printed_Pk(k, x) + math.fsum(
+        rhs_printed = explicit.printed_Pk(k, x) + math.fsum(
             [v for s0, v in rhs.residues if s0 != 1.0]
             + [rhs.zero_sum.value, rhs.trivial_sum.value]
         )
-        rhs_printed = printed_total
-        d_res = diff
-        d_pr = abs(lhs.value - printed_total)
+        d_pr = abs(lhs.value - rhs_printed)
         if k == 2:
-            which = "contour residue (simple pole, no log x)" if d_res <= d_pr else "printed P_2 (log x term)"
-            adj += (
-                f"; P_2 adjudication: {which} matches "
-                f"(residue |d|={d_res:.3e}, printed |d|={d_pr:.3e})"
-            )
+            which = "contour residue (simple pole, no log x)" if diff <= d_pr else "printed P_2 (log x term)"
+            adj += (f"; P_2 adjudication: {which} matches "
+                    f"(residue |d|={diff:.3e}, printed |d|={d_pr:.3e})")
         else:
             adj += f"; P_1: contour residue matches printed form (|d|={d_pr:.3e})"
 
-    return IdentityReport(
-        identity_id="th1",
-        params={"k": k, "x": x, "N": N, "zeros": zeros_count, "radius": 0.25},
-        lhs=lhs,
-        rhs_canonical=rhs.total,
-        rhs_budget=rhs.budget,
-        abs_diff=diff,
-        budget=budget,
-        verdict=_verdict(diff, budget, tolerance, rhs.total),
-        adjudication=adj,
-        rhs_printed=rhs_printed,
-        elapsed_s=time.perf_counter() - t0,
-    )
+    return _check("th1", {"k": k, "x": x, "N": N, "zeros": zeros, "radius": 0.25}, lhs,
+                  TruncatedSum(rhs.total, 0, rhs.budget), tolerance, adj, rhs_printed)
 
 
-def _run_em_check(tolerance: float) -> list[IdentityReport]:
-    cases = [
-        ("square", 1.0, 5.0, 2, 1e-12),
-        ("inverse_square", 1.0, 10.0, 3, tolerance),
-        ("exp_decay", 1.0, 4.0, 4, tolerance),
-    ]
+# (f, a, b, k, tolerance); a None tolerance takes the run's.
+EM_CASES = (
+    ("square", 1.0, 5.0, 2, 1e-12),
+    ("inverse_square", 1.0, 10.0, 3, None),
+    ("exp_decay", 1.0, 4.0, 4, None),
+)
+EM_TOLERANCE = 1e-10
+
+
+def _em_check(tolerance: float) -> list[IdentityReport]:
     out = []
-    for f_id, a, b, k, tol in cases:
-        t0 = time.perf_counter()
+    for f_id, a, b, k, tol in EM_CASES:
+        tol = tolerance if tol is None else tol
         res = bernpoly.em_identity_residual(f_id, a, b, k)
-        out.append(
-            IdentityReport(
-                identity_id="em-check",
-                params={"f": f_id, "a": a, "b": b, "k": k},
-                lhs=TruncatedSum(res, 0, 0.0, note="identity residual"),
-                rhs_canonical=0.0,
-                rhs_budget=tol,
-                abs_diff=res,
-                budget=tol,
-                verdict="pass" if res <= tol else "fail",
-                adjudication="classical Euler-Maclaurin right-hand identity",
-                elapsed_s=time.perf_counter() - t0,
-            )
-        )
+        out.append(IdentityReport(
+            identity_id="em-check", params={"f": f_id, "a": a, "b": b, "k": k},
+            lhs=TruncatedSum(res, 0, 0.0, note="identity residual"), rhs_canonical=0.0,
+            rhs_budget=tol, abs_diff=res, budget=tol, verdict="pass" if res <= tol else "fail",
+            adjudication="classical Euler-Maclaurin right-hand identity",
+        ))
     return out
 
 
-def _run_rh_slope(x_min: float, x_max: float, points: int, N: int) -> IdentityReport:
-    t0 = time.perf_counter()
-    tab = get_table(N)
-    profile = fourier.rh_decay_profile(tab, x_min, x_max, points, N)
+def _rh_slope(x_min: float, x_max: float, points: int, N: int) -> IdentityReport:
+    profile = fourier.rh_decay_profile(get_table(N), x_min, x_max, points, N)
     fit = fourier.rh_slope(profile)
     lo, hi = RH_SLOPE_BAND
     in_band = lo <= fit.slope <= hi
@@ -374,59 +308,52 @@ def _run_rh_slope(x_min: float, x_max: float, points: int, N: int) -> IdentityRe
         f"asymptotic criterion not decidable at finite x: diagnostic only"
     )
     return IdentityReport(
-        identity_id="rh-slope",
-        params={"x_min": x_min, "x_max": x_max, "points": points, "N": N},
+        identity_id="rh-slope", params={"x_min": x_min, "x_max": x_max, "points": points, "N": N},
         lhs=TruncatedSum(fit.slope, points - fit.dropped, 0.0, note="fitted log-log slope"),
-        rhs_canonical=-1.0,
-        rhs_budget=(hi - lo) / 2.0,
-        abs_diff=abs(fit.slope - (-1.0)),
-        budget=(hi - lo) / 2.0,
-        verdict="inconclusive",
-        adjudication=adj,
-        elapsed_s=time.perf_counter() - t0,
+        rhs_canonical=-1.0, rhs_budget=(hi - lo) / 2.0, abs_diff=abs(fit.slope - (-1.0)),
+        budget=(hi - lo) / 2.0, verdict="inconclusive", adjudication=adj,
     )
 
 
+# id -> (check, {param: (type, default)}).  Default tolerances mirror the
+# acceptance criteria; th1's None means 1e-3 at k = 1 and 1e-6 above.
+IDENTITIES = {
+    "th1": (_th1, {"k": (int, 1), "x": (float, 10.5), "N": (int, 10**6),
+                   "zeros": (int, 100), "tolerance": (float, None)}),
+    "th2-log": (_th2_log, {"x": (float, 3.7), "N": (int, 10**6), "tolerance": (float, 1e-7)}),
+    "th2-mu": (_th2_mu, {"x": (float, 2.0), "N": (int, 10**6), "tolerance": (float, 5e-7)}),
+    "th4": (_th4, {"x": (float, 4.6), "N": (int, 10**6), "tolerance": (float, 0.0)}),
+    "em-check": (_em_check, {"tolerance": (float, EM_TOLERANCE)}),
+    "rh-slope": (_rh_slope, {"x_min": (float, 10.0), "x_max": (float, 100.0),
+                             "points": (int, 20), "N": (int, 10**7)}),
+}
+IDENTITY_IDS = tuple(IDENTITIES)
+
+
 def run_identity(identity_id: str, params: dict) -> IdentityReport | list[IdentityReport]:
-    """Dispatch one identity check; raises UsageError on bad input."""
-    p = dict(params)
+    """Run one identity check, table defaults filling the missing params.
+
+    An unknown id, a parameter the identity does not take or a value that
+    does not convert raises UsageError; errors of the computation itself
+    propagate as they are.  elapsed_s is the wall time of the whole check.
+    """
+    if identity_id not in IDENTITIES:
+        raise UsageError(f"unknown identity id {identity_id!r}; know {IDENTITY_IDS}")
+    check, spec = IDENTITIES[identity_id]
+    unknown = [name for name in params if name not in spec]
+    if unknown:
+        raise UsageError(f"{identity_id} takes no {', '.join(unknown)}; it takes {', '.join(spec)}")
     try:
-        if identity_id == "th2-mu":
-            return _run_th2_mu(
-                float(p.get("x", 2.0)), int(p.get("N", 10**6)),
-                float(p.get("tolerance", DEFAULT_TOLERANCES["th2-mu"])),
-            )
-        if identity_id == "th2-log":
-            return _run_th2_log(
-                float(p.get("x", 3.7)), int(p.get("N", 10**6)),
-                float(p.get("tolerance", DEFAULT_TOLERANCES["th2-log"])),
-            )
-        if identity_id == "th4":
-            return _run_th4(
-                float(p.get("x", 4.6)), int(p.get("N", 10**6)),
-                float(p.get("tolerance", DEFAULT_TOLERANCES["th4"])),
-            )
-        if identity_id == "th1":
-            k = int(p.get("k", 1))
-            if not 1 <= k <= 4:
-                raise UsageError("th1 needs k in 1..4")
-            tol_default = DEFAULT_TOLERANCES["th1"].get(k, 1e-6)
-            return _run_th1(
-                k, float(p.get("x", 10.5)), int(p.get("N", 10**6)),
-                int(p.get("zeros", 100)), float(p.get("tolerance", tol_default)),
-            )
-        if identity_id == "em-check":
-            return _run_em_check(float(p.get("tolerance", DEFAULT_TOLERANCES["em-check"])))
-        if identity_id == "rh-slope":
-            return _run_rh_slope(
-                float(p.get("x_min", 10.0)), float(p.get("x_max", 100.0)),
-                int(p.get("points", 20)), int(p.get("N", 10**7)),
-            )
+        kwargs = {name: typ(params[name]) if name in params else default
+                  for name, (typ, default) in spec.items()}
     except (ValueError, TypeError) as exc:
-        if isinstance(exc, UsageError):
-            raise
         raise UsageError(f"invalid parameters for {identity_id}: {exc}") from exc
-    raise UsageError(f"unknown identity id {identity_id!r}; know {IDENTITY_IDS}")
+    t0 = time.perf_counter()
+    result = check(**kwargs)
+    elapsed = time.perf_counter() - t0
+    for r in result if isinstance(result, list) else [result]:
+        r.elapsed_s = elapsed
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -643,9 +570,8 @@ def _invariants(n_small: int = 10**5):
         assert abs(a - b) <= 1e-10, "residue depends on radius"
 
     def em_check():
-        assert bernpoly.em_identity_residual("square", 1, 5, 2) <= 1e-12
-        assert bernpoly.em_identity_residual("inverse_square", 1, 10, 3) <= 1e-10
-        assert bernpoly.em_identity_residual("exp_decay", 1, 4, 4) <= 1e-10
+        bad = [r.params for r in _em_check(EM_TOLERANCE) if r.verdict != "pass"]
+        assert not bad, f"Euler-Maclaurin residual over tolerance: {bad}"
 
     yield "sieve-identities", sieve_identities
     yield "sieve-determinism", sieve_determinism
@@ -693,29 +619,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("selftest", help="run the invariant suite at reduced N")
 
+    # Each dest is the identity parameter name; unset flags stay None and
+    # take the IDENTITIES default.
     v = sub.add_parser("verify", help="verify one identity")
     v.add_argument("identity", choices=IDENTITY_IDS)
-    v.add_argument("--x", type=float, default=None)
-    v.add_argument("--k", type=int, default=None)
-    v.add_argument("--nterms", type=int, default=None)
-    v.add_argument("--zeros", type=int, default=None)
-    v.add_argument("--tolerance", type=float, default=None)
-    v.add_argument("--json", type=Path, default=None, metavar="PATH")
-    v.add_argument("--csv", type=Path, default=None, metavar="PATH")
+    v.add_argument("--x", type=float)
+    v.add_argument("--k", type=int)
+    v.add_argument("--nterms", dest="N", type=int, metavar="NTERMS")
+    v.add_argument("--zeros", type=int)
+    v.add_argument("--tolerance", type=float)
+    v.add_argument("--json", type=Path, metavar="PATH")
+    v.add_argument("--csv", type=Path, metavar="PATH")
 
-    r = sub.add_parser("rh-explore", help="decay-slope diagnostic")
-    r.add_argument("--xmin", type=float, default=10.0)
-    r.add_argument("--xmax", type=float, default=100.0)
-    r.add_argument("--points", type=int, default=20)
-    r.add_argument("--nterms", type=int, default=10**7)
-    r.add_argument("--json", type=Path, default=None, metavar="PATH")
+    r = sub.add_parser("rh-explore", help="decay-slope diagnostic (verify rh-slope)")
+    r.set_defaults(identity="rh-slope")
+    r.add_argument("--xmin", dest="x_min", type=float, metavar="XMIN")
+    r.add_argument("--xmax", dest="x_max", type=float, metavar="XMAX")
+    r.add_argument("--points", type=int)
+    r.add_argument("--nterms", dest="N", type=int, metavar="NTERMS")
+    r.add_argument("--json", type=Path, metavar="PATH")
 
     z = sub.add_parser("zeros", help="zero-table operations")
     zsub = z.add_subparsers(dest="zeros_command", required=True)
     zr = zsub.add_parser("refine", help="refine the bundled seed ordinates")
     zr.add_argument("--count", type=int, default=100)
 
-    sub.add_parser("em-check", help="Euler-Maclaurin self-check")
+    sub.add_parser("em-check", help="Euler-Maclaurin self-check (verify em-check)") \
+        .set_defaults(identity="em-check")
     return ap
 
 
@@ -741,35 +671,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "selftest":
             return selftest()
 
-        if args.command == "verify":
-            params = {}
-            if args.x is not None:
-                params["x"] = args.x
-            if args.k is not None:
-                params["k"] = args.k
-            if args.nterms is not None:
-                params["N"] = args.nterms
-            if args.zeros is not None:
-                params["zeros"] = args.zeros
-            if args.tolerance is not None:
-                params["tolerance"] = args.tolerance
-            result = run_identity(args.identity, params)
-            reports = result if isinstance(result, list) else [result]
-            for r in reports:
-                _print_report(r)
-            if args.json:
-                emit_report(reports, "json", args.json)
-            if args.csv:
-                emit_report(reports, "csv", args.csv)
-            return reports_exit_code(reports)
-
-        if args.command == "rh-explore":
-            report = _run_rh_slope(args.xmin, args.xmax, args.points, args.nterms)
-            _print_report(report)
-            if args.json:
-                emit_report([report], "json", args.json)
-            return reports_exit_code([report])
-
         if args.command == "zeros":
             zeros = get_refined_zeros(args.count)
             for e in zeros.entries:
@@ -778,11 +679,17 @@ def main(argv: list[str] | None = None) -> int:
             print(f"refined {len(zeros)} zeros, worst residual {worst:.2e}")
             return EXIT_OK if worst <= 1e-8 else EXIT_VERIFY
 
-        if args.command == "em-check":
-            reports = _run_em_check(DEFAULT_TOLERANCES["em-check"])
-            for r in reports:
-                _print_report(r)
-            return reports_exit_code(reports)
+        # verify, rh-explore and em-check: every flag set is a parameter.
+        params = {name: v for name, v in vars(args).items()
+                  if name not in ("command", "identity", "json", "csv") and v is not None}
+        result = run_identity(args.identity, params)
+        reports = result if isinstance(result, list) else [result]
+        for r in reports:
+            _print_report(r)
+        for fmt in ("json", "csv"):
+            if getattr(args, fmt, None):
+                emit_report(reports, fmt, getattr(args, fmt))
+        return reports_exit_code(reports)
 
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -790,12 +697,11 @@ def main(argv: list[str] | None = None) -> int:
     except (IOError, zeta.FormatError) as exc:
         print(f"io/format error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (arith.CapacityError, zeta.DomainError, fourier.InsufficientDataError,
-            explicit.GeometryError, zeta.RefinementError, ValueError) as exc:
+    except (ValueError, zeta.RefinementError) as exc:
+        # ValueError covers CapacityError, DomainError, GeometryError and
+        # InsufficientDataError.
         print(f"verification error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

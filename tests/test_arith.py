@@ -34,7 +34,7 @@ class TestBuildSieve:
         with pytest.raises(CapacityError):
             build_sieve(2 * 10**8)
         with pytest.raises(CapacityError):
-            build_sieve(10**6, mem_budget_bytes=10**6)
+            build_sieve(5 * 10**7)
 
     def test_determinism(self):
         a = build_sieve(3000)

@@ -47,6 +47,22 @@ class TestRunIdentity:
             run_identity("th2-mu", {"x": "not a number"})
 
     @pytest.mark.parametrize("ident,params", [
+        ("th2-mu", {"zeros": 7}), ("th2-mu", {"k": 3}), ("em-check", {"x": 2.0}),
+        ("rh-slope", {"tolerance": 1e-3}), ("th4", {"nterms": 10**6}),
+    ])
+    def test_param_not_taken(self, ident, params):
+        with pytest.raises(UsageError, match="takes no"):
+            run_identity(ident, params)
+
+    def test_table_defaults_fill_params(self, monkeypatch):
+        seen = {}
+        _, spec = cli.IDENTITIES["rh-slope"]
+        monkeypatch.setitem(cli.IDENTITIES, "rh-slope", (lambda **kw: seen.update(kw) or [], spec))
+        assert run_identity("rh-slope", {"N": "5000", "x_max": 50}) == []
+        assert seen == {"x_min": 10.0, "x_max": 50.0, "points": 20, "N": 5000}
+        assert isinstance(seen["x_max"], float) and isinstance(seen["N"], int)
+
+    @pytest.mark.parametrize("ident,params", [
         ("th2-mu", {"x": 3.5}), ("th2-log", {"x": 3.7}), ("th4", {"x": 4.6}),
         ("th1", {"k": 1, "x": 10.5}),
     ])
@@ -182,6 +198,40 @@ class TestMainEntry:
     def test_em_check(self, capsys):
         assert cli.main(["em-check"]) == EXIT_OK
 
+    def test_flag_not_taken_is_usage_error(self, capsys):
+        assert cli.main(["verify", "th2-mu", "--zeros", "7", "--k", "3"]) == EXIT_USAGE
+        assert "th2-mu takes no k, zeros" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "rh-slope", "--nterms", "2000"],
+        ["rh-explore", "--nterms", "2000"],
+    ])
+    def test_computation_error_is_verification_error(self, argv, capsys):
+        # Too few terms leave no profile point above its noise floor.
+        assert cli.main(argv) == EXIT_VERIFY
+        assert "verification error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,ident,params", [
+        (["rh-explore", "--xmin", "12", "--xmax", "90", "--points", "15", "--nterms", "5000"],
+         "rh-slope", {"x_min": 12.0, "x_max": 90.0, "points": 15, "N": 5000}),
+        (["rh-explore"], "rh-slope", {}),
+        (["em-check"], "em-check", {}),
+        (["verify", "th1", "--k", "2", "--x", "5.5", "--nterms", "1000", "--zeros", "10",
+          "--tolerance", "0.5"],
+         "th1", {"x": 5.5, "k": 2, "N": 1000, "zeros": 10, "tolerance": 0.5}),
+    ])
+    def test_routes_through_run_identity(self, monkeypatch, capsys, argv, ident, params):
+        calls = []
+        report = TestEmitReport()._sample_report()
+
+        def fake(identity_id, p):
+            calls.append((identity_id, p))
+            return report
+
+        monkeypatch.setattr(cli, "run_identity", fake)
+        assert cli.main(argv) == EXIT_OK
+        assert calls == [(ident, params)]
+
     def test_zeros_refine(self, capsys):
         assert cli.main(["zeros", "refine", "--count", "3"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -201,6 +251,13 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert code == EXIT_VERIFY
         assert "zero-table-validation" in out
+
+    def test_em_invariant_reads_em_cases(self, monkeypatch):
+        em_check = dict(cli._invariants())["euler-maclaurin-check"]
+        em_check()
+        monkeypatch.setattr(cli, "EM_CASES", (("square", 1.0, 5.0, 2, 0.0),))
+        with pytest.raises(AssertionError, match="square"):
+            em_check()
 
     def test_missing_zeros_file_detected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli.zeta, "bundled_zeros_path", lambda: tmp_path / "gone.csv")
