@@ -8,15 +8,18 @@ Builds flat tables of the four weights used by the series identities:
 - upsilon(n) = sum_{d|n} mu(d) sqrt(d) = prod_{p|n} (1 - sqrt(p)),
   Dirichlet series zeta(s)/zeta(s-1/2)
 
-mubar and upsilon are produced by an O(N log N) divisor-loop convolution;
-sqrt(d) is taken in binary64, which keeps every downstream tolerance
-(>= 1e-8) with several orders of headroom.
+mu, mubar and upsilon are multiplicative, so one strided sieve over the
+primes p <= sqrt(n_max) multiplies in their local factors at p^a; sqrt(p)
+is taken in binary64, which keeps every downstream tolerance (>= 1e-8)
+with several orders of headroom.  dirichlet_convolve is the independent
+O(N log N) oracle the selftest and the tests check the sieve against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import isqrt
+from dataclasses import dataclass
+from functools import cached_property
+from math import isqrt, log, sqrt
 
 import numpy as np
 
@@ -27,14 +30,20 @@ __all__ = [
     "dirichlet_convolve",
 ]
 
-# Peak resident bytes per table index during construction: the transient
-# smallest-prime-factor sieve (4) + mu(1)
-# + lambda(8) + mubar(8) + upsilon(8) + transient convolution inputs and
-# the squarefree-product helper (~19).
-_BYTES_PER_INDEX = 48
+# Peak resident bytes per table index during construction, reached in the
+# large-prime pass: lam(8) + mu(1) + mubar(8) + upsilon(8), the
+# sqrt(n_max)-smooth part turned into its cofactor (int32, 4), its mask (1)
+# and the float64 sqrt of the cofactor (8) make 38; the peak RSS of a build
+# grows by 38.7-39.5, and 44 leaves room for the allocator and numpy's
+# buffers on top.
+_BYTES_PER_INDEX = 44
 
-# 2 GiB: the largest table is n_max = 44739242 (~4.47e7).
+# 2 GiB: the largest table is n_max = 48806446 (~4.88e7).  It also keeps
+# every index, and so the int32 smooth part, below 2^31.
 MEM_BUDGET = 2 * 2**30
+
+# The arrays every ArithmeticTable holds, and their dtypes.
+_DTYPES = {"lam": np.float64, "mu": np.int8, "mubar_arr": np.float64, "upsilon_arr": np.float64}
 
 
 class CapacityError(ValueError):
@@ -54,7 +63,19 @@ class ArithmeticTable:
     mu: np.ndarray
     mubar_arr: np.ndarray
     upsilon_arr: np.ndarray
-    _pp_cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Loaded tables pass through here too: a wrong dtype or length
+        # raises, and every array becomes read-only.
+        for name, dtype in _DTYPES.items():
+            a = getattr(self, name)
+            if a.dtype != dtype or a.shape != (self.n_max + 1,):
+                raise ValueError(f"{name} is {a.dtype}{a.shape}, want {np.dtype(dtype)}({self.n_max + 1},)")
+            a.setflags(write=False)
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The four weight arrays by field name."""
+        return {name: getattr(self, name) for name in _DTYPES}
 
     def _check(self, n: int) -> None:
         if not 1 <= n <= self.n_max:
@@ -80,12 +101,10 @@ class ArithmeticTable:
         self._check(n)
         return float(self.upsilon_arr[n])
 
-    @property
+    @cached_property
     def prime_powers(self) -> np.ndarray:
         """Ascending indices n with Lambda(n) > 0 (cached)."""
-        if "pp" not in self._pp_cache:
-            self._pp_cache["pp"] = np.nonzero(self.lam)[0]
-        return self._pp_cache["pp"]
+        return np.nonzero(self.lam)[0]
 
 
 def dirichlet_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -117,21 +136,6 @@ def dirichlet_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return h
 
 
-def _spf_sieve(n: int) -> np.ndarray:
-    """Smallest-prime-factor table; spf[1] = 1."""
-    spf = np.zeros(n + 1, dtype=np.int32)
-    for i in range(2, isqrt(n) + 1):
-        if spf[i] == 0:
-            sl = spf[i * i :: i]
-            sl[sl == 0] = i
-    idx = np.arange(n + 1, dtype=np.int32)
-    rest = (spf == 0) & (idx >= 2)
-    spf[rest] = idx[rest]
-    if n >= 1:
-        spf[1] = 1
-    return spf
-
-
 def build_sieve(n_max: int) -> ArithmeticTable:
     """Sieve all four weight arrays up to n_max.
 
@@ -146,50 +150,45 @@ def build_sieve(n_max: int) -> ArithmeticTable:
             f"budget is {MEM_BUDGET / 2**30:.2f} GiB"
         )
 
-    spf = _spf_sieve(n_max)
-    idx = np.arange(n_max + 1, dtype=np.int64)
-    primes = idx[(spf == idx) & (idx >= 2)]
-    del spf
-
     lam = np.zeros(n_max + 1)
-    if primes.size:
-        lam[primes] = np.log(primes.astype(np.float64))
-        for p in primes[primes <= isqrt(n_max)]:
-            p = int(p)
-            logp = float(np.log(p))
-            pk = p * p
-            while pk <= n_max:
-                lam[pk] = logp
-                pk *= p
-
-    # Moebius: flip sign per prime <= sqrt(n), kill square multiples, then
-    # flip once more where a single prime factor > sqrt(n) remains (its
-    # presence is detected by comparing the accumulated squarefree product
-    # of small primes against n itself).
     mu = np.ones(n_max + 1, dtype=np.int8)
-    prod = np.ones(n_max + 1, dtype=np.int64)
-    for p in primes[primes <= isqrt(n_max)]:
-        p = int(p)
-        mu[p * p :: p * p] = 0
+    mubar = np.ones(n_max + 1)
+    upsilon = np.ones(n_max + 1)
+    # smooth[n] is the product of the p^a || n with p <= sqrt(n_max); when p
+    # is reached, smooth[p] == 1 exactly when no smaller prime divides p.
+    smooth = np.ones(n_max + 1, dtype=np.int32)
+    # Local factors at p^a: mu -1, then 0 from a = 2; upsilon 1 - sqrt(p);
+    # mubar -(1 + sqrt(p)), then sqrt(p) at a = 2 and 0 from a = 3.
+    for p in range(2, isqrt(n_max) + 1):
+        if smooth[p] != 1:
+            continue
+        s = sqrt(p)
         mu[p::p] *= -1
-        prod[p::p] *= p
-    big_factor = (prod < idx) & (mu != 0) & (idx >= 2)
-    mu[big_factor] *= -1
+        mu[p * p :: p * p] = 0
+        upsilon[p::p] *= 1.0 - s
+        at_p2 = mubar[p * p :: p * p] * s
+        mubar[p::p] *= -(1.0 + s)
+        mubar[p * p :: p * p] = at_p2
+        mubar[p**3 :: p**3] = 0.0
+        pa = p
+        while pa <= n_max:
+            lam[pa] = log(p)
+            smooth[pa::pa] *= p
+            pa *= p
+
+    # What is left of n is 1 or a single prime q > sqrt(n_max), and n is
+    # prime itself when its smooth part is 1.
+    large_primes = np.flatnonzero(smooth[2:] == 1) + 2
+    lam[large_primes] = np.log(large_primes.astype(np.float64))
+    del large_primes
+    q = np.floor_divide(np.arange(n_max + 1, dtype=np.int32), smooth, out=smooth)
+    big = q > 1
+    np.negative(mu, out=mu, where=big)
+    r = np.sqrt(q)
+    np.multiply(upsilon, np.subtract(1.0, r, out=r), out=upsilon, where=big)
+    np.sqrt(q, out=r)
+    np.multiply(mubar, np.negative(np.add(1.0, r, out=r), out=r), out=mubar, where=big)
+
     mu[0] = 0
-    if n_max >= 1:
-        mu[1] = 1
-    del prod, big_factor
-
-    mu_sqrt = mu.astype(np.float64) * np.sqrt(idx.astype(np.float64))
-    mubar = dirichlet_convolve(mu_sqrt, mu.astype(np.float64))
-    upsilon = dirichlet_convolve(mu_sqrt, np.ones(n_max + 1))
-    del mu_sqrt
-
-    # Exact anchors at n = 1 regardless of float round-off in the loops.
-    lam[1] = 0.0
-    mubar[1] = 1.0
-    upsilon[1] = 1.0
-
-    for arr in (lam, mu, mubar, upsilon):
-        arr.setflags(write=False)
+    mubar[0] = upsilon[0] = 0.0
     return ArithmeticTable(n_max=n_max, lam=lam, mu=mu, mubar_arr=mubar, upsilon_arr=upsilon)

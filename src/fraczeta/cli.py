@@ -14,8 +14,9 @@ identity does not take is a usage error.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 IO/format
 error.  Reports serialize to JSON or CSV with numbers at 17 significant
-digits.  Sieve tables are cached on disk keyed by n_max (override the
-location with FRACZETA_CACHE_DIR).
+digits.  Sieve tables are cached on disk as table_<n_max>.npz, checked
+on load and rebuilt when they fail (override the location with
+FRACZETA_CACHE_DIR).
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ import argparse
 import csv
 import math
 import os
-import struct
 import sys
 import time
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,8 +72,6 @@ class IdentityReport:
 # Sieve table disk cache
 # ---------------------------------------------------------------------------
 
-_CACHE_MAGIC = b"FZTB"
-_CACHE_VERSION = 3
 _TABLES: dict[int, ArithmeticTable] = {}
 
 
@@ -85,65 +82,31 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "fraczeta"
 
 
-def _table_arrays(t: ArithmeticTable):
-    return (t.lam, t.mu, t.mubar_arr, t.upsilon_arr)
-
-
-def _save_table(t: ArithmeticTable, path: Path) -> None:
-    blobs = [np.ascontiguousarray(a).tobytes() for a in _table_arrays(t)]
-    crc = 0
-    for b in blobs:
-        crc = zlib.crc32(b, crc)
-    header = _CACHE_MAGIC + struct.pack("<IQI", _CACHE_VERSION, t.n_max, crc)
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        for b in blobs:
-            fh.write(b)
-    tmp.replace(path)
-
-
-def _load_table(path: Path, n_max: int) -> ArithmeticTable | None:
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(len(_CACHE_MAGIC) + 16)
-            if head[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
-                return None
-            version, stored_n, crc = struct.unpack("<IQI", head[len(_CACHE_MAGIC):])
-            if version != _CACHE_VERSION or stored_n != n_max:
-                return None
-            payload = fh.read()
-    except OSError:
-        return None
-    n = n_max + 1
-    sizes = [8 * n, n, 8 * n, 8 * n]
-    if len(payload) != sum(sizes):
-        return None
-    if zlib.crc32(payload) != crc:
-        return None
-    offs = np.cumsum([0] + sizes)
-    lam = np.frombuffer(payload, dtype=np.float64, count=n, offset=offs[0])
-    mu = np.frombuffer(payload, dtype=np.int8, count=n, offset=offs[1])
-    mubar = np.frombuffer(payload, dtype=np.float64, count=n, offset=offs[2])
-    ups = np.frombuffer(payload, dtype=np.float64, count=n, offset=offs[3])
-    return ArithmeticTable(n_max=n_max, lam=lam, mu=mu, mubar_arr=mubar, upsilon_arr=ups)
-
-
 def get_table(n_max: int) -> ArithmeticTable:
     """Sieve table for n_max, memoized in process and cached on disk.
 
-    A corrupt or stale cache file (bad magic, version, size, or checksum)
-    is silently rebuilt.
+    The cache file is an uncompressed .npz of the table's arrays.  A file
+    that does not load (not an archive, truncated, a member failing its
+    zip CRC) or does not make a table (a field missing or extra, a wrong
+    dtype or length) is silently rebuilt.
     """
     if n_max in _TABLES:
         return _TABLES[n_max]
-    path = _cache_dir() / f"table_{n_max}.bin"
-    t = _load_table(path, n_max)
-    if t is None:
+    path = _cache_dir() / f"table_{n_max}.npz"
+    try:
+        with np.load(path) as archive:
+            t = ArithmeticTable(n_max, **{name: archive[name] for name in archive.files})
+    except Exception:  # noqa: BLE001 - any unreadable file is a cache miss
+        # Corrupt input raises whatever the zip, .npy header or table
+        # check trips on: BadZipFile, ValueError, TypeError, EOFError, and
+        # tokenize.TokenError from a flipped header byte.
         t = build_sieve(n_max)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            _save_table(t, path)
+            tmp = path.with_suffix(".tmp")
+            with open(tmp, "wb") as fh:
+                np.savez(fh, **t.arrays())
+            tmp.replace(path)
         except OSError:
             pass  # cache is best-effort
     _TABLES[n_max] = t
@@ -486,7 +449,7 @@ def _invariants(n_small: int = 10**5):
     def sieve_determinism():
         a = build_sieve(2000)
         b = build_sieve(2000)
-        for x, y in zip(_table_arrays(a), _table_arrays(b)):
+        for x, y in zip(a.arrays().values(), b.arrays().values()):
             assert np.array_equal(x, y), "sieve not deterministic"
 
     def dirichlet_series():

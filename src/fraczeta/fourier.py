@@ -39,7 +39,6 @@ __all__ = [
     "rhs_th4_upsilon",
     "rh_slope",
     "rh_decay_profile",
-    "RH_GRID_DEFAULT",
 ]
 
 TWO_PI_SQ = 2.0 * math.pi**2
@@ -203,9 +202,6 @@ def rh_slope(values: list[tuple[float, float, float]]) -> SlopeFit:
         r_squared=r_squared,
         dropped=dropped,
     )
-
-
-RH_GRID_DEFAULT = dict(x_min=10.0, x_max=100.0, points=20, N=10**7)
 
 
 def rh_decay_profile(

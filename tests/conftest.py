@@ -1,19 +1,25 @@
 import os
+import shutil
 
 import pytest
 
 # Keep the on-disk sieve cache inside the test session unless the caller
-# already pinned a location.
-_CACHE_SET = False
+# already pinned a location; a directory made here is removed at the end.
+_CACHE_DIR = None
 
 
 def pytest_configure(config):
-    global _CACHE_SET
+    global _CACHE_DIR
     if "FRACZETA_CACHE_DIR" not in os.environ:
         import tempfile
 
-        os.environ["FRACZETA_CACHE_DIR"] = tempfile.mkdtemp(prefix="fraczeta-cache-")
-        _CACHE_SET = True
+        _CACHE_DIR = tempfile.mkdtemp(prefix="fraczeta-cache-")
+        os.environ["FRACZETA_CACHE_DIR"] = _CACHE_DIR
+
+
+def pytest_unconfigure(config):
+    if _CACHE_DIR is not None:
+        shutil.rmtree(_CACHE_DIR, ignore_errors=True)
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from fraczeta import arith
 from fraczeta.arith import CapacityError, build_sieve, dirichlet_convolve
 
 
@@ -35,6 +39,37 @@ class TestBuildSieve:
             build_sieve(2 * 10**8)
         with pytest.raises(CapacityError):
             build_sieve(5 * 10**7)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_peak_memory_within_estimate(self):
+        # A fresh process's peak RSS, VmHWM in KiB, grows past its imports by
+        # what one build adds.  ru_maxrss would not do: on Linux a child
+        # keeps its parent's peak across exec, and hides the build under it.
+        script = (
+            "from fraczeta.arith import build_sieve\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
+            "base = peak()\n"
+            "build_sieve(10**6)\n"
+            "print(peak() - base)\n"
+        )
+        src = os.path.dirname(os.path.dirname(arith.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert int(out.stdout) * 1024 <= 10**6 * arith._BYTES_PER_INDEX
+
+    def test_small_tables_match_large(self):
+        # Every n_max crosses the sqrt(n_max) boundary where the large-prime
+        # pass takes over from the loop (49, 121, 169, ...).
+        ref = build_sieve(10**4)
+        for n_max in range(1, 401):
+            t = build_sieve(n_max)
+            assert np.array_equal(t.lam, ref.lam[: n_max + 1]), n_max
+            assert np.array_equal(t.mu, ref.mu[: n_max + 1]), n_max
+            assert np.max(np.abs(t.mubar_arr - ref.mubar_arr[: n_max + 1])) <= 1e-12, n_max
+            assert np.max(np.abs(t.upsilon_arr - ref.upsilon_arr[: n_max + 1])) <= 1e-12, n_max
 
     def test_determinism(self):
         a = build_sieve(3000)

@@ -2,10 +2,14 @@ import csv
 import json
 import math
 import re
+import struct
+import zlib
 
+import numpy as np
 import pytest
 
 from fraczeta import cli
+from fraczeta.arith import build_sieve
 from fraczeta.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -151,29 +155,65 @@ class TestEmitReport:
         assert reports_exit_code([rh]) == EXIT_OK
 
 
+def flip_byte(path):
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) // 2] ^= 0xFF  # inside a member's array data: its zip CRC must catch it
+    path.write_bytes(bytes(raw))
+
+
+def truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def other_n_max(path):
+    get_table(2000)
+    (path.parent / "table_2000.npz").replace(path)
+
+
+def parent_format(path):
+    # The earlier binary cache: magic, version, n_max, CRC, then the arrays.
+    payload = b"".join(a.tobytes() for a in build_sieve(3000).arrays().values())
+    path.write_bytes(b"FZTB" + struct.pack("<IQI", 3, 3000, zlib.crc32(payload)) + payload)
+
+
+def missing_field(path):
+    arrays = build_sieve(3000).arrays()
+    del arrays["upsilon_arr"]
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
 class TestTableCache:
     def test_roundtrip(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FRACZETA_CACHE_DIR", str(tmp_path))
         cli._TABLES.clear()
         a = get_table(5000)
-        assert (tmp_path / "table_5000.bin").exists()
-        cli._TABLES.clear()
-        b = get_table(5000)
-        assert a.mubar(4999) == b.mubar(4999)
-        assert a.vonmangoldt(4999) == b.vonmangoldt(4999)
+        assert (tmp_path / "table_5000.npz").exists()
         cli._TABLES.clear()
 
-    def test_corrupt_cache_rebuilt(self, tmp_path, monkeypatch):
+        def no_build(n_max):
+            raise AssertionError("cached table was rebuilt")
+
+        monkeypatch.setattr(cli, "build_sieve", no_build)
+        b = get_table(5000)
+        for name, arr in b.arrays().items():
+            assert np.array_equal(arr, getattr(a, name))
+            assert not arr.flags.writeable
+        cli._TABLES.clear()
+
+    @pytest.mark.parametrize("corrupt", [flip_byte, truncate, other_n_max, parent_format,
+                                         missing_field])
+    def test_corrupt_cache_rebuilt(self, tmp_path, monkeypatch, corrupt):
         monkeypatch.setenv("FRACZETA_CACHE_DIR", str(tmp_path))
         cli._TABLES.clear()
         get_table(3000)
-        path = tmp_path / "table_3000.bin"
-        raw = bytearray(path.read_bytes())
-        raw[100] ^= 0xFF  # flip a payload byte: checksum must catch it
-        path.write_bytes(bytes(raw))
+        corrupt(tmp_path / "table_3000.npz")
         cli._TABLES.clear()
         t = get_table(3000)
-        assert t.moebius(2999) in (-1, 0, 1)
+        ref = build_sieve(3000)
+        for name, arr in t.arrays().items():
+            assert np.array_equal(arr, getattr(ref, name)), name
+            assert not arr.flags.writeable
         assert abs(t.upsilon(6) - (1 - math.sqrt(2)) * (1 - math.sqrt(3))) < 1e-12
         cli._TABLES.clear()
 
