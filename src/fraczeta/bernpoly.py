@@ -148,9 +148,13 @@ def sdot(x: float) -> float:
     return (fr * fr - fr) / 2.0
 
 
-def sdot_array(y: np.ndarray) -> np.ndarray:
-    fr = y - np.floor(y)
-    return (fr * fr - fr) * 0.5
+def sdot_array(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized sdot.  With out, the result is written there and y,
+    a float64 array of the same shape, is overwritten as scratch."""
+    if out is None:
+        y, out = y.astype(np.float64), np.empty(y.shape)
+    fr = np.subtract(y, np.floor(y, out=out), out=out)
+    return np.multiply(np.subtract(np.multiply(fr, fr, out=y), fr, out=out), 0.5, out=out)
 
 
 _IK_ENVELOPES: dict[int, float] = {}

@@ -82,8 +82,15 @@ class TruncatedSum:
             raise ValueError("tail and rounding bounds must be finite and nonnegative")
 
 
-def blocked_sum(block_terms, *columns: np.ndarray) -> tuple[float, float]:
+def blocked_sum(block_terms, *columns):
     """Sum block_terms over SUM_BLOCK slices of the columns; returns (value, rounding bound).
+
+    block_terms returns the terms of one block as an array, or an iterable
+    of term arrays, one per output; each of those is summed before the next
+    is made, so they may share a buffer, and the result is then a list of
+    one (value, bound) per output.  Columns are arrays or anything else
+    with len and slicing (a range, say); an empty column still makes one
+    empty block.
 
     Blocks are summed by np.sum, in any order within gamma_{B-1} sum |v_i|,
     gamma_m = m u/(1 - m u) (Higham, Accuracy and Stability of Numerical
@@ -91,14 +98,18 @@ def blocked_sum(block_terms, *columns: np.ndarray) -> tuple[float, float]:
     in place of gamma_{B-1} leaves ~u sum |v_i| of slack for the rounding
     of the bound itself.  Temporaries never outgrow one block.
     """
-    partials, mass = [], []
-    for lo in range(0, len(columns[0]), SUM_BLOCK):
-        v = block_terms(*(c[lo : lo + SUM_BLOCK] for c in columns))
-        partials.append(float(np.sum(v)))
-        mass.append(float(np.sum(np.abs(v))))
-    value = math.fsum(partials)
+    blocks = []  # per block: (sum, sum |v_i|) of each output
+    for lo in range(0, max(len(columns[0]), 1), SUM_BLOCK):
+        terms = block_terms(*(c[lo : lo + SUM_BLOCK] for c in columns))
+        single = isinstance(terms, np.ndarray)
+        outputs = [terms] if single else terms
+        blocks.append([(float(np.sum(v)), float(np.sum(np.abs(v)))) for v in outputs])
     gamma = SUM_BLOCK * _UNIT_ROUNDOFF / (1.0 - SUM_BLOCK * _UNIT_ROUNDOFF)
-    return value, gamma * math.fsum(mass) + _UNIT_ROUNDOFF * abs(value)
+    sums = []
+    for output in zip(*blocks):
+        value = math.fsum(s for s, _ in output)
+        sums.append((value, gamma * math.fsum(m for _, m in output) + _UNIT_ROUNDOFF * abs(value)))
+    return sums[0] if single else sums
 
 
 @dataclass(frozen=True)

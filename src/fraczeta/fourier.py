@@ -28,7 +28,7 @@ import numpy as np
 
 from .arith import ArithmeticTable
 from .bernpoly import sdot_array
-from .explicit import TruncatedSum, blocked_sum
+from .explicit import SUM_BLOCK, TruncatedSum, blocked_sum
 
 __all__ = [
     "SlopeFit",
@@ -74,11 +74,12 @@ class SlopeFit:
 def lhs_weighted_sdot(
     t: ArithmeticTable, weight: str, p: float, x: float, N: int
 ) -> TruncatedSum:
-    """sum_{n<=N} w(n) n^-p sdot(n/x), summed by blocked_sum.
+    """sum_{n<=N} w(n) n^-p sdot(n/x): the streamed kernel _sdot_sums at one x.
 
     blocked_sum joins 2^16-term np.sum blocks by fsum; round_bound =
     gamma_B sum |v_i| + u |value| covers the rounding of that summation,
-    not the error in evaluating each term.
+    not the error in evaluating each term.  No temporary outgrows one
+    block; Lambda and mu keep the index list of their non-zero terms.
 
     Tail bounds use |sdot| <= 1/8 against a weight-specific majorant:
     log n for Lambda, 1 for mu at p = 2, and the divisor-sqrt family
@@ -86,26 +87,30 @@ def lhs_weighted_sdot(
     (it majorizes both sum_{n>N} sigma_{1/2}(n)/n^2, which a split of the
     divisor sum at d = N bounds by 8/sqrt(N), and sum_{n>N} n^-3/2).
     """
-    return _sdot_sum(*_weighted_coefficients(t, weight, p, N), x)
+    return _sdot_sums(t, weight, p, N, [x])[0]
 
 
-def _weighted_coefficients(t: ArithmeticTable, weight: str, p: float, N: int):
-    """Points n with w(n) != 0 as floats, w(n) n^-p there, the tail bound and its note."""
+def _sdot_sums(t: ArithmeticTable, weight: str, p: float, N: int, xs: list[float]) -> list[TruncatedSum]:
+    """sum_{n<=N} w(n) n^-p sdot(n/x) for every x in xs, in one pass over the blocks.
+
+    Each block of points n with w(n) != 0 (all n <= N for mubar) forms
+    w(n) n^-p once and then evaluates every x on it while it is in cache;
+    sdot_array writes into two block buffers reused for every x and block.
+    """
     p = float(p)
     if (weight, p) not in _SUPPORTED:
         raise ValueError(f"unsupported (weight, p) pair: ({weight!r}, {p})")
     if not 1 <= N <= t.n_max:
         raise ValueError(f"N must be in 1..{t.n_max}")
+    if not all(x > 0 for x in xs):
+        raise ValueError("x must be > 0")
 
     if weight == "lambda":
-        idx = t.prime_powers
-        idx = idx[idx <= N]
-        w = t.lam[idx]
+        points, w = t.prime_powers[: np.searchsorted(t.prime_powers, N, side="right")], t.lam
         tail = SDOT_MAX * (math.log(N) + 1.0) / N
         note = "log-integral majorant"
     elif weight == "mu":
-        idx = np.nonzero(t.mu[: N + 1])[0]
-        w = t.mu[idx].astype(np.float64)
+        points, w = np.flatnonzero(t.mu[: N + 1]), t.mu
         if p == 2.0:
             tail = SDOT_MAX / N
             note = "unit majorant"
@@ -113,20 +118,26 @@ def _weighted_coefficients(t: ArithmeticTable, weight: str, p: float, N: int):
             tail = SDOT_MAX * 2.0 * (math.log(N) + 2.0) / math.sqrt(N)
             note = "divisor-sqrt family majorant, p = 3/2"
     else:
-        idx = np.arange(1, N + 1)
-        w = t.mubar_arr[1 : N + 1]
+        points, w = range(1, N + 1), t.mubar_arr
         tail = SDOT_MAX * 2.0 * (math.log(N) + 2.0) / math.sqrt(N)
         note = "divisor sqrt-sum majorant"
 
-    nf = idx.astype(np.float64)
-    return nf, w * nf ** (-p), tail, note
+    buffers = np.empty((2, min(len(points), SUM_BLOCK)))
 
+    def block_terms(n):
+        if isinstance(n, range):
+            nf, wn = np.arange(n.start, n.stop, dtype=np.float64), w[n.start : n.stop]
+        else:
+            nf, wn = n.astype(np.float64), w[n]
+        coef = wn * nf ** (-p)
+        y, v = buffers[:, : len(nf)]
+        for x in xs:
+            yield np.multiply(coef, sdot_array(np.divide(nf, x, out=y), out=v), out=v)
 
-def _sdot_sum(nf: np.ndarray, coef: np.ndarray, tail: float, note: str, x: float) -> TruncatedSum:
-    if not x > 0:
-        raise ValueError("x must be > 0")
-    value, err = blocked_sum(lambda n, c: c * sdot_array(n / x), nf, coef)
-    return TruncatedSum(value, len(nf), tail, note=note, round_bound=err)
+    return [
+        TruncatedSum(value, len(points), tail, note=note, round_bound=err)
+        for value, err in blocked_sum(block_terms, points)
+    ]
 
 
 def rhs_th2_log(x: float, N: int) -> TruncatedSum:
@@ -213,11 +224,11 @@ def rh_decay_profile(
 ) -> list[tuple[float, float, float]]:
     """mubar-weighted sums on a log-spaced grid, with their noise floors (tail + round_bound).
 
-    mubar(n) n^-2 is formed once per call, shared by the grid, and not kept.
+    One pass of the streamed kernel _sdot_sums sweeps the whole grid over
+    each 2^16-term block, forming mubar(n) n^-2 once per block; the sums
+    and floors are those lhs_weighted_sdot gives at each x, bit for bit,
+    and nothing of length N is allocated.
     """
-    coefficients = _weighted_coefficients(t, "mubar", 2.0, N)
-    out = []
-    for x in np.geomspace(x_min, x_max, points):
-        ts = _sdot_sum(*coefficients, float(x))
-        out.append((float(x), ts.value, ts.tail_bound + ts.round_bound))
-    return out
+    xs = [float(x) for x in np.geomspace(x_min, x_max, points)]
+    sums = _sdot_sums(t, "mubar", 2.0, N, xs)
+    return [(x, ts.value, ts.tail_bound + ts.round_bound) for x, ts in zip(xs, sums)]

@@ -373,7 +373,7 @@ def Hk_quadrature(k: int, s: complex) -> complex:
     real_w = s.imag == 0.0
     partials_re: list[float] = []
     partials_im: list[float] = []
-    chunk = 65536
+    chunk = 4096  # periods per step: each (chunk, 32) temporary is 1 MB (2 MB complex)
     for lo in range(1, m_stop + 1, chunk):
         hi = min(lo + chunk - 1, m_stop)
         m = np.arange(lo, hi + 1, dtype=np.float64)

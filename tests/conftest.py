@@ -1,5 +1,6 @@
 import os
 import shutil
+import tracemalloc
 
 import pytest
 
@@ -48,3 +49,18 @@ def zeros100():
     from fraczeta.cli import get_refined_zeros
 
     return get_refined_zeros(100)
+
+
+@pytest.fixture
+def traced_peak_bytes():
+    """Call fn() and return the peak of memory traced by tracemalloc during it."""
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -62,9 +62,10 @@ class TestBuildSieve:
 
     def test_small_tables_match_large(self):
         # Every n_max crosses the sqrt(n_max) boundary where the large-prime
-        # pass takes over from the loop (49, 121, 169, ...).
-        ref = build_sieve(10**4)
-        for n_max in range(1, 401):
+        # pass takes over from the loop (49, 121, 169, ...); the last four
+        # end just before, on and after the edge of its 2^16-index slices.
+        ref = build_sieve(3 * 10**5)
+        for n_max in [*range(1, 401), 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 3]:
             t = build_sieve(n_max)
             assert np.array_equal(t.lam, ref.lam[: n_max + 1]), n_max
             assert np.array_equal(t.mu, ref.mu[: n_max + 1]), n_max

@@ -73,6 +73,23 @@ class TestBlockedSum:
         assert abs(exact_excess(value, v * w)) <= bound
         assert bound > 0.0 or not np.any(v * w)
 
+    @pytest.mark.parametrize("n", [0, 1, SUM_BLOCK + 1])
+    def test_one_pair_per_output(self, n):
+        # Outputs made one after another in a shared buffer each get the
+        # (value, bound) a single-output call gives; an empty column gives
+        # (0, 0) for each.
+        v = np.random.default_rng(n).standard_normal(n)
+        scales = (1.0, -3.0, 0.5)
+        buf = np.empty(min(n, SUM_BLOCK))
+
+        def terms(a):
+            for s in scales:
+                yield np.multiply(a, s, out=buf[: len(a)])
+
+        assert blocked_sum(terms, v) == [blocked_sum(lambda a: a * s, v) for s in scales]
+        if n == 0:
+            assert blocked_sum(terms, v) == [(0.0, 0.0)] * len(scales)
+
 
 class TestLhsTheorem1:
     def test_tail_bound_k1(self, table_1e6):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraczeta import cli
 from fraczeta.bernpoly import sdot_array
+from fraczeta.explicit import SUM_BLOCK
 from fraczeta.fourier import (
     TWO_PI_SQ,
     InsufficientDataError,
@@ -227,7 +229,27 @@ class TestDecayProfile:
         assert all(f > 0 for _, _, f in prof)
 
     def test_matches_single_sums(self, table_1e6):
-        for x, value, floor in rh_decay_profile(table_1e6, x_min=5.0, x_max=20.0, points=4, N=10**6):
-            ts = lhs_weighted_sdot(table_1e6, "mubar", 2.0, x, 10**6)
-            assert abs(value - ts.value) <= ts.round_bound
-            assert floor == ts.tail_bound + ts.round_bound
+        # The whole grid in one pass gives each single sum bit for bit, with
+        # a short last block (or only one) at every N.
+        for N in (1, SUM_BLOCK - 1, 3 * SUM_BLOCK + 5, 10**6):
+            for x, value, floor in rh_decay_profile(table_1e6, x_min=5.0, x_max=20.0, points=4, N=N):
+                ts = lhs_weighted_sdot(table_1e6, "mubar", 2.0, x, N)
+                assert value == ts.value, (N, x)
+                assert floor == ts.tail_bound + ts.round_bound, (N, x)
+
+    def test_rejects_nonpositive_x(self, table_small):
+        with pytest.raises(ValueError, match="x must be > 0"):
+            rh_decay_profile(table_small, x_min=-20.0, x_max=-5.0, points=4, N=10**4)
+        argv = ["rh-explore", "--xmin", "-20", "--xmax", "-5", "--points", "4", "--nterms", "10000"]
+        assert cli.main(argv) == cli.EXIT_VERIFY
+
+
+class TestStreamedMemory:
+    # tracemalloc sees numpy's buffers.  At N = 10^6 one N-length float64
+    # temporary alone is 8 MB; the streamed kernel holds a few 2^16-term
+    # blocks (0.5 MB each).
+    def test_profile_peak(self, table_1e6, traced_peak_bytes):
+        assert traced_peak_bytes(lambda: rh_decay_profile(table_1e6, 5.0, 20.0, 6, 10**6)) <= 4e6
+
+    def test_single_sum_peak(self, table_1e6, traced_peak_bytes):
+        assert traced_peak_bytes(lambda: lhs_weighted_sdot(table_1e6, "mubar", 2.0, 7.5, 10**6)) <= 4e6
