@@ -33,7 +33,6 @@ from .zeta import (
     ZeroTable,
     _hk_closed_batch,
     _neg_zld_batch,
-    Hk_closed,
 )
 
 __all__ = [
@@ -58,6 +57,7 @@ RESIDUE_NODES = 64
 RESIDUE_QUAD_BOUND = 1e-10
 
 SUM_BLOCK = 2**16
+_TRIVIAL_RUN = 16   # trivial zeros whose H_k one batch evaluates (x >= 4 needs one run)
 _UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -146,11 +146,13 @@ def lhs_theorem1(t: ArithmeticTable, k: int, x: float, N: int) -> TruncatedSum:
         raise ValueError(f"empty summation range: N={N} <= x={x}")
 
     pp = t.prime_powers
-    pp = pp[(pp > x) & (pp <= N)]
-    value, err = blocked_sum(
-        lambda lam, n: lam * n ** (-(k + 1)) * integral_ik_array(k, n / x),
-        t.lam[pp], pp.astype(np.float64),
-    )
+    pp = pp[np.searchsorted(pp, x, side="right") : np.searchsorted(pp, N, side="right")]
+
+    def block_terms(n):
+        m = n.astype(np.float64)
+        return t.lam[n] * m ** (-(k + 1)) * integral_ik_array(k, m / x)
+
+    value, err = blocked_sum(block_terms, pp)
     mk = ik_envelope(k)
     tail = mk * (math.log(N) / (k * N**k) + 1.0 / (k * k * N**k))
     note = "log-integral tail with |I_k| envelope"
@@ -200,24 +202,16 @@ def zero_pair_terms(
     rely on that.
     """
     take = zeros.entries if count is None else zeros.entries[: count]
-    gam = np.array([e.gamma for e in take])
-    if gam.size == 0:
-        return np.zeros(0, dtype=complex)
-    rho = 0.5 + 1j * gam
-    out = np.zeros(gam.size, dtype=complex)
-    for r in (rho, rho.conj()):
-        hk = _hk_closed_batch(k, 1.0 - r)
+    rho = 0.5 + 1j * np.array([e.gamma for e in take])
+    return _pair_terms(k, x, rho, _hk_closed_batch(k, 1.0 - rho))
+
+
+def _pair_terms(k: int, x: float, rho: np.ndarray, hk_rho: np.ndarray) -> np.ndarray:
+    """zero_pair_terms from the zeros rho and H_k(1-rho); H_k(1-conj(rho)) is evaluated here."""
+    out = np.zeros(rho.size, dtype=complex)
+    for r, hk in ((rho, hk_rho), (rho.conj(), _hk_closed_batch(k, 1.0 - rho.conj()))):
         out = out + np.exp((r - 1.0 - k) * math.log(x)) * hk / (k + 1.0 - r)
     return out
-
-
-def _zero_tail_coeff(k: int, zeros: ZeroTable) -> float:
-    """Empirical majorant constant: 2 * max over the table of
-    |H_k(1-rho)/(k+1-rho)| * gamma^2 (the 2x is the certification margin)."""
-    gam = np.array([e.gamma for e in zeros.entries])
-    rho = 0.5 + 1j * gam
-    hk = _hk_closed_batch(k, 1.0 - rho)
-    return 2.0 * float(np.max(np.abs(hk / (k + 1.0 - rho)) * gam**2))
 
 
 def zero_sum(
@@ -245,10 +239,16 @@ def zero_sum(
     if any(e.residual > 1e-8 for e in zeros.entries[:used]):
         raise ValueError("zeros must be refined before use (residual <= 1e-8)")
 
-    pairs = zero_pair_terms(k, x, zeros, used)
+    # One H_k(1-rho) batch over the table serves the pairs and A_k.
+    gam = np.array([e.gamma for e in zeros.entries])
+    rho = 0.5 + 1j * gam
+    hk = _hk_closed_batch(k, 1.0 - rho)
+    pairs = _pair_terms(k, x, rho[:used], hk[:used])
     value = sign * math.fsum(pairs.real.tolist())
 
-    a_k = _zero_tail_coeff(k, zeros)
+    # Empirical majorant constant: 2 * max over the table of
+    # |H_k(1-rho)/(k+1-rho)| * gamma^2 (the 2x is the certification margin).
+    a_k = 2.0 * float(np.max(np.abs(hk / (k + 1.0 - rho)) * gam**2))
     gamma_cut = zeros.entries[used - 1].gamma if used > 0 else 14.0
     tail = (
         x ** (-0.5 - k)
@@ -274,18 +274,21 @@ def trivial_sum(k: int, x: float, sign: float = -1.0) -> TruncatedSum:
     if not x > 1:
         raise ValueError("x must be > 1 (geometric decay in x^-2 is lost otherwise)")
     terms: list[float] = []
-    j = 1
+    j0 = 1
     while True:
-        hk = Hk_closed(k, 1.0 + 2.0 * j).real
-        term = sign * x ** (-2.0 * j - 1.0 - k) * hk / (k + 1.0 + 2.0 * j)
-        if abs(term) < 1e-18:
-            tail = abs(term) / (1.0 - x**-2.0)
-            break
-        terms.append(term)
-        j += 1
-    return TruncatedSum(
-        math.fsum(terms), len(terms), tail, note="first omitted term over geometric factor"
-    )
+        # H_k(1+2j) for a run of j in one batch; the terms are then taken one at a time.
+        js = range(j0, j0 + _TRIVIAL_RUN)
+        hks = _hk_closed_batch(k, np.array([1.0 + 2.0 * j for j in js], dtype=complex)).real
+        for j, hk in zip(js, hks.tolist()):
+            term = sign * x ** (-2.0 * j - 1.0 - k) * hk / (k + 1.0 + 2.0 * j)
+            if abs(term) < 1e-18:
+                tail = abs(term) / (1.0 - x**-2.0)
+                return TruncatedSum(
+                    math.fsum(terms), len(terms), tail,
+                    note="first omitted term over geometric factor",
+                )
+            terms.append(term)
+        j0 += _TRIVIAL_RUN
 
 
 def rhs_theorem1(

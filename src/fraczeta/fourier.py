@@ -148,11 +148,15 @@ def rhs_th2_log(x: float, N: int) -> TruncatedSum:
         raise ValueError("N must be >= 1")
     if N < 2:
         return TruncatedSum(0.0, 0, (math.log(2.0) + 1.0) / (math.pi**2), note="empty sum")
-    n = np.arange(2, N + 1, dtype=np.float64)
-    value, err = blocked_sum(lambda m: np.log(m) / m**2 * (np.cos(2.0 * np.pi * m / x) - 1.0), n)
+
+    def block_terms(r):
+        m = np.arange(r.start, r.stop, dtype=np.float64)
+        return np.log(m) / m**2 * (np.cos(2.0 * np.pi * m / x) - 1.0)
+
+    value, err = blocked_sum(block_terms, range(2, N + 1))
     tail = (math.log(N) + 1.0) / (N * math.pi**2)
     note = "log-integral majorant, |cos-1| <= 2"
-    return TruncatedSum(value / TWO_PI_SQ, len(n), tail, note=note, round_bound=err / TWO_PI_SQ)
+    return TruncatedSum(value / TWO_PI_SQ, N - 1, tail, note=note, round_bound=err / TWO_PI_SQ)
 
 
 def rhs_th2_mu(x: float) -> float:
@@ -172,13 +176,15 @@ def rhs_th4_upsilon(t: ArithmeticTable, x: float, N: int) -> TruncatedSum:
         raise ValueError("x must be > 0")
     if not 1 <= N <= t.n_max:
         raise ValueError(f"N must be in 1..{t.n_max}")
-    n = np.arange(1, N + 1, dtype=np.float64)
-    value, err = blocked_sum(
-        lambda u, m: u / m**2 * (np.cos(2.0 * np.pi * m / x) - 1.0), t.upsilon_arr[1 : N + 1], n
-    )
+
+    def block_terms(u, r):
+        m = np.arange(r.start, r.stop, dtype=np.float64)
+        return u / m**2 * (np.cos(2.0 * np.pi * m / x) - 1.0)
+
+    value, err = blocked_sum(block_terms, t.upsilon_arr[1 : N + 1], range(1, N + 1))
     tail = (2.0 / math.sqrt(N)) * (1.0 + math.log(N)) / math.pi**2
     note = "sqrt majorant tail"
-    return TruncatedSum(value / TWO_PI_SQ, len(n), tail, note=note, round_bound=err / TWO_PI_SQ)
+    return TruncatedSum(value / TWO_PI_SQ, N, tail, note=note, round_bound=err / TWO_PI_SQ)
 
 
 def rh_slope(values: list[tuple[float, float, float]]) -> SlopeFit:

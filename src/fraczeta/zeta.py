@@ -6,12 +6,15 @@ zeta(s) is evaluated by the Euler-Maclaurin expansion
         + sum_j B_{2j}/(2j)! (s)_{2j-1} N^(-s-2j+1) + R,
 
 with N and the correction depth chosen adaptively until the classical
-remainder bound drops below ~1e-14 of the accumulated value.  zeta'(s)
-comes from the Cauchy integral on a radius-0.05 circle (32-node
-trapezoid, spectrally accurate), so a single accurate zeta implementation
-serves both.  -zeta'/zeta near the pole at s = 1 switches to the entire
-function phi(s) = (s-1) zeta(s), for which the circle derivative is
-uniformly safe.
+remainder bound drops below ~1e-14 of the accumulated value.  One pass
+over a whole batch forms every n^-s as one (batch x N) array and returns
+the pole-free part A(s) = zeta(s) - N^(1-s)/(s-1); asked for it, the
+same pass differentiates each term as well, so A'(s) and hence zeta'(s)
+come with the values, their truncation bounded by Cauchy's estimate of
+the remainder.  Left of Re s = -1/2 both are pulled back through the
+functional equation.  -zeta'/zeta near the pole at s = 1 goes through the
+entire function phi(s) = (s-1) zeta(s) = (s-1) A(s) + N^(1-s), whose
+derivative is formed from A and A' with no pole in it.
 
 The Mellin kernel
 
@@ -62,8 +65,6 @@ EULER_GAMMA = 0.5772156649015329
 RE_MIN = -10.0
 IM_MAX = 500.0
 
-_DERIV_RADIUS = 0.05
-_DERIV_NODES = 32
 _POLE_SWITCH = 0.5  # |s-1| below this: -zeta'/zeta goes through phi = (s-1) zeta
 
 
@@ -131,79 +132,123 @@ def _log_sin(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _zeta_em_batch(s: np.ndarray) -> np.ndarray:
-    """Euler-Maclaurin zeta over a 1-d complex array (domain pre-validated).
+def _zeta_batch(s: np.ndarray, deriv: bool = False):
+    """zeta over a 1-d complex array (domain pre-validated); with deriv, (zeta, zeta').
 
     For Re s < -0.5 the expansion is applied at 1-s and pulled back through
     the functional equation zeta(s) = chi(s) zeta(1-s) with chi evaluated in
-    log space; direct summation there would cancel catastrophically.
+    log space; direct summation there would cancel catastrophically.  Its
+    derivative is zeta'(s) = chi(s) [(log 2 pi + (pi/2) cot(pi s/2)
+    - psi(1-s)) zeta(1-s) - zeta'(1-s)].
     """
-    out = np.empty_like(s)
+    z = np.empty_like(s)
+    dz = np.empty_like(s) if deriv else None
     left = s.real < -0.5
     if np.any(left):
-        from scipy.special import loggamma
+        from scipy.special import digamma, loggamma
 
         sl = s[left]
-        log_chi = (
+        chi = np.exp(
             sl * math.log(2.0)
             + (sl - 1.0) * math.log(math.pi)
             + _log_sin(0.5 * np.pi * sl)
             + loggamma(1.0 - sl)
         )
-        out[left] = np.exp(log_chi) * _zeta_em_core(1.0 - sl)
-    if np.any(~left):
-        out[~left] = _zeta_em_core(s[~left])
-    return out
+        zr, dzr = _zeta_direct(1.0 - sl, deriv)
+        z[left] = chi * zr
+        if deriv:
+            log_chi_prime = (
+                math.log(2.0 * math.pi) + 0.5 * np.pi / np.tan(0.5 * np.pi * sl) - digamma(1.0 - sl)
+            )
+            dz[left] = chi * (log_chi_prime * zr - dzr)
+    if not np.all(left):
+        zr, dzr = _zeta_direct(s[~left], deriv)
+        z[~left] = zr
+        if deriv:
+            dz[~left] = dzr
+    return (z, dz) if deriv else z
 
 
-def _zeta_em_core(s: np.ndarray) -> np.ndarray:
+def _zeta_direct(s: np.ndarray, deriv: bool):
+    """(zeta, zeta' or None) from the pole-free part and the pole term N^(1-s)/(s-1)."""
+    a, da, n_terms = _em_core(s, deriv)
+    logn = math.log(n_terms)
+    pole = np.exp((1.0 - s) * logn) / (s - 1.0)
+    return a + pole, (da - pole * (logn + 1.0 / (s - 1.0)) if deriv else None)
+
+
+def _em_core(s: np.ndarray, deriv: bool):
+    """(A, A' or None, N): A(s) = zeta(s) - N^(1-s)/(s-1), the pole-free part.
+
+    N grows with max |Im s| and doubles until the expansion converges.
+    """
     t_max = float(np.max(np.abs(s.imag)))
     n_terms = int((t_max + 60.0) / 3.5) + 16
     for _ in range(6):
-        value, converged = _zeta_em_try(s, n_terms)
-        if converged:
-            return value
+        result = _em_try(s, n_terms, deriv)
+        if result is not None:
+            return result + (n_terms,)
         n_terms *= 2
     raise DomainError("Euler-Maclaurin expansion failed to converge")
 
 
-def _zeta_em_try(s: np.ndarray, n_terms: int) -> tuple[np.ndarray, bool]:
-    sigma = s.real
-    # Kahan-compensated sum over n of n^-s, vectorized across the batch.
-    acc = np.zeros_like(s)
-    carry = np.zeros_like(s)
-    for n in range(1, n_terms):
-        term = np.exp(-s * math.log(n)) + carry
-        prev = acc.copy()
-        acc = prev + term
-        carry = (prev - acc) + term
-    logn = math.log(n_terms)
-    acc = acc + np.exp((1.0 - s) * logn) / (s - 1.0)
-    acc = acc + np.exp(-s * logn) / 2.0
+def _em_try(s: np.ndarray, n_terms: int, deriv: bool):
+    """A(s) [and A'(s)] with N = n_terms, or None if the corrections did not converge.
 
-    poch = s.copy()                       # (s)_{2j-1} for the current j
-    npow = np.exp((-s - 1.0) * logn)      # N^(-s-2j+1) for the current j
+    A = sum_{n<N} n^-s + N^-s/2 + sum_j B_{2j}/(2j)! (s)_{2j-1} N^(-s-2j+1),
+    its terms differentiated alongside.  The remainder after term j is at
+    most |B_{2j+2}/(2j+2)!| |(s)_{2j+1}| N^(-sigma-2j-1) |s+2j+1|/(sigma+2j+1).
+    It is analytic in s, so Cauchy's estimate on the circle of radius
+    r = 1/log N bounds the remainder of A' by the same bound with
+    |s+i| -> |s+i| + r and sigma -> sigma - r, times N^r/r = e log N.
+    """
+    sigma = s.real
+    logn = math.log(n_terms)
+    logs = np.log(np.arange(1, n_terms + 1, dtype=np.float64))
+    weights = np.ones(n_terms)
+    weights[-1] = 0.5
+    powers = np.exp(-s[:, None] * logs[None, :])     # n^-s, n = 1..N
+    a = powers @ weights
+    pole = np.exp((1.0 - s) * logn) / (s - 1.0)
+    if deriv:
+        r = 1.0 / logn
+        da = -(powers @ (weights * logs))
+        dpoch = np.ones_like(s)                      # d/ds (s)_{2j-1}
+        poch_abs = np.abs(s) + r                     # prod_{i<2j-1} (|s+i| + r)
+
+    poch = s.copy()                                  # (s)_{2j-1} for the current j
+    npow = powers[:, -1] / n_terms                   # N^(-s-2j+1) for the current j
     n2 = float(n_terms) ** 2
-    converged = False
     for j in range(1, _MAX_J + 1):
-        acc = acc + _B2J_FACT[j] * poch * npow
-        poch = poch * (s + (2 * j - 1)) * (s + 2 * j)
+        c = _B2J_FACT[j] * npow
+        a = a + c * poch
+        step = (s + (2 * j - 1)) * (s + 2 * j)
+        if deriv:
+            da = da + c * (dpoch - logn * poch)
+            dpoch = dpoch * step + poch * (2.0 * s + (4 * j - 1))
+        poch = poch * step
         npow = npow / n2
-        denom = sigma + 2 * j + 1
         with np.errstate(over="ignore", invalid="ignore"):
+            scale = abs(_B2J_FACT[j + 1]) * n_terms ** (-sigma - 2 * j - 1)
+            denom = sigma + 2 * j + 1
             bound = np.where(
                 denom > 0.5,
-                abs(_B2J_FACT[j + 1])
-                * np.abs(poch)
-                * n_terms ** (-sigma - 2 * j - 1)
-                * np.abs(s + (2 * j + 1))
-                / np.maximum(denom, 0.5),
+                scale * np.abs(poch) * np.abs(s + (2 * j + 1)) / np.maximum(denom, 0.5),
                 np.inf,
             )
-        if np.all(bound <= 1e-14 * (1.0 + np.abs(acc))):
-            converged = True
-            break
-    return acc, converged
+            done = np.all(bound <= 1e-14 * (1.0 + np.abs(a + pole)))
+            if deriv:
+                poch_abs = poch_abs * (np.abs(s + (2 * j - 1)) + r) * (np.abs(s + 2 * j) + r)
+                dbound = np.where(
+                    denom - r > 0.5,
+                    math.e * logn * scale * poch_abs
+                    * (np.abs(s + (2 * j + 1)) + r) / np.maximum(denom - r, 0.5),
+                    np.inf,
+                )
+                done = done and np.all(dbound <= 1e-14 * (1.0 + np.abs(da)))
+        if done:
+            return a, (da if deriv else None)
+    return None
 
 
 def zeta_em(s: complex) -> complex:
@@ -213,43 +258,38 @@ def zeta_em(s: complex) -> complex:
     """
     arr = np.array([complex(s)])
     _validate_domain(arr)
-    return complex(_zeta_em_batch(arr)[0])
+    return complex(_zeta_batch(arr)[0])
 
 
-def _circle_nodes(radius: float = _DERIV_RADIUS, nodes: int = _DERIV_NODES):
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    return radius * np.exp(1j * theta), np.exp(-1j * theta)
-
-
-def _zeta_deriv_batch(s: np.ndarray) -> np.ndarray:
-    offs, conj_ph = _circle_nodes()
-    pts = (s[:, None] + offs[None, :]).ravel()
-    _validate_domain(pts)
-    vals = _zeta_em_batch(pts).reshape(len(s), _DERIV_NODES)
-    return (vals * conj_ph[None, :]).mean(axis=1) / _DERIV_RADIUS
+def _check_deriv_domain(s: complex) -> None:
+    """The 0.05 margin to the zeta_em region that zeta' and -zeta'/zeta require."""
+    if s.real < RE_MIN + 0.05 or abs(s.imag) > IM_MAX - 0.05:
+        raise DomainError("insufficient margin to the zeta_em region")
 
 
 def zeta_deriv(s: complex) -> complex:
-    """zeta'(s) via the Cauchy derivative on a radius-0.05 circle.
+    """zeta'(s), differentiated term by term in the same Euler-Maclaurin pass as zeta.
 
     Requires |s - 1| > 0.1 and a 0.05 margin to the zeta_em region.
     """
     s = complex(s)
     if abs(s - 1.0) <= 0.1:
         raise DomainError("zeta_deriv needs |s - 1| > 0.1")
-    if s.real < RE_MIN + _DERIV_RADIUS or abs(s.imag) > IM_MAX - _DERIV_RADIUS:
-        raise DomainError("insufficient margin to the zeta_em region")
-    return complex(_zeta_deriv_batch(np.array([s]))[0])
+    _check_deriv_domain(s)
+    return complex(_zeta_batch(np.array([s]), deriv=True)[1][0])
 
 
 def _neg_zld_near_pole(s: np.ndarray) -> np.ndarray:
-    """-zeta'/zeta for |s-1| <= 0.5 via phi(s) = (s-1) zeta(s) (entire, phi(1)=1)."""
-    offs, conj_ph = _circle_nodes(radius=0.04)
-    pts = (s[:, None] + offs[None, :]).ravel()
-    _validate_domain(pts)
-    phi_circle = ((pts - 1.0) * _zeta_em_batch(pts)).reshape(len(s), _DERIV_NODES)
-    phi_prime = (phi_circle * conj_ph[None, :]).mean(axis=1) / 0.04
-    phi = (s - 1.0) * _zeta_em_batch(s)
+    """-zeta'/zeta for |s-1| <= 0.5 via phi(s) = (s-1) zeta(s) (entire, phi(1)=1).
+
+    phi = (s-1) A + N^(1-s) and phi' = A + (s-1) A' - log N N^(1-s) hold
+    no pole, so -zeta'/zeta = 1/(s-1) - phi'/phi loses nothing near s = 1.
+    """
+    a, da, n_terms = _em_core(s, deriv=True)
+    logn = math.log(n_terms)
+    npow = np.exp((1.0 - s) * logn)
+    phi = (s - 1.0) * a + npow
+    phi_prime = a + (s - 1.0) * da - logn * npow
     return 1.0 / (s - 1.0) - phi_prime / phi
 
 
@@ -260,25 +300,27 @@ def _neg_zld_batch(s: np.ndarray) -> np.ndarray:
         out[near] = _neg_zld_near_pole(s[near])
     far = ~near
     if np.any(far):
-        sf = s[far]
-        zs = _zeta_em_batch(sf)
+        zs, dzs = _zeta_batch(s[far], deriv=True)
         if np.any(np.abs(zs) <= 1e-12):
             raise PoleProximityError("zeta(s) within 1e-12 of zero")
-        out[far] = -_zeta_deriv_batch(sf) / zs
+        out[far] = -dzs / zs
     return out
 
 
 def neg_zeta_log_deriv(s: complex) -> complex:
     """-zeta'(s)/zeta(s); for Re s > 1 this is sum Lambda(n) n^-s.
 
-    Near s = 1 the pole part 1/(s-1) is split off analytically, so the
-    value stays accurate right up to (but not at) the pole.
+    zeta and zeta' come from one Euler-Maclaurin pass.  Near s = 1 the pole
+    part 1/(s-1) is split off analytically, so the value stays accurate
+    right up to (but not at) the pole.  Like zeta_deriv, it needs a 0.05
+    margin to the zeta_em region.
     """
     s = complex(s)
     if s == 1.0:
         raise PoleError("logarithmic derivative has a pole at s = 1")
     arr = np.array([s])
     _validate_domain(arr)
+    _check_deriv_domain(s)
     return complex(_neg_zld_batch(arr)[0])
 
 
@@ -289,7 +331,7 @@ def neg_zeta_log_deriv(s: complex) -> complex:
 def _hk_bracket(k: int, s: np.ndarray) -> np.ndarray:
     """zeta(s) + 1/(1-s) + sum_{j=1..k} C(-s, j-1) B_j / j."""
     b = default_cache().values
-    out = _zeta_em_batch(s) + 1.0 / (1.0 - s)
+    out = _zeta_batch(s) + 1.0 / (1.0 - s)
     binom = np.ones_like(s)            # C(-s, j-1), built incrementally
     for j in range(1, k + 1):
         if b[j] != 0.0:

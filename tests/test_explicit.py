@@ -128,6 +128,10 @@ class TestLhsTheorem1:
         b = lhs_theorem1(table_1e6, 1, 10.5, 10**6)
         assert abs(a.value - b.value) <= a.tail_bound
 
+    def test_peak_memory(self, table_1e6, traced_peak_bytes):
+        # Lambda(n) and n are gathered one 2^16-term block at a time.
+        assert traced_peak_bytes(lambda: lhs_theorem1(table_1e6, 2, 5.5, 10**6)) <= 4e6
+
 
 class TestResidueAt:
     def test_p1_consistency(self):

@@ -253,3 +253,9 @@ class TestStreamedMemory:
 
     def test_single_sum_peak(self, table_1e6, traced_peak_bytes):
         assert traced_peak_bytes(lambda: lhs_weighted_sdot(table_1e6, "mubar", 2.0, 7.5, 10**6)) <= 4e6
+
+    def test_th2_log_peak(self, traced_peak_bytes):
+        assert traced_peak_bytes(lambda: rhs_th2_log(3.7, 10**6)) <= 4e6
+
+    def test_th4_peak(self, table_1e6, traced_peak_bytes):
+        assert traced_peak_bytes(lambda: rhs_th4_upsilon(table_1e6, 4.6, 10**6)) <= 4e6

@@ -1,8 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from fraczeta import explicit
 from fraczeta.zeta import (
     EULER_GAMMA,
     DomainError,
@@ -38,6 +40,17 @@ def zeta_deriv_series_oracle(s: float, N: int = 10**5) -> float:
     tail_int = -(math.log(N) / (s - 1.0) + 1.0 / (s - 1.0) ** 2) * N ** (1.0 - s)
     # sum_{n>N} f(n) = tail_int - f(N)/2 - f'(N)/12 + O(f''')
     return partial + tail_int - f(N) / 2.0 - fp(N) / 12.0
+
+
+def zeta_deriv_circle_oracle(s: complex, radius: float = 0.05, nodes: int = 32) -> complex:
+    """Independent oracle for zeta'(s): Cauchy's integral of zeta_em over the
+    circle |z - s| = radius by the nodes-point trapezoid, spectrally accurate
+    while the circle keeps clear of the pole."""
+    total = 0j
+    for m in range(nodes):
+        ph = cmath.exp(2j * math.pi * m / nodes)
+        total += zeta_em(s + radius * ph) / ph
+    return total / (nodes * radius)
 
 
 class TestZetaEm:
@@ -83,6 +96,20 @@ class TestZetaDeriv:
     def test_near_pole_rejected(self):
         with pytest.raises(DomainError):
             zeta_deriv(1.05)
+
+    def test_margin_to_region_rejected(self):
+        with pytest.raises(DomainError):
+            zeta_deriv(complex(-9.97, 0.0))
+        with pytest.raises(DomainError):
+            zeta_deriv(complex(0.5, 499.97))
+
+    @pytest.mark.parametrize(
+        "s", [2.0, 4.0, 0.0, -2.0, 1.2 + 0.1j, 0.5 + 14.1j, 0.5 + 100.0j, -3.0 + 5.0j, -7.5 + 2.0j, 3.0 + 400.0j]
+    )
+    def test_against_circle_oracle(self, s):
+        # The circle divides zeta_em's ~1e-14 relative noise by its radius.
+        oracle = zeta_deriv_circle_oracle(s)
+        assert abs(zeta_deriv(s) - oracle) <= 1e-11 * max(abs(oracle), 1.0)
 
 
 class TestNegZetaLogDeriv:
@@ -253,3 +280,59 @@ class TestAnalyticConstants:
         refreshed = refine_table(seeds, count=5)
         for seed, ref in zip(seeds.entries[:5], refreshed.entries):
             assert abs(seed.gamma - ref.gamma) <= 1e-9
+
+
+class TestZeroSumEvaluations:
+    def test_hk_once_per_pair_member(self, zeros100, monkeypatch):
+        # H_k(1-rho) serves both the pair terms and the tail constant A_k.
+        sizes = []
+        hk_batch = explicit._hk_closed_batch
+
+        def counting(k, s):
+            sizes.append(len(s))
+            return hk_batch(k, s)
+
+        monkeypatch.setattr(explicit, "_hk_closed_batch", counting)
+        explicit.zero_sum(2, 5.5, zeros100)
+        assert sizes == [100, 100]
+
+
+class TestAgainstMpmath:
+    """zeta, zeta' and -zeta'/zeta against mpmath at 30 digits on a fixed set:
+    the four residue circles of theorem 1, the refined zeros and points on
+    both sides of the reflection line Re s = -1/2."""
+
+    EXTRA = [0.0, 2.0, 4.0, -2.0, -4.0, -3.0 + 5.0j, -7.5 + 2.0j, -3.0 + 450.0j, 3.0 + 400.0j, 0.5 + 499.0j]
+
+    @pytest.fixture(scope="class")
+    def reference(self, zeros100):
+        mpmath = pytest.importorskip("mpmath")
+        theta = 2.0 * np.pi * np.arange(explicit.RESIDUE_NODES) / explicit.RESIDUE_NODES
+        circles = [complex(s0 + 0.25 * np.exp(1j * t)) for s0 in (1, 2, 3, 4) for t in theta]
+        zeros = [complex(0.5, e.gamma) for e in zeros100.entries]
+        with mpmath.workdps(30):
+            def ref(s):
+                z = mpmath.mpc(s.real, s.imag)
+                return complex(mpmath.zeta(z)), complex(mpmath.zeta(z, derivative=1))
+
+            return {"circles": [(s, *ref(s)) for s in circles],
+                    "other": [(s, *ref(s)) for s in zeros + [complex(e) for e in self.EXTRA]]}
+
+    def test_zeta(self, reference):
+        from scipy.special import loggamma
+
+        for s, z, _ in reference["circles"] + reference["other"]:
+            tol = 2e-13
+            if s.real < -0.5:
+                # chi(s) is exp of a double near |log Gamma(1-s)| (2300 at
+                # -3+450i), each ulp of which is a relative error of zeta.
+                tol += 2.0**-52 * abs(loggamma(1.0 - s))
+            assert abs(zeta_em(s) - z) <= tol * max(abs(z), 1.0), s
+
+    def test_zeta_deriv(self, reference):
+        for s, _, dz in reference["circles"] + reference["other"]:
+            assert abs(zeta_deriv(s) - dz) <= 1e-12 * max(abs(dz), 1.0), s
+
+    def test_neg_log_deriv_on_residue_circles(self, reference):
+        for s, z, dz in reference["circles"]:
+            assert abs(neg_zeta_log_deriv(s) - (-dz / z)) <= 5e-14, s
