@@ -12,7 +12,7 @@ Library layout:
 
 from .arith import ArithmeticTable, CapacityError, build_sieve, dirichlet_convolve
 from .bernpoly import (
-    BernoulliCache,
+    BERNOULLI,
     bernoulli_number,
     bernoulli_poly,
     em_identity_residual,
@@ -59,7 +59,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArithmeticTable", "CapacityError", "build_sieve", "dirichlet_convolve",
-    "BernoulliCache", "bernoulli_number", "bernoulli_poly", "em_identity_residual",
+    "BERNOULLI", "bernoulli_number", "bernoulli_poly", "em_identity_residual",
     "integral_Ik", "periodic_bernoulli", "sawtooth_S", "sdot",
     "ExplicitFormulaRHS", "TruncatedSum", "lhs_theorem1", "printed_Pk",
     "residue_at", "rhs_theorem1", "trivial_sum", "zero_sum",

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import quad
 
 __all__ = [
-    "BernoulliCache",
+    "BERNOULLI",
     "bernoulli_number",
     "bernoulli_poly",
     "periodic_bernoulli",
@@ -35,56 +35,44 @@ __all__ = [
     "sdot",
     "em_identity_residual",
     "EM_FUNCTIONS",
-    "default_cache",
 ]
 
-DEFAULT_MAX_INDEX = 64
 
-
-class BernoulliCache:
-    """Bernoulli numbers B_0..B_max_index, exact at build time.
+def _bernoulli_numbers(max_index: int) -> np.ndarray:
+    """B_0..B_max_index, read-only.
 
     The recurrence is run in Fraction arithmetic, so the stored binary64
     values are correctly rounded; no float cancellation enters.
     """
-
-    def __init__(self, max_index: int = DEFAULT_MAX_INDEX):
-        exact = [Fraction(1)]
-        for m in range(1, max_index + 1):
-            acc = Fraction(0)
-            for i in range(m):
-                acc += math.comb(m + 1, i) * exact[i]
-            exact.append(-acc / (m + 1))
-        self.max_index = max_index
-        self.values = np.array([float(b) for b in exact])
-        self.values.setflags(write=False)
+    exact = [Fraction(1)]
+    for m in range(1, max_index + 1):
+        acc = Fraction(0)
+        for i in range(m):
+            acc += math.comb(m + 1, i) * exact[i]
+        exact.append(-acc / (m + 1))
+    values = np.array([float(b) for b in exact])
+    values.setflags(write=False)
+    return values
 
 
-_default_cache: BernoulliCache | None = None
+_MAX_INDEX = 64
+BERNOULLI = _bernoulli_numbers(_MAX_INDEX)
 
 
-def default_cache() -> BernoulliCache:
-    global _default_cache
-    if _default_cache is None:
-        _default_cache = BernoulliCache()
-    return _default_cache
-
-
-def bernoulli_number(cache: BernoulliCache, j: int) -> float:
-    """B_j from the cache (B_1 = -1/2 convention)."""
-    if not 0 <= j <= cache.max_index:
-        raise ValueError(f"j={j} beyond cached range 0..{cache.max_index}")
-    return float(cache.values[j])
+def bernoulli_number(j: int) -> float:
+    """B_j (B_1 = -1/2 convention) for 0 <= j <= 64."""
+    if not 0 <= j <= _MAX_INDEX:
+        raise ValueError(f"j={j} beyond tabulated range 0..{_MAX_INDEX}")
+    return float(BERNOULLI[j])
 
 
 def bernoulli_poly(k: int, t):
     """B_k(t), Horner-evaluated; t may be a scalar or ndarray."""
-    if not 0 <= k <= DEFAULT_MAX_INDEX:
-        raise ValueError(f"k={k} outside supported range 0..{DEFAULT_MAX_INDEX}")
-    b = default_cache().values
+    if not 0 <= k <= _MAX_INDEX:
+        raise ValueError(f"k={k} outside supported range 0..{_MAX_INDEX}")
     acc = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
     for i in range(1, k + 1):
-        acc = acc * t + math.comb(k, i) * b[i]
+        acc = acc * t + math.comb(k, i) * BERNOULLI[i]
     return acc
 
 
@@ -109,26 +97,21 @@ def integral_Ik(k: int, x: float) -> float:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    fr = _frac(x)
-    if k == 1:
-        # B_2(u) - B_2 = u^2 - u; the direct quadratic avoids the +-1/6
-        # round trip and keeps integral_Ik(1, .) bit-identical to sdot
-        return (fr * fr - fr) / 2.0
-    b = default_cache().values
-    return (float(bernoulli_poly(k + 1, fr)) - float(b[k + 1])) / (k + 1)
+    if not 0 <= x < math.inf:
+        raise ValueError("x must be finite and >= 0")
+    return float(integral_ik_array(k, np.asarray(x, dtype=np.float64)))
 
 
 def integral_ik_array(k: int, y: np.ndarray) -> np.ndarray:
     """Vectorized I_k over an array of nonnegative arguments."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    fr = y - np.floor(y)
     if k == 1:
-        return (fr * fr - fr) / 2.0
-    bk1 = float(default_cache().values[k + 1])
-    return (bernoulli_poly(k + 1, fr) - bk1) / (k + 1)
+        # B_2(u) - B_2 = u^2 - u: the direct quadratic avoids the +-1/6
+        # round trip
+        return sdot_array(y)
+    fr = y - np.floor(y)
+    return (bernoulli_poly(k + 1, fr) - BERNOULLI[k + 1]) / (k + 1)
 
 
 def sawtooth_S(x: float) -> float:
@@ -142,10 +125,7 @@ def sawtooth_S(x: float) -> float:
 
 def sdot(x: float) -> float:
     """Antiderivative of the sawtooth: ({x}^2 - {x})/2; equals I_1(x)."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    fr = _frac(x)
-    return (fr * fr - fr) / 2.0
+    return integral_Ik(1, x)
 
 
 def sdot_array(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -170,11 +150,9 @@ def ik_envelope(k: int) -> float:
         raise ValueError("k must be >= 1")
     if k not in _IK_ENVELOPES:
         u = np.linspace(0.0, 1.0, 100_001)
-        bk1 = float(default_cache().values[k + 1])
-        grid_max = float(np.max(np.abs(bernoulli_poly(k + 1, u) - bk1))) / (k + 1)
+        grid_max = float(np.max(np.abs(bernoulli_poly(k + 1, u) - BERNOULLI[k + 1]))) / (k + 1)
         # |d/du I_k| = |B_k(u)| <= sum_i |C(k,i) B_i| on [0,1]
-        b = default_cache().values
-        deriv_bound = sum(abs(math.comb(k, i) * b[i]) for i in range(k + 1))
+        deriv_bound = sum(abs(math.comb(k, i) * BERNOULLI[i]) for i in range(k + 1))
         _IK_ENVELOPES[k] = grid_max + 1e-5 * deriv_bound
     return _IK_ENVELOPES[k]
 
@@ -248,7 +226,6 @@ def em_identity_residual(f_id: str, a: float, b: float, k: int) -> float:
     if not 1 <= k <= 6:
         raise ValueError("need 1 <= k <= 6")
     f = EM_FUNCTIONS[f_id]
-    cache = default_cache()
 
     pts = _period_breakpoints(a, b)
     pieces = []
@@ -264,7 +241,7 @@ def em_identity_residual(f_id: str, a: float, b: float, k: int) -> float:
     rhs = f.integral(a, b)
     rhs -= math.fsum(f.deriv(0, float(n)) for n in range(math.floor(a) + 1, math.floor(b) + 1))
     for l in range(1, k + 1):
-        bl = bernoulli_number(cache, l)
+        bl = bernoulli_number(l)
         if bl != 0.0:
             rhs += (-1.0) ** l / math.factorial(l) * (f.deriv(l - 1, b) - f.deriv(l - 1, a)) * bl
     return abs(lhs - rhs)

@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-selftest            run the invariant suite at reduced N (exit 0 on success)
+selftest            run the invariants of INVARIANTS (exit 0 on success)
 verify IDENTITY     run one identity check and print/emit the report
 rh-explore          verify rh-slope with its grid flags (--xmin, --xmax, --points)
 zeros refine        refine the bundled zero ordinates and print residuals
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.integrate import quad
 
 from . import arith, bernpoly, explicit, fourier, zeta
 from .arith import ArithmeticTable, build_sieve
@@ -427,136 +428,161 @@ def reports_exit_code(reports: list[IdentityReport]) -> int:
 # Selftest
 # ---------------------------------------------------------------------------
 
-def _invariants(n_small: int = 10**5):
-    """Yield (name, callable) pairs; each callable raises AssertionError on failure."""
-    def sieve_identities():
-        tab = get_table(n_small)
-        N = 10**4
-        one = np.ones(N + 1)
-        lam1 = arith.dirichlet_convolve(np.asarray(tab.lam[: N + 1]), one)
-        logn = np.log(np.arange(1, N + 1, dtype=np.float64))
-        assert np.max(np.abs(lam1[1:] - logn)) <= 1e-12, "Lambda * 1 != log"
-        mu1 = arith.dirichlet_convolve(tab.mu[: N + 1].astype(np.float64), one)
-        assert mu1[1] == 1.0 and np.max(np.abs(mu1[2:])) == 0.0, "mu * 1 != delta"
-        musq = tab.mu[: N + 1].astype(np.float64) * np.sqrt(np.arange(N + 1, dtype=np.float64))
-        mb = arith.dirichlet_convolve(musq, tab.mu[: N + 1].astype(np.float64))
-        assert np.max(np.abs(mb[1:] - tab.mubar_arr[1 : N + 1])) <= 1e-12, "mubar convolution"
-        up = arith.dirichlet_convolve(musq, one)
-        assert np.max(np.abs(up[1:] - tab.upsilon_arr[1 : N + 1])) <= 1e-12, "upsilon convolution"
-        nn = np.arange(1, N + 1, dtype=np.float64)
-        assert np.all(np.abs(tab.upsilon_arr[1 : N + 1]) <= np.sqrt(nn) + 1e-9), "|upsilon| <= sqrt n"
-
-    def sieve_determinism():
-        a = build_sieve(2000)
-        b = build_sieve(2000)
-        for x, y in zip(a.arrays().values(), b.arrays().values()):
-            assert np.array_equal(x, y), "sieve not deterministic"
-
-    def dirichlet_series():
-        tab = get_table(n_small)
-        z3 = zeta.zeta_em(3.0).real
-        z25 = zeta.zeta_em(2.5).real
-        partial = math.fsum((tab.mubar_arr[1:] / np.arange(1, n_small + 1, dtype=np.float64) ** 3).tolist())
-        tail = 2.8 / n_small**1.5
-        assert abs(partial - 1.0 / (z3 * z25)) <= 1e3 * tail, "mubar Dirichlet series"
-        partial_u = math.fsum((tab.upsilon_arr[1:] / np.arange(1, n_small + 1, dtype=np.float64) ** 3).tolist())
-        assert abs(partial_u - z3 / z25) <= 1e3 * tail, "upsilon Dirichlet series"
-
-    def bern_periodicity():
-        xs = np.linspace(0.0, 50.0, 1000)
-        for k in range(1, 7):
-            a = bernpoly.integral_ik_array(k, xs + 1.0)
-            b = bernpoly.integral_ik_array(k, xs)
-            assert np.max(np.abs(a - b)) <= 1e-14, f"I_{k} periodicity"
-
-    def sdot_fourier_oracle():
-        N = 10**4
-        n = np.arange(1, N + 1, dtype=np.float64)
-        inv = 1.0 / n**2
-        for x in np.linspace(0.0, 3.0, 61):
-            partial = float(np.sum((np.cos(2.0 * np.pi * n * x) - 1.0) * inv)) / (2.0 * math.pi**2)
-            assert abs(bernpoly.sdot(float(x)) - partial) <= 1.0 / (math.pi**2 * N) + 1e-12, \
-                "sdot Fourier normalization"
-
-    def ik_quadrature_oracle():
-        from scipy.integrate import quad
-        for k in range(1, 5):
-            for x in (0.3, 2.7, 9.25):
-                pieces = []
-                lo = 0.0
-                while lo < x:
-                    hi = min(math.floor(lo) + 1.0, x)
-                    val, _ = quad(lambda t: bernpoly.periodic_bernoulli(k, t), lo, hi,
-                                  epsabs=1e-13, epsrel=1e-13)
-                    pieces.append(val)
-                    lo = hi
-                assert abs(math.fsum(pieces) - bernpoly.integral_Ik(k, x)) <= 1e-10, \
-                    f"I_{k}({x}) quadrature"
-
-    def zeta_classical_values():
-        assert abs(zeta.zeta_em(2.0) - math.pi**2 / 6.0) <= 1e-12
-        assert abs(zeta.zeta_em(0.0) + 0.5) <= 1e-12
-        assert abs(zeta.zeta_em(-1.0) + 1.0 / 12.0) <= 1e-12
-
-    def hk_oracle_equivalence():
-        for k in range(1, 5):
-            for s in (0.0, 2.5, 4.0):
-                c = zeta.Hk_closed(k, s)
-                q = zeta.Hk_quadrature(k, s)
-                assert abs(c - q) <= 1e-8 * abs(q), f"H_{k}({s}) oracle mismatch"
-
-    def pole_normalization():
-        vals = [(1.0 + 10.0**-m) for m in (2, 3, 4)]
-        prods = [((s - 1.0) * zeta.zeta_em(s)).real for s in vals]
-        extrap = prods[2] + (prods[2] - prods[1]) / 9.0
-        assert abs(extrap - 1.0) <= 1e-6, "pole residue"
-        s = 1.0 + 1e-6
-        gamma_est = (zeta.zeta_em(s) - 1.0 / (s - 1.0)).real
-        assert abs(gamma_est - zeta.EULER_GAMMA) <= 1e-5, "Euler-Mascheroni"
-
-    def zero_table_validation():
-        zeros = get_refined_zeros(10)
-        assert all(e.residual <= 1e-8 for e in zeros.entries), "zero residuals"
-        assert all(e.re_deviation <= 1e-9 for e in zeros.entries), "zeros off critical line"
-        for e in zeros.entries[:3]:
-            rho = complex(0.5, e.gamma)
-            assert abs(zeta.zeta_em(1.0 - rho.conjugate())) <= 1e-6, "zero reflection"
-
-    def conjugate_pair_realness():
-        zeros = get_refined_zeros(10)
-        pairs = explicit.zero_pair_terms(1, 10.5, zeros)
-        assert float(np.max(np.abs(pairs.imag))) <= 1e-15, "pair terms not real"
-
-    def residue_radius_independence():
-        a = explicit.residue_at(1, 10.5, 1.0, 0.15)
-        b = explicit.residue_at(1, 10.5, 1.0, 0.30)
-        assert abs(a - b) <= 1e-10, "residue depends on radius"
-
-    def em_check():
-        bad = [r.params for r in _em_check(EM_TOLERANCE) if r.verdict != "pass"]
-        assert not bad, f"Euler-Maclaurin residual over tolerance: {bad}"
-
-    yield "sieve-identities", sieve_identities
-    yield "sieve-determinism", sieve_determinism
-    yield "dirichlet-series-cross-check", dirichlet_series
-    yield "bernoulli-periodicity", bern_periodicity
-    yield "sdot-fourier-oracle", sdot_fourier_oracle
-    yield "ik-quadrature-oracle", ik_quadrature_oracle
-    yield "zeta-classical-values", zeta_classical_values
-    yield "hk-oracle-equivalence", hk_oracle_equivalence
-    yield "pole-normalization", pole_normalization
-    yield "zero-table-validation", zero_table_validation
-    yield "conjugate-pair-realness", conjugate_pair_realness
-    yield "residue-radius-independence", residue_radius_independence
-    yield "euler-maclaurin-check", em_check
+SELFTEST_N = 10**5  # the table size of the sieve invariants
 
 
-def selftest(n_small: int = 10**5, out=None) -> int:
-    """Run the invariant suite at reduced N; returns an exit code."""
+def _require(ok, msg: str) -> None:
+    """Raise AssertionError unless ok; unlike assert, kept under python -O."""
+    if not ok:
+        raise AssertionError(msg)
+
+
+def sieve_identities():
+    tab = get_table(SELFTEST_N)
+    N = 10**4
+    one = np.ones(N + 1)
+    nn = np.arange(1, N + 1, dtype=np.float64)
+    lam1 = arith.dirichlet_convolve(np.asarray(tab.lam[: N + 1]), one)
+    _require(np.max(np.abs(lam1[1:] - np.log(nn))) <= 1e-12, "Lambda * 1 != log")
+    mu1 = arith.dirichlet_convolve(tab.mu[: N + 1].astype(np.float64), one)
+    _require(mu1[1] == 1.0 and np.max(np.abs(mu1[2:])) == 0.0, "mu * 1 != delta")
+    musq = tab.mu[: N + 1].astype(np.float64) * np.sqrt(np.arange(N + 1, dtype=np.float64))
+    mb = arith.dirichlet_convolve(musq, tab.mu[: N + 1].astype(np.float64))
+    _require(np.max(np.abs(mb[1:] - tab.mubar_arr[1 : N + 1])) <= 1e-12, "mubar convolution")
+    up = arith.dirichlet_convolve(musq, one)
+    _require(np.max(np.abs(up[1:] - tab.upsilon_arr[1 : N + 1])) <= 1e-12, "upsilon convolution")
+    _require(np.all(np.abs(tab.upsilon_arr[1 : N + 1]) <= np.sqrt(nn) + 1e-9), "|upsilon| <= sqrt n")
+
+
+def sieve_determinism():
+    a = build_sieve(3000)
+    b = build_sieve(3000)
+    for x, y in zip(a.arrays().values(), b.arrays().values()):
+        _require(np.array_equal(x, y), "sieve not deterministic")
+
+
+def dirichlet_series_cross_check():
+    tab = get_table(SELFTEST_N)
+    z3 = zeta.zeta_em(3.0).real
+    z25 = zeta.zeta_em(2.5).real
+    n3 = np.arange(1, SELFTEST_N + 1, dtype=np.float64) ** 3
+    tail = 2.8 / SELFTEST_N**1.5
+    partial = math.fsum((tab.mubar_arr[1:] / n3).tolist())
+    _require(abs(partial - 1.0 / (z3 * z25)) <= 1e3 * tail, "mubar Dirichlet series")
+    partial_u = math.fsum((tab.upsilon_arr[1:] / n3).tolist())
+    _require(abs(partial_u - z3 / z25) <= 1e3 * tail, "upsilon Dirichlet series")
+
+
+def bernoulli_periodicity():
+    xs = np.linspace(0.0, 50.0, 1000)
+    for k in range(1, 7):
+        a = bernpoly.integral_ik_array(k, xs + 1.0)
+        b = bernpoly.integral_ik_array(k, xs)
+        _require(np.max(np.abs(a - b)) <= 1e-14, f"I_{k} periodicity")
+
+
+def sdot_fourier_oracle():
+    # Partial sums of (1/(2 pi^2)) sum (cos(2 pi n x) - 1)/n^2 converge to sdot.
+    N = 10**4
+    n = np.arange(1, N + 1, dtype=np.float64)
+    inv = 1.0 / n**2
+    for x in np.linspace(0.0, 3.0, 101):
+        partial = float(np.sum((np.cos(2.0 * np.pi * n * x) - 1.0) * inv)) / (2.0 * math.pi**2)
+        _require(abs(bernpoly.sdot(float(x)) - partial) <= 1.0 / (math.pi**2 * N) + 1e-12,
+                 f"sdot Fourier normalization at x={x}")
+
+
+def ik_quadrature_oracle():
+    for k in range(1, 5):
+        for x in (0.3, 2.7, 9.25):
+            pieces = []
+            lo = 0.0
+            while lo < x:
+                hi = min(math.floor(lo) + 1.0, x)
+                val, _ = quad(lambda t: bernpoly.periodic_bernoulli(k, t), lo, hi,
+                              epsabs=1e-13, epsrel=1e-13)
+                pieces.append(val)
+                lo = hi
+            _require(abs(math.fsum(pieces) - bernpoly.integral_Ik(k, x)) <= 1e-10,
+                     f"I_{k}({x}) quadrature")
+
+
+def zeta_classical_values():
+    _require(abs(zeta.zeta_em(2.0) - math.pi**2 / 6.0) <= 1e-12, "zeta(2) != pi^2/6")
+    _require(abs(zeta.zeta_em(0.0) + 0.5) <= 1e-12, "zeta(0) != -1/2")
+    _require(abs(zeta.zeta_em(-1.0) + 1.0 / 12.0) <= 1e-12, "zeta(-1) != -1/12")
+
+
+def hk_oracle_equivalence():
+    for k in range(1, 5):
+        for s in (0.0, 2.5, 4.0):
+            c = zeta.Hk_closed(k, s)
+            q = zeta.Hk_quadrature(k, s)
+            _require(abs(c - q) <= 1e-8 * abs(q), f"H_{k}({s}) oracle mismatch")
+
+
+def pole_normalization():
+    vals = [(1.0 + 10.0**-m) for m in (2, 3, 4)]
+    prods = [((s - 1.0) * zeta.zeta_em(s)).real for s in vals]
+    extrap = prods[2] + (prods[2] - prods[1]) / 9.0
+    _require(abs(extrap - 1.0) <= 1e-6, "pole residue")
+    s = 1.0 + 1e-6
+    gamma_est = (zeta.zeta_em(s) - 1.0 / (s - 1.0)).real
+    _require(abs(gamma_est - zeta.EULER_GAMMA) <= 1e-5, "Euler-Mascheroni")
+
+
+def zero_table_validation():
+    zeros = get_refined_zeros(100)
+    _require(all(e.residual <= 1e-8 for e in zeros.entries), "zero residuals")
+    _require(all(e.re_deviation <= 1e-9 for e in zeros.entries), "zeros off critical line")
+    # Zeros come in reflected pairs: zeta(1 - conj(rho)) ~ 0.
+    for e in zeros.entries[::10]:
+        rho = complex(0.5, e.gamma)
+        _require(abs(zeta.zeta_em(1.0 - rho.conjugate())) <= 1e-6, f"zero reflection at {e.gamma}")
+
+
+def conjugate_pair_realness():
+    pairs = explicit.zero_pair_terms(1, 10.5, get_refined_zeros(100))
+    _require(pairs.shape == (100,), f"pair terms have shape {pairs.shape}")
+    _require(float(np.max(np.abs(pairs.imag))) <= 1e-15, "pair terms not real")
+
+
+def residue_radius_independence():
+    a = explicit.residue_at(1, 10.5, 1.0, 0.15)
+    b = explicit.residue_at(1, 10.5, 1.0, 0.30)
+    _require(abs(a - b) <= 1e-10, "residue depends on radius")
+
+
+def euler_maclaurin_check():
+    bad = [r.params for r in _em_check(EM_TOLERANCE) if r.verdict != "pass"]
+    _require(not bad, f"Euler-Maclaurin residual over tolerance: {bad}")
+
+
+# (name, check) in the order fraczeta selftest runs them; the test suite
+# runs the same callables.  Each check raises AssertionError on failure.
+INVARIANTS = (
+    ("sieve-identities", sieve_identities),
+    ("sieve-determinism", sieve_determinism),
+    ("dirichlet-series-cross-check", dirichlet_series_cross_check),
+    ("bernoulli-periodicity", bernoulli_periodicity),
+    ("sdot-fourier-oracle", sdot_fourier_oracle),
+    ("ik-quadrature-oracle", ik_quadrature_oracle),
+    ("zeta-classical-values", zeta_classical_values),
+    ("hk-oracle-equivalence", hk_oracle_equivalence),
+    ("pole-normalization", pole_normalization),
+    ("zero-table-validation", zero_table_validation),
+    ("conjugate-pair-realness", conjugate_pair_realness),
+    ("residue-radius-independence", residue_radius_independence),
+    ("euler-maclaurin-check", euler_maclaurin_check),
+)
+
+
+def selftest(out=None) -> int:
+    """Run every invariant of INVARIANTS; returns an exit code."""
     out = out if out is not None else sys.stdout
     failures = 0
     t_start = time.perf_counter()
-    for name, check in _invariants(n_small):
+    for name, check in INVARIANTS:
         t0 = time.perf_counter()
         try:
             check()

@@ -72,15 +72,6 @@ class TestBuildSieve:
             assert np.max(np.abs(t.mubar_arr - ref.mubar_arr[: n_max + 1])) <= 1e-12, n_max
             assert np.max(np.abs(t.upsilon_arr - ref.upsilon_arr[: n_max + 1])) <= 1e-12, n_max
 
-    def test_determinism(self):
-        a = build_sieve(3000)
-        b = build_sieve(3000)
-        assert np.array_equal(a.prime_powers, b.prime_powers)
-        assert np.array_equal(a.lam, b.lam)
-        assert np.array_equal(a.mu, b.mu)
-        assert np.array_equal(a.mubar_arr, b.mubar_arr)
-        assert np.array_equal(a.upsilon_arr, b.upsilon_arr)
-
 
 class TestVonMangoldt:
     def test_prime_square(self, table_small):
@@ -199,15 +190,6 @@ class TestMubarUpsilon:
 
 
 class TestTableInvariants:
-    def test_convolution_consistency(self, table_small):
-        N = 10**4
-        idx = np.arange(N + 1, dtype=np.float64)
-        musq = table_small.mu[: N + 1].astype(np.float64) * np.sqrt(idx)
-        mb = dirichlet_convolve(musq, table_small.mu[: N + 1].astype(np.float64))
-        up = dirichlet_convolve(musq, np.ones(N + 1))
-        assert np.max(np.abs(mb[1:] - table_small.mubar_arr[1:])) <= 1e-12
-        assert np.max(np.abs(up[1:] - table_small.upsilon_arr[1:])) <= 1e-12
-
     def test_lambda_log_identity_to_1e4(self, table_small):
         N = 10**4
         h = dirichlet_convolve(np.asarray(table_small.lam[: N + 1]), np.ones(N + 1))

@@ -1,8 +1,11 @@
 import csv
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -279,8 +282,21 @@ class TestMainEntry:
 
 
 class TestSelftest:
+    NAMES = [
+        "sieve-identities", "sieve-determinism", "dirichlet-series-cross-check",
+        "bernoulli-periodicity", "sdot-fourier-oracle", "ik-quadrature-oracle",
+        "zeta-classical-values", "hk-oracle-equivalence", "pole-normalization",
+        "zero-table-validation", "conjugate-pair-realness", "residue-radius-independence",
+        "euler-maclaurin-check",
+    ]
+
     def test_passes(self, capsys):
         assert cli.selftest() == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln.split()[:2] for ln in lines[:-1]] == [["ok", name] for name in self.NAMES]
+
+    def test_invariant_names_pinned(self):
+        assert [name for name, _ in cli.INVARIANTS] == self.NAMES
 
     def test_corrupted_zeros_file_detected(self, tmp_path, monkeypatch, capsys):
         bad = tmp_path / "zeros_seed.csv"
@@ -293,11 +309,25 @@ class TestSelftest:
         assert "zero-table-validation" in out
 
     def test_em_invariant_reads_em_cases(self, monkeypatch):
-        em_check = dict(cli._invariants())["euler-maclaurin-check"]
-        em_check()
+        cli.euler_maclaurin_check()
         monkeypatch.setattr(cli, "EM_CASES", (("square", 1.0, 5.0, 2, 0.0),))
         with pytest.raises(AssertionError, match="square"):
-            em_check()
+            cli.euler_maclaurin_check()
+
+    def test_fault_caught_under_optimize(self):
+        # python -O strips assert statements; the invariants must still fail.
+        script = (
+            "import sys\n"
+            "from fraczeta import cli\n"
+            "cli.EM_CASES = (('square', 1.0, 5.0, 2, 0.0),)\n"
+            "sys.exit(cli.selftest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == EXIT_VERIFY, proc.stdout + proc.stderr
+        assert "FAIL euler-maclaurin-check" in proc.stdout
 
     def test_missing_zeros_file_detected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli.zeta, "bundled_zeros_path", lambda: tmp_path / "gone.csv")
@@ -306,3 +336,9 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert code == EXIT_VERIFY
         assert "zero-table-validation" in out
+
+
+@pytest.mark.parametrize("check", [check for _, check in cli.INVARIANTS],
+                         ids=[name for name, _ in cli.INVARIANTS])
+def test_invariant(check):
+    check()
