@@ -26,15 +26,16 @@ import csv
 import math
 import os
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import arith, bernpoly, explicit, fourier, zeta
 from .arith import ArithmeticTable, build_sieve
+from .bernpoly import GL_W, GL_X
 from .explicit import TruncatedSum
 
 __all__ = ["IdentityReport", "run_identity", "emit_report", "selftest", "main"]
@@ -86,10 +87,12 @@ def _cache_dir() -> Path:
 def get_table(n_max: int) -> ArithmeticTable:
     """Sieve table for n_max, memoized in process and cached on disk.
 
-    The cache file is an uncompressed .npz of the table's arrays.  A file
-    that does not load (not an archive, truncated, a member failing its
-    zip CRC) or does not make a table (a field missing or extra, a wrong
-    dtype or length) is silently rebuilt.
+    The cache file is an uncompressed .npz of the table's arrays, written
+    through a temporary file in the same directory and renamed into
+    place; a failed write leaves no file behind.  A file that does not
+    load (not an archive, truncated, a member failing its zip CRC) or does
+    not make a table (a field missing or extra, a wrong dtype or length)
+    is silently rebuilt.
     """
     if n_max in _TABLES:
         return _TABLES[n_max]
@@ -104,10 +107,16 @@ def get_table(n_max: int) -> ArithmeticTable:
         t = build_sieve(n_max)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            with open(tmp, "wb") as fh:
-                np.savez(fh, **t.arrays())
-            tmp.replace(path)
+            # A name of this call's own, so concurrent builders never share
+            # a partial file; it is renamed into place or removed.
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.stem}.", suffix=".tmp")
+            try:
+                with os.fdopen(fd, "wb") as fh:
+                    np.savez(fh, **t.arrays())
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
         except OSError:
             pass  # cache is best-effort
     _TABLES[n_max] = t
@@ -492,19 +501,24 @@ def sdot_fourier_oracle():
                  f"sdot Fourier normalization at x={x}")
 
 
+def ik_period_integrals(k: int, x: float) -> list[float]:
+    """integral of B_k({t}) over [j, min(j + 1, x)] for j = 0..ceil(x) - 1.
+
+    On each piece B_k({t}) = B_k(t - j) is a polynomial of degree k, which
+    the 32-node Gauss-Legendre rule integrates exactly.
+    """
+    pieces = []
+    for j in range(math.ceil(x)):
+        h = min(j + 1.0, x) - j
+        pieces.append(h * float(np.sum(bernpoly.bernoulli_poly(k, h * GL_X) * GL_W)))
+    return pieces
+
+
 def ik_quadrature_oracle():
     for k in range(1, 5):
         for x in (0.3, 2.7, 9.25):
-            pieces = []
-            lo = 0.0
-            while lo < x:
-                hi = min(math.floor(lo) + 1.0, x)
-                val, _ = quad(lambda t: bernpoly.periodic_bernoulli(k, t), lo, hi,
-                              epsabs=1e-13, epsrel=1e-13)
-                pieces.append(val)
-                lo = hi
-            _require(abs(math.fsum(pieces) - bernpoly.integral_Ik(k, x)) <= 1e-10,
-                     f"I_{k}({x}) quadrature")
+            quadrature = math.fsum(ik_period_integrals(k, x))
+            _require(abs(quadrature - bernpoly.integral_Ik(k, x)) <= 1e-10, f"I_{k}({x}) quadrature")
 
 
 def zeta_classical_values():

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bernpoly import BERNOULLI, bernoulli_poly, ik_envelope
+from .bernpoly import BERNOULLI, GL_W, GL_X, bernoulli_poly, ik_envelope
 
 __all__ = [
     "DomainError",
@@ -386,11 +386,6 @@ def Hk_closed(k: int, s: complex) -> complex:
     return complex(_hk_closed_batch(k, arr)[0])
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-_GL_X = 0.5 * (_GL_NODES + 1.0)      # mapped to [0, 1]
-_GL_W = 0.5 * _GL_WEIGHTS
-
-
 def Hk_quadrature(k: int, s: complex) -> complex:
     """H_k(s) by per-period 32-node quadrature of t^(-s-k) B_k({t}).
 
@@ -411,7 +406,7 @@ def Hk_quadrature(k: int, s: complex) -> complex:
     m_stop = int(math.ceil((abs(w) * mk / 1e-12) ** (1.0 / (w.real + 1.0)))) + 1
     m_stop = max(m_stop, 8)
 
-    bk_w = bernoulli_poly(k, _GL_X) * _GL_W
+    bk_w = bernoulli_poly(k, GL_X) * GL_W
     real_w = s.imag == 0.0
     partials_re: list[float] = []
     partials_im: list[float] = []
@@ -419,7 +414,7 @@ def Hk_quadrature(k: int, s: complex) -> complex:
     for lo in range(1, m_stop + 1, chunk):
         hi = min(lo + chunk - 1, m_stop)
         m = np.arange(lo, hi + 1, dtype=np.float64)
-        t = m[:, None] + _GL_X[None, :]
+        t = m[:, None] + GL_X[None, :]
         if real_w:
             vals = (t ** (-w.real) * bk_w[None, :]).sum(axis=1)
             partials_re.extend(vals.tolist())

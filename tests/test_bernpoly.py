@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraczeta.bernpoly import (
+    EM_FUNCTIONS,
     bernoulli_number,
     bernoulli_poly,
     em_identity_residual,
+    em_period_integrals,
     integral_Ik,
     periodic_bernoulli,
     sawtooth_S,
@@ -113,3 +115,15 @@ class TestEulerMaclaurinIdentity:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_all_orders_small(self, f_id, k):
         assert em_identity_residual(f_id, 2.0, 7.0, k) <= 1e-9
+
+    def test_periods_against_adaptive_quadrature(self):
+        quad = pytest.importorskip("scipy.integrate").quad
+        for f_id, f in EM_FUNCTIONS.items():
+            for k in range(1, 7):
+                pieces = em_period_integrals(f_id, 1, 10, k)
+                assert len(pieces) == 9
+                for n, got in zip(range(1, 10), pieces):
+                    ref, _ = quad(lambda t: f.deriv(k, t) * float(bernoulli_poly(k, t - n)),
+                                  n, n + 1, epsabs=1e-13, epsrel=1e-13, limit=200)
+                    assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (f_id, k, n)
+                assert em_identity_residual(f_id, 1.0, 10.0, k) <= 1e-14, (f_id, k)

@@ -13,6 +13,7 @@ import pytest
 
 from fraczeta import cli
 from fraczeta.arith import build_sieve
+from fraczeta.bernpoly import periodic_bernoulli
 from fraczeta.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -220,6 +221,21 @@ class TestTableCache:
         assert abs(t.upsilon(6) - (1 - math.sqrt(2)) * (1 - math.sqrt(3))) < 1e-12
         cli._TABLES.clear()
 
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FRACZETA_CACHE_DIR", str(tmp_path))
+        cli._TABLES.clear()
+
+        def disk_full(*args, **kwargs):
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(cli.np, "savez", disk_full)
+        t = get_table(3000)
+        ref = build_sieve(3000)
+        for name, arr in t.arrays().items():
+            assert np.array_equal(arr, getattr(ref, name)), name
+        assert list(tmp_path.iterdir()) == []
+        cli._TABLES.clear()
+
 
 class TestMainEntry:
     def test_usage_error_exit(self, capsys):
@@ -329,6 +345,17 @@ class TestSelftest:
         assert proc.returncode == EXIT_VERIFY, proc.stdout + proc.stderr
         assert "FAIL euler-maclaurin-check" in proc.stdout
 
+    def test_ik_pieces_against_adaptive_quadrature(self):
+        quad = pytest.importorskip("scipy.integrate").quad
+        for k in range(1, 5):
+            for x in (0.3, 2.7, 9.25):
+                pieces = cli.ik_period_integrals(k, x)
+                assert len(pieces) == math.ceil(x)
+                for j, got in enumerate(pieces):
+                    ref, _ = quad(lambda t: periodic_bernoulli(k, t), j, min(j + 1.0, x),
+                                  epsabs=1e-13, epsrel=1e-13)
+                    assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (k, x, j)
+
     def test_missing_zeros_file_detected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli.zeta, "bundled_zeros_path", lambda: tmp_path / "gone.csv")
         monkeypatch.setattr(cli, "_REFINED_ZEROS", {})
@@ -342,3 +369,25 @@ class TestSelftest:
                          ids=[name for name, _ in cli.INVARIANTS])
 def test_invariant(check):
     check()
+
+
+def test_numpy_only_start_up():
+    # Only the reflected zeta (Re s < -1/2) needs scipy, and only scipy.special.
+    script = (
+        "import sys\n"
+        "from fraczeta import cli, zeta\n"
+        "codes = [cli.main(['verify', 'th2-mu', '--nterms', '100000']), cli.main(['em-check']),\n"
+        "         cli.main(['rh-explore', '--xmin', '5', '--xmax', '20', '--points', '6',\n"
+        "                   '--nterms', '1000000'])]\n"
+        "assert codes == [0, 0, 0], codes\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded[:5]\n"
+        "zeta.zeta_em(-1.0)\n"
+        "assert 'scipy.special' in sys.modules\n"
+        "assert 'scipy.integrate' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -185,11 +185,6 @@ class TestHkQuadrature:
         q = Hk_quadrature(k, s)
         assert abs(c - q) <= 1e-8 * abs(q)
 
-    def test_k3_s25_relative(self):
-        c = Hk_closed(3, 2.5)
-        q = Hk_quadrature(3, 2.5)
-        assert abs(c - q) <= 1e-8 * abs(q)
-
     def test_peak_memory(self, traced_peak_bytes):
         # 4096-period chunks keep each 32-node temporary at 1 MB.
         assert traced_peak_bytes(lambda: Hk_quadrature(1, 0.0)) <= 20e6
