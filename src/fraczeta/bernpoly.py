@@ -42,13 +42,12 @@ def _bernoulli_numbers(max_index: int) -> np.ndarray:
     """B_0..B_max_index, read-only.
 
     The recurrence is run in Fraction arithmetic, so the stored binary64
-    values are correctly rounded; no float cancellation enters.
+    values are correctly rounded; no float cancellation enters.  The zero
+    B_i (odd i >= 3) are left out of its sums.
     """
     exact = [Fraction(1)]
     for m in range(1, max_index + 1):
-        acc = Fraction(0)
-        for i in range(m):
-            acc += math.comb(m + 1, i) * exact[i]
+        acc = sum((math.comb(m + 1, i) * b for i, b in enumerate(exact) if b), Fraction(0))
         exact.append(-acc / (m + 1))
     values = np.array([float(b) for b in exact])
     values.setflags(write=False)

@@ -214,9 +214,11 @@ def _th1(k: int, x: float, N: int, zeros: int, tolerance: float | None) -> Ident
     rhs = explicit.rhs_theorem1(k, x, zero_table)
     diff = abs(lhs.value - rhs.total)
 
-    # Sign adjudication: rebuild the right side with sigma = +1.
-    rhs_plus = explicit.rhs_theorem1(k, x, zero_table, sign=+1.0)
-    diff_plus = abs(lhs.value - rhs_plus.total)
+    # Sign adjudication: the right side with sigma = +1, whose zero and
+    # trivial sums are those of sigma = -1 negated.
+    total_plus = math.fsum([v for _, v in rhs.residues]
+                           + [-rhs.zero_sum.value, -rhs.trivial_sum.value])
+    diff_plus = abs(lhs.value - total_plus)
     winner = "-1" if diff <= diff_plus else "+1"
     adj = (
         f"zero/trivial sum sign sigma={winner} wins "
@@ -242,7 +244,8 @@ def _th1(k: int, x: float, N: int, zeros: int, tolerance: float | None) -> Ident
         else:
             adj += f"; P_1: contour residue matches printed form (|d|={d_pr:.3e})"
 
-    return _check("th1", {"k": k, "x": x, "N": N, "zeros": zeros, "radius": 0.25}, lhs,
+    return _check("th1", {"k": k, "x": x, "N": N, "zeros": zeros,
+                           "radius": explicit.RESIDUE_RADIUS}, lhs,
                   TruncatedSum(rhs.total, 0, rhs.budget), tolerance, adj, rhs_printed)
 
 
@@ -262,7 +265,7 @@ def _em_check(tolerance: float) -> list[IdentityReport]:
         res = bernpoly.em_identity_residual(f_id, a, b, k)
         out.append(IdentityReport(
             identity_id="em-check", params={"f": f_id, "a": a, "b": b, "k": k},
-            lhs=TruncatedSum(res, 0, 0.0, note="identity residual"), rhs_canonical=0.0,
+            lhs=TruncatedSum(res, 0, 0.0), rhs_canonical=0.0,
             rhs_budget=tol, abs_diff=res, budget=tol, verdict="pass" if res <= tol else "fail",
             adjudication="classical Euler-Maclaurin right-hand identity",
         ))
@@ -282,7 +285,7 @@ def _rh_slope(x_min: float, x_max: float, points: int, N: int) -> IdentityReport
     )
     return IdentityReport(
         identity_id="rh-slope", params={"x_min": x_min, "x_max": x_max, "points": points, "N": N},
-        lhs=TruncatedSum(fit.slope, points - fit.dropped, 0.0, note="fitted log-log slope"),
+        lhs=TruncatedSum(fit.slope, points - fit.dropped, 0.0),
         rhs_canonical=-1.0, rhs_budget=(hi - lo) / 2.0, abs_diff=abs(fit.slope - (-1.0)),
         budget=(hi - lo) / 2.0, verdict="inconclusive", adjudication=adj,
     )
@@ -701,7 +704,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"io/format error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, zeta.RefinementError) as exc:
-        # ValueError covers CapacityError, DomainError, GeometryError and
+        # ValueError covers CapacityError, DomainError and
         # InsufficientDataError.
         print(f"verification error: {exc}", file=sys.stderr)
         return EXIT_VERIFY

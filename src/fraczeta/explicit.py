@@ -37,9 +37,8 @@ from .zeta import (
 
 __all__ = [
     "TruncatedSum",
-    "blocked_sum",
+    "weighted_sums",
     "ExplicitFormulaRHS",
-    "GeometryError",
     "lhs_theorem1",
     "residue_at",
     "zero_sum",
@@ -50,6 +49,7 @@ __all__ = [
 ]
 
 RESIDUE_NODES = 64
+RESIDUE_RADIUS = 0.25
 # Per-residue quadrature allotment in the error budget.  The 64-node
 # trapezoid on these circles is spectrally accurate; the allotment is
 # dominated by zeta evaluation noise and cross-checked by the
@@ -61,10 +61,6 @@ _TRIVIAL_RUN = 16   # trivial zeros whose H_k one batch evaluates (x >= 4 needs 
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-class GeometryError(ValueError):
-    """Residue circle touches another singularity."""
-
-
 @dataclass(frozen=True)
 class TruncatedSum:
     """A partial series value with rigorous bounds on its omitted tail and summation rounding."""
@@ -72,7 +68,6 @@ class TruncatedSum:
     value: float
     terms_used: int
     tail_bound: float
-    note: str = ""
     round_bound: float = 0.0
 
     def __post_init__(self):
@@ -82,34 +77,46 @@ class TruncatedSum:
             raise ValueError("tail and rounding bounds must be finite and nonnegative")
 
 
-def blocked_sum(block_terms, *columns):
-    """Sum block_terms over SUM_BLOCK slices of the columns; returns (value, rounding bound).
+def weighted_sums(points, coef, factor, xs) -> list[tuple[float, float]]:
+    """sum over n in points of coef(n) factor(n, x): one (value, round_bound) per x in xs.
 
-    block_terms returns the terms of one block as an array, or an iterable
-    of term arrays, one per output; each of those is summed before the next
-    is made, so they may share a buffer, and the result is then a list of
-    one (value, bound) per output.  Columns are arrays or anything else
-    with len and slicing (a range, say); an empty column still makes one
-    empty block.
+    points is a range or an ascending index array, cut into SUM_BLOCK-point
+    blocks.  Each block forms its points n as float64 and its coefficients
+    once, as coef(n, at); at selects the block from any array indexed by n
+    (a slice view for a range, the index array otherwise).  Every x then
+    runs over the block while it is in cache: factor(n, x, y, v) returns
+    the factor of each point and may use the two block buffers y and v,
+    reused for every x and block, as scratch and output.  The terms are
+    coef * factor, written into v; y then takes their absolute values.
 
     Blocks are summed by np.sum, in any order within gamma_{B-1} sum |v_i|,
     gamma_m = m u/(1 - m u) (Higham, Accuracy and Stability of Numerical
     Algorithms, sec. 4.2); fsum of the block sums adds u |value|.  gamma_B
     in place of gamma_{B-1} leaves ~u sum |v_i| of slack for the rounding
-    of the bound itself.  Temporaries never outgrow one block.
+    of the bound itself.  round_bound covers that summation, not the error
+    in evaluating each term.  Temporaries never outgrow one block; an
+    empty point set gives (0.0, 0.0) for each x.
     """
-    blocks = []  # per block: (sum, sum |v_i|) of each output
-    for lo in range(0, max(len(columns[0]), 1), SUM_BLOCK):
-        terms = block_terms(*(c[lo : lo + SUM_BLOCK] for c in columns))
-        single = isinstance(terms, np.ndarray)
-        outputs = [terms] if single else terms
-        blocks.append([(float(np.sum(v)), float(np.sum(np.abs(v)))) for v in outputs])
+    blocks = [[] for _ in xs]  # per x, per block: (sum, sum |v_i|)
+    buffers = np.empty((2, min(len(points), SUM_BLOCK)))
+    for lo in range(0, max(len(points), 1), SUM_BLOCK):
+        block = points[lo : lo + SUM_BLOCK]
+        if isinstance(block, range):
+            at = slice(block.start, block.stop)
+            n = np.arange(block.start, block.stop, dtype=np.float64)
+        else:
+            n, at = block.astype(np.float64), block
+        c = coef(n, at)
+        y, v = buffers[:, : len(n)]
+        for x, sums in zip(xs, blocks):
+            terms = np.multiply(c, factor(n, x, y, v), out=v)
+            sums.append((float(np.sum(terms)), float(np.sum(np.abs(terms, out=y)))))
     gamma = SUM_BLOCK * _UNIT_ROUNDOFF / (1.0 - SUM_BLOCK * _UNIT_ROUNDOFF)
-    sums = []
-    for output in zip(*blocks):
-        value = math.fsum(s for s, _ in output)
-        sums.append((value, gamma * math.fsum(m for _, m in output) + _UNIT_ROUNDOFF * abs(value)))
-    return sums[0] if single else sums
+    out = []
+    for sums in blocks:
+        value = math.fsum(s for s, _ in sums)
+        out.append((value, gamma * math.fsum(m for _, m in sums) + _UNIT_ROUNDOFF * abs(value)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -126,11 +133,9 @@ class ExplicitFormulaRHS:
 
 
 def lhs_theorem1(t: ArithmeticTable, k: int, x: float, N: int) -> TruncatedSum:
-    """sum_{x < n <= N} Lambda(n) n^-(k+1) I_k(n/x), summed by blocked_sum.
+    """sum_{x < n <= N} Lambda(n) n^-(k+1) I_k(n/x) over prime powers, by weighted_sums.
 
-    blocked_sum joins 2^16-term np.sum blocks by fsum; round_bound =
-    gamma_B sum |v_i| + u |value| covers the rounding of that summation,
-    not the error in evaluating each term.
+    round_bound is weighted_sums' bound on the summation rounding.
 
     Tail bound: Lambda(n) <= log n and |I_k| <= M_k give
     M_k * integral_N^inf log(t) t^-(k+1) dt
@@ -148,18 +153,18 @@ def lhs_theorem1(t: ArithmeticTable, k: int, x: float, N: int) -> TruncatedSum:
     pp = t.prime_powers
     pp = pp[np.searchsorted(pp, x, side="right") : np.searchsorted(pp, N, side="right")]
 
-    def block_terms(n):
-        m = n.astype(np.float64)
-        return t.lam[n] * m ** (-(k + 1)) * integral_ik_array(k, m / x)
-
-    value, err = blocked_sum(block_terms, pp)
+    [(value, err)] = weighted_sums(
+        pp,
+        lambda n, at: t.lam[at] * n ** (-(k + 1)),
+        lambda n, x, y, v: integral_ik_array(k, np.divide(n, x, out=y)),
+        [x],
+    )
     mk = ik_envelope(k)
     tail = mk * (math.log(N) / (k * N**k) + 1.0 / (k * k * N**k))
-    note = "log-integral tail with |I_k| envelope"
-    return TruncatedSum(value, len(pp), tail, note=note, round_bound=err)
+    return TruncatedSum(value, len(pp), tail, round_bound=err)
 
 
-def residue_at(k: int, x: float, s0: float, radius: float = 0.25) -> float:
+def residue_at(k: int, x: float, s0: float, radius: float = RESIDUE_RADIUS) -> float:
     """Real part of (1/2 pi i) times the contour integral of G_k around s0.
 
     64-node trapezoid on |s - s0| = radius.  Returns the residue for any
@@ -173,11 +178,6 @@ def residue_at(k: int, x: float, s0: float, radius: float = 0.25) -> float:
         raise ValueError("radius must be in (0, 0.3]")
     if not x > 1:
         raise ValueError("x must be > 1")
-    others = {1.0, float(k + 1)} | {-2.0 * j for j in range(1, 4)}
-    others.discard(s0)
-    for p in others:
-        if abs(s0 - p) <= radius + 0.05:
-            raise GeometryError(f"circle around {s0} touches singularity at {p}")
 
     theta = 2.0 * np.pi * np.arange(RESIDUE_NODES) / RESIDUE_NODES
     z = s0 + radius * np.exp(1j * theta)
@@ -257,9 +257,7 @@ def zero_sum(
         * (math.log(gamma_cut / (2.0 * math.pi)) + 1.0)
         / gamma_cut
     )
-    return TruncatedSum(
-        value, 2 * used, tail, note="zero-density majorant, table-certified A_k x2"
-    )
+    return TruncatedSum(value, 2 * used, tail)
 
 
 def trivial_sum(k: int, x: float, sign: float = -1.0) -> TruncatedSum:
@@ -283,19 +281,18 @@ def trivial_sum(k: int, x: float, sign: float = -1.0) -> TruncatedSum:
             term = sign * x ** (-2.0 * j - 1.0 - k) * hk / (k + 1.0 + 2.0 * j)
             if abs(term) < 1e-18:
                 tail = abs(term) / (1.0 - x**-2.0)
-                return TruncatedSum(
-                    math.fsum(terms), len(terms), tail,
-                    note="first omitted term over geometric factor",
-                )
+                return TruncatedSum(math.fsum(terms), len(terms), tail)
             terms.append(term)
         j0 += _TRIVIAL_RUN
 
 
-def rhs_theorem1(
-    k: int, x: float, zeros: ZeroTable, radius: float = 0.25, sign: float = -1.0
-) -> ExplicitFormulaRHS:
-    """Residues at s0 = 1..k plus the zero and trivial sums, budget aggregated."""
-    residues = tuple((float(s0), residue_at(k, x, float(s0), radius)) for s0 in range(1, k + 1))
+def rhs_theorem1(k: int, x: float, zeros: ZeroTable, sign: float = -1.0) -> ExplicitFormulaRHS:
+    """Residues at s0 = 1..k plus the zero and trivial sums, budget aggregated.
+
+    The residues do not depend on sign, and the zero and trivial sums
+    negate exactly with it.
+    """
+    residues = tuple((float(s0), residue_at(k, x, float(s0))) for s0 in range(1, k + 1))
     zs = zero_sum(k, x, zeros, sign=sign)
     ts = trivial_sum(k, x, sign=sign)
     total = math.fsum([v for _, v in residues] + [zs.value, ts.value])

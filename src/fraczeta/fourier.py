@@ -28,7 +28,7 @@ import numpy as np
 
 from .arith import ArithmeticTable
 from .bernpoly import sdot_array
-from .explicit import SUM_BLOCK, TruncatedSum, blocked_sum
+from .explicit import TruncatedSum, weighted_sums
 
 __all__ = [
     "SlopeFit",
@@ -74,12 +74,11 @@ class SlopeFit:
 def lhs_weighted_sdot(
     t: ArithmeticTable, weight: str, p: float, x: float, N: int
 ) -> TruncatedSum:
-    """sum_{n<=N} w(n) n^-p sdot(n/x): the streamed kernel _sdot_sums at one x.
+    """sum_{n<=N} w(n) n^-p sdot(n/x): _sdot_sums at one x.
 
-    blocked_sum joins 2^16-term np.sum blocks by fsum; round_bound =
-    gamma_B sum |v_i| + u |value| covers the rounding of that summation,
-    not the error in evaluating each term.  No temporary outgrows one
-    block; Lambda and mu keep the index list of their non-zero terms.
+    round_bound is explicit.weighted_sums' bound on the summation
+    rounding.  Lambda and mu sum over the index list of their non-zero
+    terms.
 
     Tail bounds use |sdot| <= 1/8 against a weight-specific majorant:
     log n for Lambda, 1 for mu at p = 2, and the divisor-sqrt family
@@ -91,11 +90,10 @@ def lhs_weighted_sdot(
 
 
 def _sdot_sums(t: ArithmeticTable, weight: str, p: float, N: int, xs: list[float]) -> list[TruncatedSum]:
-    """sum_{n<=N} w(n) n^-p sdot(n/x) for every x in xs, in one pass over the blocks.
+    """sum_{n<=N} w(n) n^-p sdot(n/x) for every x in xs, in one weighted_sums pass.
 
-    Each block of points n with w(n) != 0 (all n <= N for mubar) forms
-    w(n) n^-p once and then evaluates every x on it while it is in cache;
-    sdot_array writes into two block buffers reused for every x and block.
+    The points are the n with w(n) != 0 (all n <= N for mubar); sdot_array
+    writes into the kernel's block buffers.
     """
     p = float(p)
     if (weight, p) not in _SUPPORTED:
@@ -108,36 +106,26 @@ def _sdot_sums(t: ArithmeticTable, weight: str, p: float, N: int, xs: list[float
     if weight == "lambda":
         points, w = t.prime_powers[: np.searchsorted(t.prime_powers, N, side="right")], t.lam
         tail = SDOT_MAX * (math.log(N) + 1.0) / N
-        note = "log-integral majorant"
     elif weight == "mu":
         points, w = np.flatnonzero(t.mu[: N + 1]), t.mu
-        if p == 2.0:
-            tail = SDOT_MAX / N
-            note = "unit majorant"
-        else:
-            tail = SDOT_MAX * 2.0 * (math.log(N) + 2.0) / math.sqrt(N)
-            note = "divisor-sqrt family majorant, p = 3/2"
+        tail = SDOT_MAX / N if p == 2.0 else SDOT_MAX * 2.0 * (math.log(N) + 2.0) / math.sqrt(N)
     else:
         points, w = range(1, N + 1), t.mubar_arr
         tail = SDOT_MAX * 2.0 * (math.log(N) + 2.0) / math.sqrt(N)
-        note = "divisor sqrt-sum majorant"
 
-    buffers = np.empty((2, min(len(points), SUM_BLOCK)))
+    sums = weighted_sums(
+        points,
+        lambda n, at: w[at] * n ** (-p),
+        lambda n, x, y, v: sdot_array(np.divide(n, x, out=y), out=v),
+        xs,
+    )
+    return [TruncatedSum(value, len(points), tail, round_bound=err) for value, err in sums]
 
-    def block_terms(n):
-        if isinstance(n, range):
-            nf, wn = np.arange(n.start, n.stop, dtype=np.float64), w[n.start : n.stop]
-        else:
-            nf, wn = n.astype(np.float64), w[n]
-        coef = wn * nf ** (-p)
-        y, v = buffers[:, : len(nf)]
-        for x in xs:
-            yield np.multiply(coef, sdot_array(np.divide(nf, x, out=y), out=v), out=v)
 
-    return [
-        TruncatedSum(value, len(points), tail, note=note, round_bound=err)
-        for value, err in blocked_sum(block_terms, points)
-    ]
+def _cos_minus_one(n, x, y, v):
+    """cos(2 pi n/x) - 1, formed in the block buffers."""
+    np.multiply(n, 2.0 * np.pi, out=y)
+    return np.subtract(np.cos(np.divide(y, x, out=y), out=y), 1.0, out=v)
 
 
 def rhs_th2_log(x: float, N: int) -> TruncatedSum:
@@ -147,16 +135,14 @@ def rhs_th2_log(x: float, N: int) -> TruncatedSum:
     if N < 1:
         raise ValueError("N must be >= 1")
     if N < 2:
-        return TruncatedSum(0.0, 0, (math.log(2.0) + 1.0) / (math.pi**2), note="empty sum")
+        return TruncatedSum(0.0, 0, (math.log(2.0) + 1.0) / (math.pi**2))
 
-    def block_terms(r):
-        m = np.arange(r.start, r.stop, dtype=np.float64)
-        return np.log(m) / m**2 * (np.cos(2.0 * np.pi * m / x) - 1.0)
-
-    value, err = blocked_sum(block_terms, range(2, N + 1))
+    [(value, err)] = weighted_sums(
+        range(2, N + 1), lambda n, at: np.log(n) / n**2, _cos_minus_one, [x]
+    )
+    # log-integral majorant, |cos - 1| <= 2
     tail = (math.log(N) + 1.0) / (N * math.pi**2)
-    note = "log-integral majorant, |cos-1| <= 2"
-    return TruncatedSum(value / TWO_PI_SQ, N - 1, tail, note=note, round_bound=err / TWO_PI_SQ)
+    return TruncatedSum(value / TWO_PI_SQ, N - 1, tail, round_bound=err / TWO_PI_SQ)
 
 
 def rhs_th2_mu(x: float) -> float:
@@ -177,14 +163,12 @@ def rhs_th4_upsilon(t: ArithmeticTable, x: float, N: int) -> TruncatedSum:
     if not 1 <= N <= t.n_max:
         raise ValueError(f"N must be in 1..{t.n_max}")
 
-    def block_terms(u, r):
-        m = np.arange(r.start, r.stop, dtype=np.float64)
-        return u / m**2 * (np.cos(2.0 * np.pi * m / x) - 1.0)
-
-    value, err = blocked_sum(block_terms, t.upsilon_arr[1 : N + 1], range(1, N + 1))
+    [(value, err)] = weighted_sums(
+        range(1, N + 1), lambda n, at: t.upsilon_arr[at] / n**2, _cos_minus_one, [x]
+    )
+    # sqrt majorant
     tail = (2.0 / math.sqrt(N)) * (1.0 + math.log(N)) / math.pi**2
-    note = "sqrt majorant tail"
-    return TruncatedSum(value / TWO_PI_SQ, N, tail, note=note, round_bound=err / TWO_PI_SQ)
+    return TruncatedSum(value / TWO_PI_SQ, N, tail, round_bound=err / TWO_PI_SQ)
 
 
 def rh_slope(values: list[tuple[float, float, float]]) -> SlopeFit:
@@ -222,18 +206,14 @@ def rh_slope(values: list[tuple[float, float, float]]) -> SlopeFit:
 
 
 def rh_decay_profile(
-    t: ArithmeticTable,
-    x_min: float = 10.0,
-    x_max: float = 100.0,
-    points: int = 20,
-    N: int = 10**7,
+    t: ArithmeticTable, x_min: float, x_max: float, points: int, N: int
 ) -> list[tuple[float, float, float]]:
     """mubar-weighted sums on a log-spaced grid, with their noise floors (tail + round_bound).
 
-    One pass of the streamed kernel _sdot_sums sweeps the whole grid over
-    each 2^16-term block, forming mubar(n) n^-2 once per block; the sums
-    and floors are those lhs_weighted_sdot gives at each x, bit for bit,
-    and nothing of length N is allocated.
+    One _sdot_sums pass sweeps the whole grid over each block, forming
+    mubar(n) n^-2 once per block; the sums and floors are those
+    lhs_weighted_sdot gives at each x, bit for bit, and nothing of length
+    N is allocated.
     """
     xs = [float(x) for x in np.geomspace(x_min, x_max, points)]
     sums = _sdot_sums(t, "mubar", 2.0, N, xs)

@@ -11,7 +11,7 @@ import zlib
 import numpy as np
 import pytest
 
-from fraczeta import cli
+from fraczeta import cli, explicit
 from fraczeta.arith import build_sieve
 from fraczeta.bernpoly import periodic_bernoulli
 from fraczeta.cli import (
@@ -43,6 +43,18 @@ class TestRunIdentity:
         assert r.verdict == "pass"
         assert r.abs_diff <= 1e-3
         assert "sigma=-1" in r.adjudication
+
+    def test_th1_builds_its_right_side_once(self, table_small, zeros100, monkeypatch):
+        # The sigma = +1 side of the sign adjudication negates the zero and
+        # trivial sums of the one build, and matches a sigma = +1 build.
+        calls = []
+        build = explicit.rhs_theorem1
+        monkeypatch.setattr(explicit, "rhs_theorem1",
+                            lambda *a, **kw: calls.append(kw) or build(*a, **kw))
+        r = run_identity("th1", {"k": 1, "x": 10.5, "N": 10**4})
+        assert calls == [{}]
+        d_plus = abs(r.lhs.value - build(1, 10.5, zeros100, sign=+1.0).total)
+        assert f"{d_plus:.3e}" in r.adjudication
 
     def test_unknown_identity(self):
         with pytest.raises(UsageError):
@@ -93,7 +105,7 @@ class TestEmitReport:
         return IdentityReport(
             identity_id="th2-mu",
             params={"x": 2.0, "N": 1000},
-            lhs=TruncatedSum(-0.10132118364233778, 607, 1.25e-7, note="t"),
+            lhs=TruncatedSum(-0.10132118364233778, 607, 1.25e-7),
             rhs_canonical=-0.10132118364233778,
             rhs_budget=0.0,
             abs_diff=0.0,
@@ -111,7 +123,7 @@ class TestEmitReport:
 
     def test_round_bounds_and_elapsed_roundtrip(self, tmp_path):
         r = self._sample_report()
-        r.lhs = TruncatedSum(-0.10132118364233778, 607, 1.25e-7, note="t",
+        r.lhs = TruncatedSum(-0.10132118364233778, 607, 1.25e-7,
                              round_bound=2.2737367544323206e-13)
         r.rhs_round_bound = 1.1368683772161603e-17
         r.elapsed_s = 0.12345678901234568

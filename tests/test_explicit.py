@@ -8,13 +8,12 @@ from fraczeta.bernpoly import integral_ik_array
 from fraczeta.explicit import (
     SUM_BLOCK,
     TruncatedSum,
-    blocked_sum,
     lhs_theorem1,
     printed_Pk,
     residue_at,
     rhs_theorem1,
     trivial_sum,
-    zero_pair_terms,
+    weighted_sums,
     zero_sum,
 )
 from fraczeta.zeta import Hk_closed, ZeroEntry, ZeroTable, hk_limit_at_zero
@@ -30,7 +29,7 @@ class TestTruncatedSum:
             TruncatedSum(1.0, 1, 0.0, round_bound=-1e-20)
         with pytest.raises(ValueError):
             TruncatedSum(1.0, 1, 0.0, round_bound=math.inf)
-        ts = TruncatedSum(1.0, 3, 0.5, note="x")
+        ts = TruncatedSum(1.0, 3, 0.5)
         assert ts.terms_used == 3
         assert ts.round_bound == 0.0
 
@@ -40,7 +39,13 @@ def exact_excess(value, terms):
     return math.fsum([value] + [-float(v) for v in terms])
 
 
+def unit_factor(n, x, y, v):
+    return 1.0
+
+
 class TestBlockedSum:
+    """weighted_sums, the blocked summation kernel."""
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(st.floats(-1e300, 1e300, allow_nan=False), min_size=1, max_size=40),
@@ -48,47 +53,56 @@ class TestBlockedSum:
     )
     def test_within_bound_of_fsum(self, xs, n):
         v = np.resize(np.array(xs), n)
-        value, bound = blocked_sum(lambda b: b, v)
+        [(value, bound)] = weighted_sums(range(n), lambda m, at: v[at], unit_factor, [0.0])
         assert abs(exact_excess(value, v)) <= bound
 
     @pytest.mark.parametrize("reps", [1, SUM_BLOCK // 3, SUM_BLOCK // 3 + 1, SUM_BLOCK])
     def test_cancellation(self, reps):
         v = np.tile([1e16, 1.0, -1e16], reps)
-        value, bound = blocked_sum(lambda b: b, v)
+        [(value, bound)] = weighted_sums(range(len(v)), lambda m, at: v[at], unit_factor, [0.0])
         assert abs(value - reps) <= bound  # the exact sum is reps
 
     @pytest.mark.parametrize("n", [1, SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1])
     def test_lengths_and_block_sizes(self, n):
+        # A range reads its weights as slices, an index array gathers them;
+        # both give the same blocks and the same sum.
         rng = np.random.default_rng(n)
         v = rng.standard_normal(n) * 10.0 ** rng.uniform(-20, 20, n)
         w = np.arange(n, dtype=np.float64)
-        seen = []
+        results = []
+        for points in (range(n), np.arange(n)):
+            seen = []
 
-        def terms(a, b):
-            seen.append(len(a))
-            return a * b
+            def coef(m, at):
+                seen.append(len(m))
+                return v[at]
 
-        value, bound = blocked_sum(terms, v, w)
-        assert seen == [SUM_BLOCK] * (n // SUM_BLOCK) + ([n % SUM_BLOCK] if n % SUM_BLOCK else [])
-        assert abs(exact_excess(value, v * w)) <= bound
-        assert bound > 0.0 or not np.any(v * w)
+            [(value, bound)] = weighted_sums(points, coef, lambda m, x, y, out: m, [0.0])
+            assert seen == [SUM_BLOCK] * (n // SUM_BLOCK) + ([n % SUM_BLOCK] if n % SUM_BLOCK else [])
+            assert abs(exact_excess(value, v * w)) <= bound
+            assert bound > 0.0 or not np.any(v * w)
+            results.append((value, bound))
+        assert results[0] == results[1]
 
     @pytest.mark.parametrize("n", [0, 1, SUM_BLOCK + 1])
     def test_one_pair_per_output(self, n):
-        # Outputs made one after another in a shared buffer each get the
-        # (value, bound) a single-output call gives; an empty column gives
+        # Every x, swept over each block in the shared buffers, gets the
+        # (value, bound) a single-x call gives; an empty point set gives
         # (0, 0) for each.
         v = np.random.default_rng(n).standard_normal(n)
-        scales = (1.0, -3.0, 0.5)
-        buf = np.empty(min(n, SUM_BLOCK))
+        scales = [1.0, -3.0, 0.5]
 
-        def terms(a):
-            for s in scales:
-                yield np.multiply(a, s, out=buf[: len(a)])
+        def sums(xs):
+            return weighted_sums(
+                range(n),
+                lambda m, at: v[at],
+                lambda m, s, y, out: np.multiply(np.add(m, s, out=y), s, out=out),
+                xs,
+            )
 
-        assert blocked_sum(terms, v) == [blocked_sum(lambda a: a * s, v) for s in scales]
+        assert sums(scales) == [sums([s])[0] for s in scales]
         if n == 0:
-            assert blocked_sum(terms, v) == [(0.0, 0.0)] * len(scales)
+            assert sums(scales) == [(0.0, 0.0)] * len(scales)
 
 
 class TestLhsTheorem1:
@@ -146,11 +160,6 @@ class TestResidueAt:
     def test_k2_s2_regular_point(self):
         assert abs(residue_at(2, 5.0, 2.0, 0.25)) <= 1e-10
 
-    def test_radius_independence(self):
-        a = residue_at(1, 10.5, 1.0, 0.15)
-        b = residue_at(1, 10.5, 1.0, 0.30)
-        assert abs(a - b) <= 1e-10
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             residue_at(1, 10.0, 2.0, 0.25)  # s0 beyond k
@@ -172,11 +181,6 @@ class TestZeroSum:
         assert abs(ts.value) <= 0.05
         # table-certified majorant with its 2x margin
         assert ts.tail_bound <= 2e-4
-
-    def test_conjugate_pairing_real(self, zeros100):
-        pairs = zero_pair_terms(1, 10.5, zeros100)
-        assert pairs.shape == (100,)
-        assert float(np.max(np.abs(pairs.imag))) <= 1e-15
 
     def test_unrefined_rejected(self):
         raw = ZeroTable(entries=(ZeroEntry(1, 14.134725),), source="raw")
