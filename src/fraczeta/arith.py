@@ -107,6 +107,13 @@ class ArithmeticTable:
         """Ascending indices n with Lambda(n) > 0 (cached)."""
         return np.nonzero(self.lam)[0]
 
+    @cached_property
+    def squarefree(self) -> np.ndarray:
+        """Ascending indices n with mu(n) != 0, as read-only int32 (cached)."""
+        out = np.flatnonzero(self.mu).astype(np.int32)
+        out.setflags(write=False)
+        return out
+
 
 def dirichlet_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Dirichlet convolution h(n) = sum_{d|n} f(d) g(n/d) for n = 1..N.

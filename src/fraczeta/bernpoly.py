@@ -17,6 +17,7 @@ small registry of test functions with hand-coded derivatives.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,16 +108,24 @@ def integral_Ik(k: int, x: float) -> float:
     return float(integral_ik_array(k, np.asarray(x, dtype=np.float64)))
 
 
-def integral_ik_array(k: int, y: np.ndarray) -> np.ndarray:
-    """Vectorized I_k over an array of nonnegative arguments."""
+def integral_ik_array(k: int, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized I_k over an array of nonnegative arguments.  As in
+    sdot_array, with out the result is written there and y, a float64
+    array of the same shape, is overwritten as scratch."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
         # B_2(u) - B_2 = u^2 - u: the direct quadratic avoids the +-1/6
         # round trip
-        return sdot_array(y)
-    fr = y - np.floor(y)
-    return (bernoulli_poly(k + 1, fr) - BERNOULLI[k + 1]) / (k + 1)
+        return sdot_array(y, out=out)
+    if out is None:
+        y, out = y.astype(np.float64), np.empty(y.shape)
+    fr = np.subtract(y, np.floor(y, out=out), out=out)
+    acc = y  # B_{k+1}(fr) by Horner's rule, as in bernoulli_poly
+    acc.fill(1.0)
+    for i in range(1, k + 2):
+        np.add(np.multiply(acc, fr, out=acc), math.comb(k + 1, i) * BERNOULLI[i], out=acc)
+    return np.divide(np.subtract(acc, BERNOULLI[k + 1], out=out), k + 1, out=out)
 
 
 def sawtooth_S(x: float) -> float:
@@ -142,24 +151,37 @@ def sdot_array(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.multiply(np.subtract(np.multiply(fr, fr, out=y), fr, out=out), 0.5, out=out)
 
 
-_IK_ENVELOPES: dict[int, float] = {}
+def _grid_majorant(values: Callable[[np.ndarray], np.ndarray], slope: float) -> float:
+    """A proven bound on max over [0, 1] of |values(u)|: the maximum on a
+    grid of step 1e-5 plus 1e-5 times slope, a bound on |d/du values|."""
+    u = np.linspace(0.0, 1.0, 100_001)
+    return float(np.max(np.abs(values(u)))) + 1e-5 * slope
 
 
+def _abs_poly_bound(k: int) -> float:
+    """sum_i |C(k,i) B_i| >= max over [0, 1] of |B_k(u)|."""
+    return sum(abs(math.comb(k, i) * BERNOULLI[i]) for i in range(k + 1))
+
+
+@functools.cache
 def ik_envelope(k: int) -> float:
     """Upper bound on max_x |I_k(x)| = max_u |B_{k+1}(u) - B_{k+1}|/(k+1).
 
     Fine-grid maximum plus a derivative-based slack term, so the result
-    is a true majorant (used in rigorous tail bounds).
+    is a true majorant (used in rigorous tail bounds); |d/du I_k| = |B_k(u)|.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k not in _IK_ENVELOPES:
-        u = np.linspace(0.0, 1.0, 100_001)
-        grid_max = float(np.max(np.abs(bernoulli_poly(k + 1, u) - BERNOULLI[k + 1]))) / (k + 1)
-        # |d/du I_k| = |B_k(u)| <= sum_i |C(k,i) B_i| on [0,1]
-        deriv_bound = sum(abs(math.comb(k, i) * BERNOULLI[i]) for i in range(k + 1))
-        _IK_ENVELOPES[k] = grid_max + 1e-5 * deriv_bound
-    return _IK_ENVELOPES[k]
+    return _grid_majorant(
+        lambda u: (bernoulli_poly(k + 1, u) - BERNOULLI[k + 1]) / (k + 1), _abs_poly_bound(k)
+    )
+
+
+@functools.cache
+def bernoulli_envelope(j: int) -> float:
+    """Upper bound on max_u |B_j(u)| over [0, 1], built like ik_envelope
+    (B_j' = j B_{j-1})."""
+    return _grid_majorant(lambda u: bernoulli_poly(j, u), j * _abs_poly_bound(j - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,9 @@ report which variant the directly summed left side supports.
 
 Contour quadrature on a circle is correct for any pole order (simple,
 double, or none), so no pole-structure assumption enters the right side.
+Only the powers x^(s-1-k) depend on x: the zeta-engine values beside
+them are evaluated once per (k, circle), (k, zero table) or (k, run of
+trivial zeros) and kept in a small memo (_fixed).
 """
 
 from __future__ import annotations
@@ -59,6 +62,28 @@ RESIDUE_QUAD_BOUND = 1e-10
 SUM_BLOCK = 2**16
 _TRIVIAL_RUN = 16   # trivial zeros whose H_k one batch evaluates (x >= 4 needs one run)
 _UNIT_ROUNDOFF = 2.0**-53
+
+# Theorem 1's right side depends on x only through the powers x^(s-1-k).
+# _FIXED holds the zeta-engine values that do not, under three kinds of
+# key: ("circle", k, s0, radius), ("zeros", k, ZeroTable) and
+# ("trivial", k, first j).  Entries are made on first use; past
+# _FIXED_ENTRIES the oldest is dropped.
+_FIXED: dict = {}
+_FIXED_ENTRIES = 64
+
+
+def _fixed(key, make):
+    """The tuple make() returns, made once per key and kept; its arrays are read-only."""
+    values = _FIXED.get(key)
+    if values is None:
+        values = make()
+        for a in values:
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        if len(_FIXED) >= _FIXED_ENTRIES:
+            del _FIXED[next(iter(_FIXED))]
+        _FIXED[key] = values
+    return values
 
 
 @dataclass(frozen=True)
@@ -156,7 +181,7 @@ def lhs_theorem1(t: ArithmeticTable, k: int, x: float, N: int) -> TruncatedSum:
     [(value, err)] = weighted_sums(
         pp,
         lambda n, at: t.lam[at] * n ** (-(k + 1)),
-        lambda n, x, y, v: integral_ik_array(k, np.divide(n, x, out=y)),
+        lambda n, x, y, v: integral_ik_array(k, np.divide(n, x, out=y), out=v),
         [x],
     )
     mk = ik_envelope(k)
@@ -168,7 +193,10 @@ def residue_at(k: int, x: float, s0: float, radius: float = RESIDUE_RADIUS) -> f
     """Real part of (1/2 pi i) times the contour integral of G_k around s0.
 
     64-node trapezoid on |s - s0| = radius.  Returns the residue for any
-    pole order; a regular point yields ~0.
+    pole order; a regular point yields ~0.  The nodes, H_k(1-z) and
+    -zeta'/zeta(z) are taken from the memo of x-independent values
+    (_fixed), so a call for a known (k, s0, radius) forms only the powers
+    x^(z-1-k).
     """
     if not 1 <= k <= 4:
         raise ValueError("k must be in 1..4")
@@ -179,17 +207,17 @@ def residue_at(k: int, x: float, s0: float, radius: float = RESIDUE_RADIUS) -> f
     if not x > 1:
         raise ValueError("x must be > 1")
 
-    theta = 2.0 * np.pi * np.arange(RESIDUE_NODES) / RESIDUE_NODES
-    z = s0 + radius * np.exp(1j * theta)
-    g = _g_contour(k, x, z)
-    vals = g * np.exp(1j * theta) * (radius / RESIDUE_NODES)
+    z, turn, hk, nzld = _fixed(("circle", k, s0, radius), lambda: _circle(k, s0, radius))
+    g = np.exp((z - 1.0 - k) * math.log(x)) * hk * nzld / (k + 1.0 - z)
+    vals = g * turn * (radius / RESIDUE_NODES)
     return math.fsum(vals.real.tolist())
 
 
-def _g_contour(k: int, x: float, z: np.ndarray) -> np.ndarray:
-    hk = _hk_closed_batch(k, 1.0 - z)
-    nzld = _neg_zld_batch(z)
-    return np.exp((z - 1.0 - k) * math.log(x)) * hk * nzld / (k + 1.0 - z)
+def _circle(k: int, s0: float, radius: float):
+    """Nodes z = s0 + radius e^(i theta), e^(i theta), H_k(1-z) and -zeta'/zeta(z)."""
+    turn = np.exp(1j * (2.0 * np.pi * np.arange(RESIDUE_NODES) / RESIDUE_NODES))
+    z = s0 + radius * turn
+    return z, turn, _hk_closed_batch(k, 1.0 - z), _neg_zld_batch(z)
 
 
 def zero_pair_terms(
@@ -199,17 +227,31 @@ def zero_pair_terms(
 
     Both members of each pair are evaluated explicitly, so the imaginary
     parts cancel only if the implementation is conjugate-symmetric; tests
-    rely on that.
+    rely on that.  H_k(1-rho) and H_k(1-conj(rho)) come from the memo
+    entry for (k, zeros), evaluated over the whole table.
     """
-    take = zeros.entries if count is None else zeros.entries[: count]
-    rho = 0.5 + 1j * np.array([e.gamma for e in take])
-    return _pair_terms(k, x, rho, _hk_closed_batch(k, 1.0 - rho))
+    rho, hk, hk_conj, _ = _fixed(("zeros", k, zeros), lambda: _zero_values(k, zeros))
+    return _pair_terms(k, x, rho[:count], hk[:count], hk_conj[:count])
 
 
-def _pair_terms(k: int, x: float, rho: np.ndarray, hk_rho: np.ndarray) -> np.ndarray:
-    """zero_pair_terms from the zeros rho and H_k(1-rho); H_k(1-conj(rho)) is evaluated here."""
+def _zero_values(k: int, zeros: ZeroTable):
+    """rho, H_k(1-rho), H_k(1-conj(rho)) over the table, and the tail constant A_k.
+
+    A_k = 2 * max over the table of |H_k(1-rho)/(k+1-rho)| * gamma^2, an
+    empirical majorant constant (the 2x is the certification margin).
+    """
+    gam = np.array([e.gamma for e in zeros.entries])
+    rho = 0.5 + 1j * gam
+    hk = _hk_closed_batch(k, 1.0 - rho)
+    hk_conj = _hk_closed_batch(k, 1.0 - rho.conj())
+    a_k = 2.0 * float(np.max(np.abs(hk / (k + 1.0 - rho)) * gam**2, initial=0.0))
+    return rho, hk, hk_conj, a_k
+
+
+def _pair_terms(k: int, x: float, rho, hk_rho, hk_conj) -> np.ndarray:
+    """zero_pair_terms from the zeros rho, H_k(1-rho) and H_k(1-conj(rho))."""
     out = np.zeros(rho.size, dtype=complex)
-    for r, hk in ((rho, hk_rho), (rho.conj(), _hk_closed_batch(k, 1.0 - rho.conj()))):
+    for r, hk in ((rho, hk_rho), (rho.conj(), hk_conj)):
         out = out + np.exp((r - 1.0 - k) * math.log(x)) * hk / (k + 1.0 - r)
     return out
 
@@ -225,7 +267,10 @@ def zero_sum(
 
     The tail integrates the asymptotic density log(t/2pi)/(2pi) against
     A_k/t^2, where A_k is certified on the whole table and doubled;
-    pairs contribute the leading factor 2.
+    pairs contribute the leading factor 2.  H_k(1-rho), H_k(1-conj(rho))
+    and A_k come from the memo entry for (k, zeros), so only the first
+    call for a table evaluates H_k; later calls, at any x, count or sign,
+    form only the powers x^(rho-1-k).
     """
     if not 1 <= k <= 4:
         raise ValueError("k must be in 1..4")
@@ -239,16 +284,10 @@ def zero_sum(
     if any(e.residual > 1e-8 for e in zeros.entries[:used]):
         raise ValueError("zeros must be refined before use (residual <= 1e-8)")
 
-    # One H_k(1-rho) batch over the table serves the pairs and A_k.
-    gam = np.array([e.gamma for e in zeros.entries])
-    rho = 0.5 + 1j * gam
-    hk = _hk_closed_batch(k, 1.0 - rho)
-    pairs = _pair_terms(k, x, rho[:used], hk[:used])
+    rho, hk, hk_conj, a_k = _fixed(("zeros", k, zeros), lambda: _zero_values(k, zeros))
+    pairs = _pair_terms(k, x, rho[:used], hk[:used], hk_conj[:used])
     value = sign * math.fsum(pairs.real.tolist())
 
-    # Empirical majorant constant: 2 * max over the table of
-    # |H_k(1-rho)/(k+1-rho)| * gamma^2 (the 2x is the certification margin).
-    a_k = 2.0 * float(np.max(np.abs(hk / (k + 1.0 - rho)) * gam**2))
     gamma_cut = zeros.entries[used - 1].gamma if used > 0 else 14.0
     tail = (
         x ** (-0.5 - k)
@@ -265,7 +304,8 @@ def trivial_sum(k: int, x: float, sign: float = -1.0) -> TruncatedSum:
 
     Terms decay geometrically in x^-2; summation stops when the next term
     drops below 1e-18 and that term, amplified by the geometric ratio,
-    bounds the tail.
+    bounds the tail.  H_k(1+2j) comes in runs of _TRIVIAL_RUN values of j,
+    each evaluated once per (k, first j) and kept in the memo (_fixed).
     """
     if not 1 <= k <= 4:
         raise ValueError("k must be in 1..4")
@@ -274,16 +314,21 @@ def trivial_sum(k: int, x: float, sign: float = -1.0) -> TruncatedSum:
     terms: list[float] = []
     j0 = 1
     while True:
-        # H_k(1+2j) for a run of j in one batch; the terms are then taken one at a time.
         js = range(j0, j0 + _TRIVIAL_RUN)
-        hks = _hk_closed_batch(k, np.array([1.0 + 2.0 * j for j in js], dtype=complex)).real
-        for j, hk in zip(js, hks.tolist()):
+        hks = _fixed(("trivial", k, j0), lambda: _trivial_run(k, js))
+        for j, hk in zip(js, hks):
             term = sign * x ** (-2.0 * j - 1.0 - k) * hk / (k + 1.0 + 2.0 * j)
             if abs(term) < 1e-18:
                 tail = abs(term) / (1.0 - x**-2.0)
                 return TruncatedSum(math.fsum(terms), len(terms), tail)
             terms.append(term)
         j0 += _TRIVIAL_RUN
+
+
+def _trivial_run(k: int, js: range) -> tuple[float, ...]:
+    """H_k(1+2j) for every j in js, from one batch."""
+    hks = _hk_closed_batch(k, np.array([1.0 + 2.0 * j for j in js], dtype=complex))
+    return tuple(hks.real.tolist())
 
 
 def rhs_theorem1(k: int, x: float, zeros: ZeroTable, sign: float = -1.0) -> ExplicitFormulaRHS:

@@ -77,8 +77,8 @@ def lhs_weighted_sdot(
     """sum_{n<=N} w(n) n^-p sdot(n/x): _sdot_sums at one x.
 
     round_bound is explicit.weighted_sums' bound on the summation
-    rounding.  Lambda and mu sum over the index list of their non-zero
-    terms.
+    rounding.  Lambda and mu sum over the table's cached index list of
+    their non-zero terms (prime_powers, squarefree), cut at N.
 
     Tail bounds use |sdot| <= 1/8 against a weight-specific majorant:
     log n for Lambda, 1 for mu at p = 2, and the divisor-sqrt family
@@ -107,7 +107,8 @@ def _sdot_sums(t: ArithmeticTable, weight: str, p: float, N: int, xs: list[float
         points, w = t.prime_powers[: np.searchsorted(t.prime_powers, N, side="right")], t.lam
         tail = SDOT_MAX * (math.log(N) + 1.0) / N
     elif weight == "mu":
-        points, w = np.flatnonzero(t.mu[: N + 1]), t.mu
+        # An int32 key: a Python int would make searchsorted copy the list to int64.
+        points, w = t.squarefree[: np.searchsorted(t.squarefree, np.int32(N), side="right")], t.mu
         tail = SDOT_MAX / N if p == 2.0 else SDOT_MAX * 2.0 * (math.log(N) + 2.0) / math.sqrt(N)
     else:
         points, w = range(1, N + 1), t.mubar_arr

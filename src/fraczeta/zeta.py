@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bernpoly import BERNOULLI, GL_W, GL_X, bernoulli_poly, ik_envelope
+from .bernpoly import BERNOULLI, GL_W, GL_X, bernoulli_envelope, bernoulli_poly
 
 __all__ = [
     "DomainError",
@@ -389,12 +389,21 @@ def Hk_closed(k: int, s: complex) -> complex:
 def Hk_quadrature(k: int, s: complex) -> complex:
     """H_k(s) by per-period 32-node quadrature of t^(-s-k) B_k({t}).
 
-    Periods are summed until the analytic per-period bound
-    |s+k| M_k m^(-Re(s)-k-1) falls below 1e-12, then the tail
-    integral_{M+1}^inf is replaced by its leading part
-    -B_{k+1}/(k+1) (M+1)^(-s-k); the neglected remainder is two powers
-    smaller.  Needs Re(s) + k > 0.  This route never touches the closed
-    form and is its independent oracle.
+    With w = s + k, the periods [m, m+1] up to m = A - 1 are summed and
+    two integrations by parts give the rest:
+
+        integral_A^inf t^-w B_k({t}) dt = -B_{k+1}/(k+1) A^-w
+            - w B_{k+2}/((k+1)(k+2)) A^(-w-1) + R,
+
+    where one more integration by parts bounds
+
+        |R| <= |w(w+1)|/((k+1)(k+2)) [|B_{k+3}|/(k+3)
+               + |w+2| max_u |B_{k+3}(u)|/((k+3)(Re w+2))] A^(-Re w-2).
+
+    A is the first integer >= 9 at which that bound is <= 1e-12.  Only
+    one of the two kept terms is nonzero: the first for odd k, the second
+    for even k.  Needs Re(s) + k > 0.  This route never touches the
+    closed form and is its independent oracle.
     """
     if not 1 <= k <= 4:
         raise ValueError("k must be in 1..4")
@@ -402,18 +411,22 @@ def Hk_quadrature(k: int, s: complex) -> complex:
     w = s + k
     if w.real <= 0.0:
         raise DomainError("quadrature route needs Re(s) + k > 0")
-    mk = ik_envelope(k)
-    m_stop = int(math.ceil((abs(w) * mk / 1e-12) ** (1.0 / (w.real + 1.0)))) + 1
-    m_stop = max(m_stop, 8)
+    coef = abs(w * (w + 1.0)) / ((k + 1) * (k + 2)) * (
+        abs(BERNOULLI[k + 3]) / (k + 3)
+        + abs(w + 2.0) * bernoulli_envelope(k + 3) / ((k + 3) * (w.real + 2.0))
+    )
+    a = max(9, math.floor((coef / 1e-12) ** (1.0 / (w.real + 2.0))))
+    while coef * float(a) ** (-w.real - 2.0) > 1e-12:
+        a += 1
 
     bk_w = bernoulli_poly(k, GL_X) * GL_W
     real_w = s.imag == 0.0
     partials_re: list[float] = []
     partials_im: list[float] = []
     chunk = 4096  # periods per step: each (chunk, 32) temporary is 1 MB (2 MB complex)
-    for lo in range(1, m_stop + 1, chunk):
-        hi = min(lo + chunk - 1, m_stop)
-        m = np.arange(lo, hi + 1, dtype=np.float64)
+    for lo in range(1, a, chunk):
+        hi = min(lo + chunk, a)
+        m = np.arange(lo, hi, dtype=np.float64)
         t = m[:, None] + GL_X[None, :]
         if real_w:
             vals = (t ** (-w.real) * bk_w[None, :]).sum(axis=1)
@@ -424,9 +437,9 @@ def Hk_quadrature(k: int, s: complex) -> complex:
             partials_im.extend(vals.imag.tolist())
     total = complex(math.fsum(partials_re), math.fsum(partials_im) if partials_im else 0.0)
 
-    ck = -float(BERNOULLI[k + 1]) / (k + 1)   # period mean of I_k
-    if ck != 0.0:
-        total += ck * cmath.exp(-w * math.log(m_stop + 1))
+    log_a = math.log(a)
+    total -= float(BERNOULLI[k + 1]) / (k + 1) * cmath.exp(-w * log_a)
+    total -= w * float(BERNOULLI[k + 2]) / ((k + 1) * (k + 2)) * cmath.exp(-(w + 1.0) * log_a)
     return total
 
 

@@ -64,3 +64,21 @@ def traced_peak_bytes():
             tracemalloc.stop()
 
     return peak
+
+
+@pytest.fixture
+def hk_batch_sizes(monkeypatch):
+    """Empty the theorem-1 memo of explicit and record the size of every
+    H_k batch explicit evaluates while the test runs."""
+    from fraczeta import explicit
+
+    sizes = []
+    batch = explicit._hk_closed_batch
+
+    def counting(k, s):
+        sizes.append(len(s))
+        return batch(k, s)
+
+    monkeypatch.setattr(explicit, "_FIXED", {})
+    monkeypatch.setattr(explicit, "_hk_closed_batch", counting)
+    return sizes

@@ -190,6 +190,12 @@ class TestMubarUpsilon:
 
 
 class TestTableInvariants:
+    def test_squarefree_index_list(self, table_small):
+        sf = table_small.squarefree
+        assert sf.dtype == np.int32 and not sf.flags.writeable
+        assert np.array_equal(sf, np.flatnonzero(table_small.mu))
+        assert table_small.squarefree is sf
+
     def test_lambda_log_identity_to_1e4(self, table_small):
         N = 10**4
         h = dirichlet_convolve(np.asarray(table_small.lam[: N + 1]), np.ones(N + 1))

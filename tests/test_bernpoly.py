@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from fraczeta.bernpoly import (
     em_identity_residual,
     em_period_integrals,
     integral_Ik,
+    integral_ik_array,
     periodic_bernoulli,
     sawtooth_S,
     sdot,
@@ -68,6 +70,17 @@ class TestIntegralIk:
         assert integral_Ik(1, 0.5) == -0.125
         assert integral_Ik(1, 7.0) == 0.0
         assert integral_Ik(2, 0.5) == pytest.approx(0.0, abs=1e-17)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_array_out_matches_allocating_form(self, k):
+        # With out, the result lands there bit for bit and y is scratch.
+        y = np.linspace(0.0, 40.0, 10_001)
+        want = integral_ik_array(k, y)
+        assert want[5000] == integral_Ik(k, float(y[5000]))
+        scratch, out = y.copy(), np.empty_like(y)
+        assert integral_ik_array(k, scratch, out=out) is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(integral_ik_array(k, y), want)  # y untouched without out
 
 
 class TestSawtooth:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraczeta import explicit
 from fraczeta.bernpoly import integral_ik_array
 from fraczeta.explicit import (
     SUM_BLOCK,
@@ -228,6 +229,45 @@ class TestRhsAssembly:
         rhs = rhs_theorem1(2, 5.5, zeros100)
         assert [s0 for s0, _ in rhs.residues] == [1.0, 2.0]
         assert rhs.budget >= rhs.zero_sum.tail_bound
+
+
+class TestFixedValues:
+    """The memo of theorem 1's x-independent values (explicit._FIXED)."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_warm_equals_cold(self, zeros100, monkeypatch, k):
+        monkeypatch.setattr(explicit, "_FIXED", {})
+        cold = [rhs_theorem1(k, 7.5, zeros100, sign=s) for s in (-1.0, 1.0)]
+        explicit._FIXED.clear()
+        rhs_theorem1(k, 20.25, zeros100)
+        assert explicit._FIXED
+        assert [rhs_theorem1(k, 7.5, zeros100, sign=s) for s in (-1.0, 1.0)] == cold
+
+    def test_cached_arrays_read_only(self, zeros100, monkeypatch):
+        monkeypatch.setattr(explicit, "_FIXED", {})
+        rhs_theorem1(2, 5.5, zeros100)
+        arrays = [a for values in explicit._FIXED.values() for a in values if isinstance(a, np.ndarray)]
+        assert len(arrays) == 2 * 4 + 3  # two circles, one zero table
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_each_radius_evaluated_once(self, hk_batch_sizes):
+        for radius in (0.25, 0.15, 0.3):
+            residue_at(2, 5.5, 1.0, radius)
+            residue_at(2, 9.5, 1.0, radius)
+            assert hk_batch_sizes == [explicit.RESIDUE_NODES]
+            hk_batch_sizes.clear()
+
+    def test_bounded(self, monkeypatch):
+        monkeypatch.setattr(explicit, "_FIXED", {})
+        radii = [0.3 - 0.002 * i for i in range(explicit._FIXED_ENTRIES + 3)]
+        for r in radii:
+            residue_at(1, 10.5, 1.0, r)
+        assert len(explicit._FIXED) == explicit._FIXED_ENTRIES
+        assert ("circle", 1, 1.0, radii[2]) not in explicit._FIXED
+        assert ("circle", 1, 1.0, radii[3]) in explicit._FIXED
 
 
 class TestPrintedPk:

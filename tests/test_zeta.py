@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from fraczeta.zeta import (
     PoleError,
     PoleProximityError,
     RefinementError,
+    ZeroTable,
     bundled_zeros_path,
     hk_limit_at_zero,
     load_zero_table,
@@ -172,6 +174,13 @@ class TestHkQuadrature:
         assert abs(got - (-0.0724670334241132)) <= 1e-8
         assert abs(got - Hk_closed(1, 2.0)) <= 1e-8
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_two_term_tail_against_closed_form(self, k):
+        # The remainder after the two kept tail terms is bounded by 1e-12,
+        # for odd k (B_{k+1} != 0) and even k (B_{k+2} != 0) alike.
+        for s in (0.0, 0.5, 2.5, 4.0, 3.0 + 2.0j, 0.5 + 14.0j):
+            assert abs(Hk_quadrature(k, s) - Hk_closed(k, s)) <= 1e-10, s
+
     def test_peak_memory(self, traced_peak_bytes):
         # 4096-period chunks keep each 32-node temporary at 1 MB.
         assert traced_peak_bytes(lambda: Hk_quadrature(1, 0.0)) <= 20e6
@@ -244,18 +253,24 @@ class TestAnalyticConstants:
 
 
 class TestZeroSumEvaluations:
-    def test_hk_once_per_pair_member(self, zeros100, monkeypatch):
-        # H_k(1-rho) serves both the pair terms and the tail constant A_k.
-        sizes = []
-        hk_batch = explicit._hk_closed_batch
-
-        def counting(k, s):
-            sizes.append(len(s))
-            return hk_batch(k, s)
-
-        monkeypatch.setattr(explicit, "_hk_closed_batch", counting)
+    def test_hk_once_per_pair_member(self, zeros100, hk_batch_sizes):
+        # The first zero sum for (k, table) evaluates H_k(1-rho) and
+        # H_k(1-conj(rho)) once each over the table; they serve the pair
+        # terms and the tail constant A_k at every later x, count and sign.
         explicit.zero_sum(2, 5.5, zeros100)
-        assert sizes == [100, 100]
+        assert hk_batch_sizes == [100, 100]
+        hk_batch_sizes.clear()
+        explicit.zero_sum(2, 9.5, zeros100)
+        explicit.zero_sum(2, 5.5, zeros100, sign=+1.0)
+        explicit.zero_sum(2, 5.5, zeros100, count=20)
+        explicit.zero_pair_terms(2, 7.5, zeros100)
+        assert hk_batch_sizes == []
+
+        # A table with one zero moved is a new key.
+        entries = list(zeros100.entries)
+        entries[50] = dataclasses.replace(entries[50], gamma=entries[50].gamma + 1e-12)
+        explicit.zero_sum(2, 5.5, ZeroTable(entries=tuple(entries), source=zeros100.source))
+        assert hk_batch_sizes == [100, 100]
 
 
 class TestAgainstMpmath:
