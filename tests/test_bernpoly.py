@@ -103,15 +103,6 @@ class TestSawtooth:
 
 
 class TestEulerMaclaurinIdentity:
-    def test_polynomial_exact(self):
-        assert em_identity_residual("square", 1.0, 5.0, 2) <= 1e-12
-
-    def test_inverse_square(self):
-        assert em_identity_residual("inverse_square", 1.0, 10.0, 3) <= 1e-10
-
-    def test_exponential(self):
-        assert em_identity_residual("exp_decay", 1.0, 4.0, 4) <= 1e-10
-
     def test_unknown_function(self):
         with pytest.raises(ValueError):
             em_identity_residual("cubic", 1.0, 2.0, 1)

@@ -36,7 +36,7 @@ class TestRunIdentity:
         assert "1/(2 pi^2)" in r.adjudication
         assert r.abs_diff <= 5e-7
         # the printed variant is carried for comparison
-        assert r.rhs_printed == pytest.approx(2.0 * r.rhs_canonical, rel=1e-15)
+        assert r.rhs_printed == pytest.approx(2.0 * r.rhs.value, rel=1e-15)
 
     def test_th1_k1_passes(self, table_1e6, zeros100):
         r = run_identity("th1", {"k": 1, "x": 10.5, "N": 10**6, "zeros": 100})
@@ -55,6 +55,16 @@ class TestRunIdentity:
         assert calls == [{}]
         d_plus = abs(r.lhs.value - build(1, 10.5, zeros100, sign=+1.0).total)
         assert f"{d_plus:.3e}" in r.adjudication
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_th1_plus_side_is_the_plus_build(self, table_small, zeros100, monkeypatch, k):
+        # With the left side set to the sigma = +1 build's total, th1's own
+        # sigma = +1 total must differ from it by exactly 0.
+        for x in (5.5, 10.5):
+            plus = explicit.rhs_theorem1(k, x, zeros100, sign=+1.0).total
+            monkeypatch.setattr(explicit, "lhs_theorem1", lambda *a: TruncatedSum(plus, 1, 0.0))
+            r = run_identity("th1", {"k": k, "x": x, "N": 10**4})
+            assert "sigma=+1 wins (|d|=0.000e+00 vs " in r.adjudication, (k, x)
 
     def test_unknown_identity(self):
         with pytest.raises(UsageError):
@@ -89,9 +99,9 @@ class TestRunIdentity:
     def test_budget_includes_round_bounds(self, table_1e6, zeros100, ident, params):
         r = run_identity(ident, dict(params, N=10**6))
         assert r.lhs.round_bound > 0.0
-        assert r.budget >= r.lhs.tail_bound + r.lhs.round_bound + r.rhs_budget + r.rhs_round_bound
+        assert r.budget >= r.lhs.tail_bound + r.lhs.round_bound + r.rhs.tail_bound + r.rhs.round_bound
         if ident in ("th2-log", "th4"):
-            assert r.rhs_round_bound > 0.0
+            assert r.rhs.round_bound > 0.0
 
     def test_determinism(self, table_1e6):
         a = run_identity("th2-mu", {"x": 3.5, "N": 10**6})
@@ -106,8 +116,7 @@ class TestEmitReport:
             identity_id="th2-mu",
             params={"x": 2.0, "N": 1000},
             lhs=TruncatedSum(-0.10132118364233778, 607, 1.25e-7),
-            rhs_canonical=-0.10132118364233778,
-            rhs_budget=0.0,
+            rhs=TruncatedSum(-0.10132118364233778, 1, 0.0),
             abs_diff=0.0,
             budget=1.25e-7,
             verdict=verdict,
@@ -125,7 +134,7 @@ class TestEmitReport:
         r = self._sample_report()
         r.lhs = TruncatedSum(-0.10132118364233778, 607, 1.25e-7,
                              round_bound=2.2737367544323206e-13)
-        r.rhs_round_bound = 1.1368683772161603e-17
+        r.rhs = TruncatedSum(-0.10132118364233778, 1, 0.0, round_bound=1.1368683772161603e-17)
         r.elapsed_s = 0.12345678901234568
         emit_report([r], "json", tmp_path / "r.json")
         emit_report([r], "csv", tmp_path / "r.csv")
@@ -136,7 +145,7 @@ class TestEmitReport:
             (doc["lhs"]["round_bound"], doc["rhs_canonical"]["round_bound"], doc["elapsed_s"]),
             tuple(float(row[k]) for k in ("lhs_round_bound", "rhs_round_bound", "elapsed_s")),
         ):
-            assert got == (r.lhs.round_bound, r.rhs_round_bound, r.elapsed_s)
+            assert got == (r.lhs.round_bound, r.rhs.round_bound, r.elapsed_s)
 
     def test_json_17_significant_digits(self, tmp_path):
         p = tmp_path / "r.json"
@@ -230,7 +239,7 @@ class TestTableCache:
         for name, arr in t.arrays().items():
             assert np.array_equal(arr, getattr(ref, name)), name
             assert not arr.flags.writeable
-        assert abs(t.upsilon(6) - (1 - math.sqrt(2)) * (1 - math.sqrt(3))) < 1e-12
+        assert abs(t.upsilon_arr[6] - (1 - math.sqrt(2)) * (1 - math.sqrt(3))) < 1e-12
         cli._TABLES.clear()
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):

@@ -137,6 +137,14 @@ class TestLhsTheorem1:
         assert 0.0 < ts.round_bound <= 1e-12
         assert abs(exact_excess(ts.value, vals)) <= ts.round_bound
 
+    def test_lower_cut_at_a_prime(self, table_small):
+        # The cut n > x is taken at floor(x): 7 is prime, so it is summed
+        # just below x = 7 and not just above.
+        below = lhs_theorem1(table_small, 1, 6.9999999, 10**4)
+        above = lhs_theorem1(table_small, 1, 7.0000001, 10**4)
+        assert below.terms_used == above.terms_used + 1
+        assert below.terms_used == np.count_nonzero(table_small.lam[7:])
+
     def test_truncation_consistency(self, table_1e6):
         # enlarging N can only move the value by at most the smaller tail bound
         a = lhs_theorem1(table_1e6, 1, 10.5, 10**5)
@@ -171,12 +179,6 @@ class TestResidueAt:
 
 
 class TestZeroSum:
-    def test_empty_subset(self, zeros100):
-        ts = zero_sum(1, 10.5, zeros100, count=0)
-        assert ts.value == 0.0
-        assert ts.terms_used == 0
-        assert ts.tail_bound > 0.0
-
     def test_magnitudes_k1(self, zeros100):
         ts = zero_sum(1, 10.5, zeros100)
         assert abs(ts.value) <= 0.05
@@ -193,9 +195,12 @@ class TestZeroSum:
             zero_sum(1, 10.5, ZeroTable(entries=(), source="empty"))
 
     def test_tail_decreases_with_more_zeros(self, zeros100):
-        t20 = zero_sum(1, 10.5, zeros100, count=20).tail_bound
-        t100 = zero_sum(1, 10.5, zeros100, count=100).tail_bound
-        assert t100 < t20
+        # A shorter sum is a shorter table; its A_k is taken over its own 20 zeros.
+        zeros20 = ZeroTable(entries=zeros100.entries[:20], source=zeros100.source)
+        t20 = zero_sum(1, 10.5, zeros20)
+        t100 = zero_sum(1, 10.5, zeros100)
+        assert (t20.terms_used, t100.terms_used) == (40, 200)
+        assert t100.tail_bound < t20.tail_bound
 
 
 class TestTrivialSum:
@@ -215,6 +220,19 @@ class TestTrivialSum:
     def test_fast_decay_k4(self):
         ts = trivial_sum(4, 100.0)
         assert abs(ts.value) <= 1e-12
+
+
+class TestSignNegation:
+    def test_zero_and_trivial_sums_negate_exactly(self, zeros100):
+        # th1's sign adjudication forms sigma = +1 by negating these sums.
+        for k in range(1, 5):
+            for x in (5.5, 10.5):
+                for plus, minus in (
+                    (zero_sum(k, x, zeros100, sign=+1.0), zero_sum(k, x, zeros100, sign=-1.0)),
+                    (trivial_sum(k, x, sign=+1.0), trivial_sum(k, x, sign=-1.0)),
+                ):
+                    assert plus.value == -minus.value, (k, x)
+                    assert (plus.terms_used, plus.tail_bound) == (minus.terms_used, minus.tail_bound)
 
 
 class TestRhsAssembly:

@@ -182,7 +182,7 @@ class TestHkQuadrature:
             assert abs(Hk_quadrature(k, s) - Hk_closed(k, s)) <= 1e-10, s
 
     def test_peak_memory(self, traced_peak_bytes):
-        # 4096-period chunks keep each 32-node temporary at 1 MB.
+        # 4096-period chunks keep each 32-node complex temporary at 2 MB.
         assert traced_peak_bytes(lambda: Hk_quadrature(1, 0.0)) <= 20e6
 
     def test_domain_error(self):
@@ -256,13 +256,12 @@ class TestZeroSumEvaluations:
     def test_hk_once_per_pair_member(self, zeros100, hk_batch_sizes):
         # The first zero sum for (k, table) evaluates H_k(1-rho) and
         # H_k(1-conj(rho)) once each over the table; they serve the pair
-        # terms and the tail constant A_k at every later x, count and sign.
+        # terms and the tail constant A_k at every later x and sign.
         explicit.zero_sum(2, 5.5, zeros100)
         assert hk_batch_sizes == [100, 100]
         hk_batch_sizes.clear()
         explicit.zero_sum(2, 9.5, zeros100)
         explicit.zero_sum(2, 5.5, zeros100, sign=+1.0)
-        explicit.zero_sum(2, 5.5, zeros100, count=20)
         explicit.zero_pair_terms(2, 7.5, zeros100)
         assert hk_batch_sizes == []
 
