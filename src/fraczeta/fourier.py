@@ -12,6 +12,13 @@ pins down numerically (only odd n contribute sdot = -1/8 there, and
 sum_{n odd} mu(n)/n^2 = 8/pi^2, so the left side is exactly -1/pi^2).
 Report builders evaluate both constants and record which one matches.
 
+The two cosine right sides avoid a cosine per term where they can.  The
+Lambda form's sum_n log(n) n^-2 (cos(2 pi n/x) - 1) splits into zeta'(2)
+and a cosine sum whose tail Abel summation bounds by
+log(M+1)/(M+1)^2 / |sin(pi/x)|, so COS_TERMS terms replace 10^6 wherever
+sin(pi/x) is not small.  The upsilon form keeps every term and forms its
+cosines by angle addition from one table per call.
+
 The decay explorer fits log|sum| against log x for the mubar-weighted
 sum; a slope near -1 is the behavior consistent with the Riemann
 Hypothesis, while slope <= -1/2 is guaranteed unconditionally.  No finite
@@ -28,7 +35,7 @@ import numpy as np
 
 from .arith import ArithmeticTable
 from .bernpoly import sdot_array
-from .explicit import TruncatedSum, weighted_sums
+from .explicit import SUM_BLOCK, TruncatedSum, weighted_sums
 
 __all__ = [
     "SlopeFit",
@@ -43,6 +50,8 @@ __all__ = [
 
 TWO_PI_SQ = 2.0 * math.pi**2
 SDOT_MAX = 0.125  # exact: max |({y}^2 - {y})/2| is 1/8 at half-integers
+ZETA_PRIME_2 = -0.9375482543158438  # zeta'(2), correctly rounded
+COS_TERMS = 10**4  # cosine terms of rhs_th2_log's split route
 
 _SUPPORTED = {("lambda", 2.0), ("mu", 2.0), ("mu", 1.5), ("mubar", 2.0)}
 
@@ -123,14 +132,37 @@ def _sdot_sums(t: ArithmeticTable, weight: str, p: float, N: int, xs: list[float
     return [TruncatedSum(value, len(points), tail, round_bound=err) for value, err in sums]
 
 
+def _cos(n, x, y, v):
+    """cos(2 pi n/x), formed in the block buffers."""
+    np.multiply(n, 2.0 * np.pi, out=y)
+    return np.cos(np.divide(y, x, out=y), out=v)
+
+
 def _cos_minus_one(n, x, y, v):
     """cos(2 pi n/x) - 1, formed in the block buffers."""
-    np.multiply(n, 2.0 * np.pi, out=y)
-    return np.subtract(np.cos(np.divide(y, x, out=y), out=y), 1.0, out=v)
+    return np.subtract(_cos(n, x, y, v), 1.0, out=v)
+
+
+def _log_over_square(n, at):
+    return np.log(n) / n**2
 
 
 def rhs_th2_log(x: float, N: int) -> TruncatedSum:
-    """(1/(2 pi^2)) sum_{2<=n<=N} log(n) n^-2 (cos(2 pi n/x) - 1)."""
+    """(1/(2 pi^2)) sum_{n>=2} log(n) n^-2 (cos(2 pi n/x) - 1), summed to at most N terms.
+
+    Split route: the -1 part sums exactly to zeta'(2) = -sum_{n>=2} log(n)
+    n^-2, taken from ZETA_PRIME_2, and the cosine part stops at
+    M = min(N, COS_TERMS).  Its tail is bounded by Abel summation: every
+    partial sum of e^{i n theta} is at most 1/|sin(theta/2)|, and log(n)/n^2
+    decreases for n >= 2, so |sum_{n>M} log(n) n^-2 cos(2 pi n/x)| is at
+    most log(M+1)/(M+1)^2 / |sin(pi/x)|.  round_bound adds half an ulp for
+    the constant and for its addition to the cosine sum.
+
+    Full route: sum cos - 1 over 2 <= n <= N, with the log-integral tail
+    (log N + 1)/(N pi^2) from |cos - 1| <= 2.  It is taken when the split
+    route's tail and constant error are not below that tail: near x = 1/k,
+    where sin(pi/x) vanishes, and for very large x.
+    """
     if not x > 0:
         raise ValueError("x must be > 0")
     if N < 1:
@@ -138,11 +170,18 @@ def rhs_th2_log(x: float, N: int) -> TruncatedSum:
     if N < 2:
         return TruncatedSum(0.0, 0, (math.log(2.0) + 1.0) / (math.pi**2))
 
-    [(value, err)] = weighted_sums(
-        range(2, N + 1), lambda n, at: np.log(n) / n**2, _cos_minus_one, [x]
-    )
-    # log-integral majorant, |cos - 1| <= 2
     tail = (math.log(N) + 1.0) / (N * math.pi**2)
+    M = min(N, COS_TERMS)
+    s = abs(math.sin(math.pi / x))
+    abel = math.log(M + 1.0) / ((M + 1.0) ** 2 * s) / TWO_PI_SQ if s > 0.0 else math.inf
+    const_err = 0.5 * math.ulp(ZETA_PRIME_2)
+    if abel + const_err / TWO_PI_SQ < tail:
+        [(value, err)] = weighted_sums(range(2, M + 1), _log_over_square, _cos, [x])
+        total = value + ZETA_PRIME_2
+        err += const_err + 0.5 * math.ulp(total)
+        return TruncatedSum(total / TWO_PI_SQ, M - 1, abel, round_bound=err / TWO_PI_SQ)
+
+    [(value, err)] = weighted_sums(range(2, N + 1), _log_over_square, _cos_minus_one, [x])
     return TruncatedSum(value / TWO_PI_SQ, N - 1, tail, round_bound=err / TWO_PI_SQ)
 
 
@@ -158,15 +197,39 @@ def rhs_th4_upsilon(t: ArithmeticTable, x: float, N: int) -> TruncatedSum:
 
     |upsilon(n)| <= sqrt(n) makes both sides absolutely convergent, so the
     identity is checked unconditionally.
+
+    The cosines come by angle addition, theta = 2 pi/x: a block starting
+    at n0 takes cos theta(n0 + j) = cos theta n0 cos theta j
+    - sin theta n0 sin theta j, with cos theta j and sin theta j tabled
+    once per call for j < min(N, SUM_BLOCK) and cos theta n0, sin theta n0
+    formed per block.  The rotation adds a few u of rounding per term;
+    like the rounding of np.cos, that evaluation error is in no budget
+    (round_bound covers the summation).
     """
     if not x > 0:
         raise ValueError("x must be > 0")
     if not 1 <= N <= t.n_max:
         raise ValueError(f"N must be in 1..{t.n_max}")
 
-    [(value, err)] = weighted_sums(
-        range(1, N + 1), lambda n, at: t.upsilon_arr[at] / n**2, _cos_minus_one, [x]
-    )
+    # One (2, B) array: the angles theta j in row 0, their sines into row 1,
+    # then their cosines over the angles.
+    rot = np.empty((2, min(N, SUM_BLOCK)))
+    np.multiply(np.arange(rot.shape[1], dtype=np.float64), 2.0 * np.pi, out=rot[0])
+    np.divide(rot[0], x, out=rot[0])
+    sin_j = np.sin(rot[0], out=rot[1])
+    cos_j = np.cos(rot[0], out=rot[0])
+
+    def cos_minus_one(n, x, y, v):
+        a = 2.0 * math.pi * float(n[0]) / x
+        np.multiply(cos_j[: len(n)], math.cos(a), out=v)
+        np.subtract(v, np.multiply(sin_j[: len(n)], math.sin(a), out=y), out=v)
+        return np.subtract(v, 1.0, out=v)
+
+    def coef(n, at):  # upsilon(n)/n^2 in one block-sized temporary, to leave room for rot
+        c = np.square(n)
+        return np.divide(t.upsilon_arr[at], c, out=c)
+
+    [(value, err)] = weighted_sums(range(1, N + 1), coef, cos_minus_one, [x])
     # sqrt majorant
     tail = (2.0 / math.sqrt(N)) * (1.0 + math.log(N)) / math.pi**2
     return TruncatedSum(value / TWO_PI_SQ, N, tail, round_bound=err / TWO_PI_SQ)

@@ -6,9 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from fraczeta import cli
 from fraczeta.bernpoly import sdot_array
-from fraczeta.explicit import SUM_BLOCK
+from fraczeta.zeta import zeta_deriv
+from fraczeta.explicit import SUM_BLOCK, TruncatedSum, weighted_sums
 from fraczeta.fourier import (
+    COS_TERMS,
     TWO_PI_SQ,
+    ZETA_PRIME_2,
     InsufficientDataError,
     lhs_weighted_sdot,
     rh_decay_profile,
@@ -81,11 +84,51 @@ class TestRhsTheorem2Log:
         assert rhs_th2_log(2.0, 1).value == 0.0
 
     def test_blocked_sum_matches_fsum(self):
-        n = np.arange(2, 10**6 + 1, dtype=np.float64)
+        # The 10^6-term sum of cos - 1 is the oracle.  It stops at N, so it
+        # sits within its own tail (log N + 1)/(N pi^2) of the series that
+        # the split route bounds by its Abel tail.
+        N = 10**6
+        n = np.arange(2, N + 1, dtype=np.float64)
         vals = np.log(n) / n**2 * (np.cos(2.0 * np.pi * n / 3.7) - 1.0)
-        ts = rhs_th2_log(3.7, 10**6)
+        oracle = math.fsum(vals.tolist()) / TWO_PI_SQ
+        oracle_tail = (math.log(N) + 1.0) / (N * math.pi**2)
+        ts = rhs_th2_log(3.7, N)
         assert 0.0 < ts.round_bound <= 1e-12
-        assert abs(ts.value - math.fsum(vals.tolist()) / TWO_PI_SQ) <= ts.round_bound
+        budget = oracle_tail + math.ulp(oracle) + ts.tail_bound + ts.round_bound
+        assert abs(ts.value - oracle) <= budget
+
+    @pytest.mark.parametrize("x", [1.5, 2.2, 2.5, 3.7, 10.25, 11.9])
+    def test_abel_tail_bound_holds(self, x):
+        n = np.arange(2, 10**6 + 1, dtype=np.float64)
+        terms = np.log(n) / n**2 * np.cos(2.0 * np.pi * n / x)
+        for N in (100, 10**6):
+            ts = rhs_th2_log(x, N)
+            M = ts.terms_used + 1
+            assert M == min(N, COS_TERMS)
+            assert abs(math.fsum(terms[M - 1 :].tolist())) / TWO_PI_SQ <= ts.tail_bound, (x, N)
+
+    @pytest.mark.parametrize("x", [1.0, 0.5, 1e9])
+    def test_full_sum_where_sin_vanishes_or_x_is_large(self, x):
+        # sin(pi/x) is 0 (up to rounding) at x = 1 and 1/2 and ~3e-9 at
+        # x = 1e9, so the Abel tail is not below the full sum's tail: the
+        # result is the capped sum of cos - 1, bit for bit.
+        N = 10**3
+        [(value, err)] = weighted_sums(
+            range(2, N + 1),
+            lambda n, at: np.log(n) / n**2,
+            lambda n, x, y, v: np.cos(2.0 * np.pi * n / x) - 1.0,
+            [x],
+        )
+        tail = (math.log(N) + 1.0) / (N * math.pi**2)
+        assert rhs_th2_log(x, N) == TruncatedSum(value / TWO_PI_SQ, N - 1, tail, err / TWO_PI_SQ)
+
+    def test_zeta_prime_2_constant(self):
+        assert abs(ZETA_PRIME_2 - zeta_deriv(2.0).real) <= 1e-12
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            exact = mpmath.zeta(2, derivative=1)
+            # correctly rounded: within the half ulp round_bound counts
+            assert abs(mpmath.mpf(ZETA_PRIME_2) - exact) <= 0.5 * math.ulp(ZETA_PRIME_2)
 
 
 class TestRhsTheorem2Mu:
@@ -118,6 +161,26 @@ class TestRhsTheorem4:
         ts = rhs_th4_upsilon(table_1e6, 4.6, 10**6)
         assert 0.0 < ts.round_bound <= 1e-10
         assert abs(ts.value - math.fsum(vals.tolist()) / TWO_PI_SQ) <= ts.round_bound
+
+
+    @pytest.mark.parametrize("x", [1.0, 2.5, 4.6, 9.5, 1e9])
+    def test_rotation_matches_np_cos(self, table_1e6, x):
+        coef = lambda n, at: table_1e6.upsilon_arr[at] / n**2
+        for N in (1, 2, SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1, 3 * SUM_BLOCK + 5, 10**6):
+            [(value, _)] = weighted_sums(
+                range(1, N + 1), coef, lambda n, x, y, v: np.cos(2.0 * np.pi * n / x) - 1.0, [x]
+            )
+            ts = rhs_th4_upsilon(table_1e6, x, N)
+            allowed = ts.round_bound
+            if x == 1.0:
+                allowed = 1e-12
+            elif x == 1e9:
+                # cos - 1 of the first terms lies below the spacing of
+                # doubles near 1, where each route's per-term error (at
+                # most 2u, outside round_bound) dominates.
+                n = np.arange(1, N + 1, dtype=np.float64)
+                allowed += 4.0 * 2.0**-53 * float(np.sum(np.abs(coef(n, slice(1, N + 1))))) / TWO_PI_SQ
+            assert abs(ts.value - value / TWO_PI_SQ) <= allowed, (x, N)
 
 
 class TestTheorem2Identities:
