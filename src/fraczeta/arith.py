@@ -1,8 +1,9 @@
 """Sieves and Dirichlet-convolution machinery for arithmetic weights.
 
-Builds flat tables of the four weights used by the series identities:
+Builds the tables of the four weights used by the series identities:
 
-- Lambda(n): log p if n = p^a, else 0 (von Mangoldt)
+- Lambda(n): log p if n = p^a, else 0 (von Mangoldt), stored sparsely as
+  the prime powers n <= n_max and Lambda at each
 - mu(n): Moebius function
 - mubar(n) = sum_{d|n} mu(d) sqrt(d) mu(n/d), Dirichlet series 1/(zeta(s) zeta(s-1/2))
 - upsilon(n) = sum_{d|n} mu(d) sqrt(d) = prod_{p|n} (1 - sqrt(p)),
@@ -11,8 +12,13 @@ Builds flat tables of the four weights used by the series identities:
 mu, mubar and upsilon are multiplicative, so one strided sieve over the
 primes p <= sqrt(n_max) multiplies in their local factors at p^a; sqrt(p)
 is taken in binary64, which keeps every downstream tolerance (>= 1e-8)
-with several orders of headroom.  dirichlet_convolve is the independent
-O(N log N) oracle the selftest and the tests check the sieve against.
+with several orders of headroom.  The sieve runs over SEGMENT-index
+segments (the usual segmented layout, as in Oliveira e Silva, Herzog and
+Pardi, Math. Comp. 83 (2014)), so its working state, the smooth part of
+each index and the Lambda marks, is one segment long; each index still
+takes its factors in increasing order of p, so the values do not depend
+on the segment size.  dirichlet_convolve is the independent O(N log N)
+oracle the selftest and the tests check the sieve against.
 """
 
 from __future__ import annotations
@@ -31,20 +37,27 @@ __all__ = [
 ]
 
 # Peak resident bytes per table index during construction.  Live at the
-# peak are lam(8) + mu(1) + mubar(8) + upsilon(8) and the int32
-# sqrt(n_max)-smooth part (4): 29.  The large-prime pass works on 2^16-index
-# slices, so its temporaries add nothing per index.  The peak RSS of a
-# build grows by 29.5 B/index at 10^7 and 30.6 at 10^6.  44 stays: it
-# leaves room for the allocator and numpy's buffers, and keeps the
-# largest table under MEM_BUDGET (below) where it is.
+# peak are mu(1) + mubar(8) + upsilon(8) and the sparse Lambda, 16 bytes
+# for each of the ~6.7% of indices that are prime powers at 10^7: 18.
+# The smooth part and the Lambda marks are one SEGMENT long, so they add
+# nothing per index.  The peak RSS of a build grows by 19.6 B/index at
+# 10^7 and 23.2 at 10^6, where the segment's buffers weigh more.  44
+# stays: it leaves room for the allocator and numpy's buffers, and keeps
+# the largest table under MEM_BUDGET (below) where it is.
 _BYTES_PER_INDEX = 44
 
 # 2 GiB: the largest table is n_max = 48806446 (~4.88e7).  It also keeps
-# every index, and so the int32 smooth part, below 2^31.
+# every index below 2^31, as the int32 smooth part needs.
 MEM_BUDGET = 2 * 2**30
 
+# Indices per sieve segment; its smooth part and Lambda marks take 3 MB.
+# At 10^6, 2^16-index segments doubled the build time (per-prime Python
+# work), and 2^20-index ones peaked above the unsegmented build's 61 MB.
+SEGMENT = 2**18
+
 # The arrays every ArithmeticTable holds, and their dtypes.
-_DTYPES = {"lam": np.float64, "mu": np.int8, "mubar_arr": np.float64, "upsilon_arr": np.float64}
+_DTYPES = {"prime_powers": np.int64, "lam": np.float64,
+           "mu": np.int8, "mubar_arr": np.float64, "upsilon_arr": np.float64}
 
 
 class CapacityError(ValueError):
@@ -53,36 +66,42 @@ class CapacityError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ArithmeticTable:
-    """Immutable sieve output, arrays indexed 1..n_max (slot 0 unused).
+    """Immutable sieve output.
 
-    lam is Lambda(n); mu is the Moebius function in int8; mubar_arr and
-    upsilon_arr are the two sqrt-weighted convolutions in float64.
-    Callers index the read-only arrays directly, singly or by slice.
+    prime_powers lists the n <= n_max with Lambda(n) > 0, increasing, and
+    lam holds Lambda at each: lam[i] = Lambda(prime_powers[i]).  mu (the
+    Moebius function, int8), mubar_arr and upsilon_arr (the two
+    sqrt-weighted convolutions, float64) are indexed 0..n_max, slot 0
+    unused.  Callers index the read-only arrays directly, singly or by
+    slice.
     """
 
     n_max: int
+    prime_powers: np.ndarray
     lam: np.ndarray
     mu: np.ndarray
     mubar_arr: np.ndarray
     upsilon_arr: np.ndarray
 
     def __post_init__(self):
-        # Loaded tables pass through here too: a wrong dtype or length
-        # raises, and every array becomes read-only.
+        # Loaded tables pass through here too: a wrong dtype or length, or
+        # prime powers out of order or range, raises, and every array
+        # becomes read-only.
+        pp = self.prime_powers
         for name, dtype in _DTYPES.items():
             a = getattr(self, name)
-            if a.dtype != dtype or a.shape != (self.n_max + 1,):
-                raise ValueError(f"{name} is {a.dtype}{a.shape}, want {np.dtype(dtype)}({self.n_max + 1},)")
+            want = pp.shape if name in ("prime_powers", "lam") else (self.n_max + 1,)
+            if a.dtype != dtype or a.ndim != 1 or a.shape != want:
+                raise ValueError(f"{name} is {a.dtype}{a.shape}, want {np.dtype(dtype)}{want}")
             a.setflags(write=False)
+        if len(pp) and not (pp[0] >= 2 and pp[-1] <= self.n_max and np.all(pp[1:] > pp[:-1])):
+            raise ValueError(f"prime_powers must increase strictly within [2, {self.n_max}]")
+        if not np.all(self.lam > 0.0):
+            raise ValueError("lam must be > 0")
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """The four weight arrays by field name."""
+        """The five arrays by field name."""
         return {name: getattr(self, name) for name in _DTYPES}
-
-    @cached_property
-    def prime_powers(self) -> np.ndarray:
-        """Ascending indices n with Lambda(n) > 0 (cached)."""
-        return np.nonzero(self.lam)[0]
 
     @cached_property
     def squarefree(self) -> np.ndarray:
@@ -121,8 +140,23 @@ def dirichlet_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return h
 
 
+def _primes_upto(m: int) -> list[int]:
+    """The primes <= m, by the sieve of Eratosthenes."""
+    composite = np.zeros(m + 1, dtype=bool)
+    composite[:2] = True
+    for p in range(2, isqrt(m) + 1):
+        if not composite[p]:
+            composite[p * p :: p] = True
+    return np.flatnonzero(~composite).tolist()
+
+
+def _first(d: int, lo: int) -> int:
+    """Offset from lo of the first multiple of d that is >= max(d, lo)."""
+    return max(d, -(-lo // d) * d) - lo
+
+
 def build_sieve(n_max: int) -> ArithmeticTable:
-    """Sieve all four weight arrays up to n_max.
+    """Sieve all four weights up to n_max.
 
     Raises CapacityError, before allocating, when n_max < 1 or the
     estimated peak memory would exceed MEM_BUDGET.
@@ -135,48 +169,67 @@ def build_sieve(n_max: int) -> ArithmeticTable:
             f"budget is {MEM_BUDGET / 2**30:.2f} GiB"
         )
 
-    lam = np.zeros(n_max + 1)
     mu = np.ones(n_max + 1, dtype=np.int8)
     mubar = np.ones(n_max + 1)
     upsilon = np.ones(n_max + 1)
-    # smooth[n] is the product of the p^a || n with p <= sqrt(n_max); when p
-    # is reached, smooth[p] == 1 exactly when no smaller prime divides p.
-    smooth = np.ones(n_max + 1, dtype=np.int32)
-    # Local factors at p^a: mu -1, then 0 from a = 2; upsilon 1 - sqrt(p);
-    # mubar -(1 + sqrt(p)), then sqrt(p) at a = 2 and 0 from a = 3.
-    for p in range(2, isqrt(n_max) + 1):
-        if smooth[p] != 1:
-            continue
-        s = sqrt(p)
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
-        upsilon[p::p] *= 1.0 - s
-        at_p2 = mubar[p * p :: p * p] * s
-        mubar[p::p] *= -(1.0 + s)
-        mubar[p * p :: p * p] = at_p2
-        mubar[p**3 :: p**3] = 0.0
-        pa = p
-        while pa <= n_max:
-            lam[pa] = log(p)
-            smooth[pa::pa] *= p
-            pa *= p
+    primes = _primes_upto(isqrt(n_max))
+    # Per segment [lo, hi): smooth[i] becomes the product of the p^a || lo + i
+    # with p <= sqrt(n_max), and marks[i] Lambda(lo + i); both buffers are
+    # reused, and the marks are cleared again once they are kept.
+    smooth = np.empty(min(SEGMENT, n_max + 1), dtype=np.int32)
+    marks = np.zeros(len(smooth))
+    prime_powers, lam = [], []
+    for lo in range(0, n_max + 1, SEGMENT):
+        hi = min(lo + SEGMENT, n_max + 1)
+        m, mb, up, sm, lm = mu[lo:hi], mubar[lo:hi], upsilon[lo:hi], smooth[: hi - lo], marks[: hi - lo]
+        sm.fill(1)
+        # Local factors at p^a: mu -1, then 0 from a = 2; upsilon 1 - sqrt(p);
+        # mubar -(1 + sqrt(p)), then sqrt(p) at a = 2 and 0 from a = 3.
+        for p in primes:
+            s = sqrt(p)
+            a1, a2, a3 = _first(p, lo), _first(p * p, lo), _first(p**3, lo)
+            m[a1::p] *= -1
+            m[a2 :: p * p] = 0
+            up[a1::p] *= 1.0 - s
+            at_p2 = mb[a2 :: p * p] * s
+            mb[a1::p] *= -(1.0 + s)
+            mb[a2 :: p * p] = at_p2
+            mb[a3 :: p**3] = 0.0
+            pa = p
+            while pa < hi:
+                if pa >= lo:
+                    lm[pa - lo] = log(p)
+                sm[_first(pa, lo) :: pa] *= p
+                pa *= p
 
-    # What is left of n is 1 or a single prime q > sqrt(n_max), and n is
-    # prime itself when its smooth part is 1.  Slices of 2^16 indices keep
-    # this pass's temporaries small.
-    for lo in range(0, n_max + 1, 2**16):
-        n = np.arange(lo, min(lo + 2**16, n_max + 1), dtype=np.int32)
-        part = slice(lo, lo + len(n))
-        large_primes = n[(smooth[part] == 1) & (n > 1)]
-        lam[large_primes] = np.log(large_primes.astype(np.float64))
-        q = np.floor_divide(n, smooth[part], out=smooth[part])
-        big = q > 1
-        np.negative(mu[part], out=mu[part], where=big)
-        r = np.sqrt(q)
-        np.multiply(upsilon[part], np.subtract(1.0, r, out=r), out=upsilon[part], where=big)
-        np.sqrt(q, out=r)
-        np.multiply(mubar[part], np.negative(np.add(1.0, r, out=r), out=r), out=mubar[part], where=big)
+        # What is left of n is 1 or a single prime q > sqrt(n_max), and n is
+        # prime itself when its smooth part is 1.  Slices of 2^16 indices keep
+        # this pass's temporaries small.
+        for a in range(0, hi - lo, 2**16):
+            part = slice(a, a + 2**16)
+            n = np.arange(lo + a, min(lo + a + 2**16, hi), dtype=np.int32)
+            large = (sm[part] == 1) & (n > 1)
+            lm[part][large] = np.log(n[large].astype(np.float64))
+            q = np.floor_divide(n, sm[part], out=sm[part])
+            big = q > 1
+            np.negative(m[part], out=m[part], where=big)
+            r = np.sqrt(q)
+            np.multiply(up[part], np.subtract(1.0, r, out=r), out=up[part], where=big)
+            np.sqrt(q, out=r)
+            np.multiply(mb[part], np.negative(np.add(1.0, r, out=r), out=r), out=mb[part], where=big)
+
+        at = np.flatnonzero(lm)
+        prime_powers.append(at + lo)
+        lam.append(lm[at])
+        lm[at] = 0.0
 
     mu[0] = 0
     mubar[0] = upsilon[0] = 0.0
-    return ArithmeticTable(n_max=n_max, lam=lam, mu=mu, mubar_arr=mubar, upsilon_arr=upsilon)
+    return ArithmeticTable(
+        n_max=n_max,
+        prime_powers=np.concatenate(prime_powers),
+        lam=np.concatenate(lam),
+        mu=mu,
+        mubar_arr=mubar,
+        upsilon_arr=upsilon,
+    )

@@ -90,12 +90,13 @@ def _cache_dir() -> Path:
 def get_table(n_max: int) -> ArithmeticTable:
     """Sieve table for n_max, memoized in process and cached on disk.
 
-    The cache file is an uncompressed .npz of the table's arrays, written
-    through a temporary file in the same directory and renamed into
-    place; a failed write leaves no file behind.  A file that does not
-    load (not an archive, truncated, a member failing its zip CRC) or does
-    not make a table (a field missing or extra, a wrong dtype or length)
-    is silently rebuilt.
+    The cache file is an uncompressed .npz of the table's five arrays,
+    written through a temporary file in the same directory and renamed
+    into place; a failed write leaves no file behind.  A file that does
+    not load (not an archive, truncated, a member failing its zip CRC) or
+    does not make a table (a field missing or extra, a wrong dtype or
+    length, prime powers out of order) is silently rebuilt; so is a file
+    in the earlier layout with a dense lam.
     """
     if n_max in _TABLES:
         return _TABLES[n_max]
@@ -456,7 +457,10 @@ def sieve_identities():
     N = 10**4
     one = np.ones(N + 1)
     nn = np.arange(1, N + 1, dtype=np.float64)
-    lam1 = arith.dirichlet_convolve(np.asarray(tab.lam[: N + 1]), one)
+    lam = np.zeros(N + 1)
+    end = np.searchsorted(tab.prime_powers, N, side="right")
+    lam[tab.prime_powers[:end]] = tab.lam[:end]
+    lam1 = arith.dirichlet_convolve(lam, one)
     _require(np.max(np.abs(lam1[1:] - np.log(nn))) <= 1e-12, "Lambda * 1 != log")
     mu1 = arith.dirichlet_convolve(tab.mu[: N + 1].astype(np.float64), one)
     _require(mu1[1] == 1.0 and np.max(np.abs(mu1[2:])) == 0.0, "mu * 1 != delta")

@@ -86,8 +86,9 @@ def lhs_weighted_sdot(
     """sum_{n<=N} w(n) n^-p sdot(n/x): _sdot_sums at one x.
 
     round_bound is explicit.weighted_sums' bound on the summation
-    rounding.  Lambda and mu sum over the table's cached index list of
-    their non-zero terms (prime_powers, squarefree), cut at N.
+    rounding.  Lambda and mu sum over their non-zero terms only, cut at
+    N: the table's prime_powers, with lam aligned, and its cached
+    squarefree list.
 
     Tail bounds use |sdot| <= 1/8 against a weight-specific majorant:
     log n for Lambda, 1 for mu at p = 2, and the divisor-sqrt family
@@ -112,20 +113,22 @@ def _sdot_sums(t: ArithmeticTable, weight: str, p: float, N: int, xs: list[float
     if not all(x > 0 for x in xs):
         raise ValueError("x must be > 0")
 
+    # w is aligned with the points, except for mu, which is gathered at them.
     if weight == "lambda":
-        points, w = t.prime_powers[: np.searchsorted(t.prime_powers, N, side="right")], t.lam
+        end = np.searchsorted(t.prime_powers, N, side="right")
+        points, w = t.prime_powers[:end], t.lam[:end]
         tail = SDOT_MAX * (math.log(N) + 1.0) / N
     elif weight == "mu":
         # An int32 key: a Python int would make searchsorted copy the list to int64.
-        points, w = t.squarefree[: np.searchsorted(t.squarefree, np.int32(N), side="right")], t.mu
+        points, w = t.squarefree[: np.searchsorted(t.squarefree, np.int32(N), side="right")], None
         tail = SDOT_MAX / N if p == 2.0 else SDOT_MAX * 2.0 * (math.log(N) + 2.0) / math.sqrt(N)
     else:
-        points, w = range(1, N + 1), t.mubar_arr
+        points, w = range(1, N + 1), t.mubar_arr[1 : N + 1]
         tail = SDOT_MAX * 2.0 * (math.log(N) + 2.0) / math.sqrt(N)
 
     sums = weighted_sums(
         points,
-        lambda n, at: w[at] * n ** (-p),
+        lambda n, at: (t.mu[points[at]] if w is None else w[at]) * n ** (-p),
         lambda n, x, y, v: sdot_array(np.divide(n, x, out=y), out=v),
         xs,
     )
@@ -225,9 +228,11 @@ def rhs_th4_upsilon(t: ArithmeticTable, x: float, N: int) -> TruncatedSum:
         np.subtract(v, np.multiply(sin_j[: len(n)], math.sin(a), out=y), out=v)
         return np.subtract(v, 1.0, out=v)
 
+    upsilon = t.upsilon_arr[1 : N + 1]
+
     def coef(n, at):  # upsilon(n)/n^2 in one block-sized temporary, to leave room for rot
         c = np.square(n)
-        return np.divide(t.upsilon_arr[at], c, out=c)
+        return np.divide(upsilon[at], c, out=c)
 
     [(value, err)] = weighted_sums(range(1, N + 1), coef, cos_minus_one, [x])
     # sqrt majorant

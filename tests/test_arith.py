@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,14 +16,20 @@ def brute_divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+def lam_at(t, n):
+    """Lambda(n) from the table's sparse Lambda: 0 unless n is a prime power."""
+    i = np.searchsorted(t.prime_powers, n)
+    return t.lam[i] if i < len(t.prime_powers) and t.prime_powers[i] == n else 0.0
+
+
 class TestBuildSieve:
     def test_prime_power_and_two_prime_cases(self, table_small):
-        assert table_small.lam[8] == pytest.approx(math.log(2), abs=1e-15)
+        assert lam_at(table_small, 8) == pytest.approx(math.log(2), abs=1e-15)
         assert table_small.mu[10] == 1
 
     def test_trivial_table(self):
         t = build_sieve(1)
-        assert t.lam[1] == 0.0
+        assert lam_at(t, 1) == 0.0 and t.prime_powers.size == 0
         assert t.mu[1] == 1
         assert t.mubar_arr[1] == 1.0
         assert t.upsilon_arr[1] == 1.0
@@ -45,43 +52,72 @@ class TestBuildSieve:
         # A fresh process's peak RSS, VmHWM in KiB, grows past its imports by
         # what one build adds.  ru_maxrss would not do: on Linux a child
         # keeps its parent's peak across exec, and hides the build under it.
-        script = (
-            "from fraczeta.arith import build_sieve\n"
-            "def peak():\n"
-            "    with open('/proc/self/status') as fh:\n"
-            "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
-            "base = peak()\n"
-            "build_sieve(10**6)\n"
-            "print(peak() - base)\n"
-        )
+        # At 10^7 the dense mu, mubar and upsilon (17 B/index) and the sparse
+        # Lambda (~1 B/index) dominate, and a build adds ~20 B/index; 24
+        # catches a table-long smooth part or a dense Lambda (29.5 B/index).
         src = os.path.dirname(os.path.dirname(arith.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                             text=True, check=True, timeout=120)
-        assert int(out.stdout) * 1024 <= 10**6 * arith._BYTES_PER_INDEX
+        for n_max, bytes_per_index in [(10**6, arith._BYTES_PER_INDEX), (10**7, 24)]:
+            script = (
+                "from fraczeta.arith import build_sieve\n"
+                "def peak():\n"
+                "    with open('/proc/self/status') as fh:\n"
+                "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
+                "base = peak()\n"
+                f"build_sieve({n_max})\n"
+                "print(peak() - base)\n"
+            )
+            out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, check=True, timeout=120)
+            assert int(out.stdout) * 1024 <= n_max * bytes_per_index, n_max
 
     def test_small_tables_match_large(self):
         # Every n_max crosses the sqrt(n_max) boundary where the large-prime
-        # pass takes over from the loop (49, 121, 169, ...); the last four
-        # end just before, on and after the edge of its 2^16-index slices.
+        # pass takes over from the loop (49, 121, 169, ...); the next four
+        # end just before, on and after the edge of its 2^16-index slices,
+        # and the last four just before, on and after the first SEGMENT.
         ref = build_sieve(3 * 10**5)
-        for n_max in [*range(1, 401), 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 3]:
+        assert arith.SEGMENT == 2**18 < ref.n_max
+        # The reference's Lambda, across both its segments, against the
+        # oracle Lambda * 1 = log.
+        lam = np.zeros(ref.n_max + 1)
+        lam[ref.prime_powers] = ref.lam
+        log_n = np.log(np.arange(1, ref.n_max + 1, dtype=np.float64))
+        assert np.max(np.abs(dirichlet_convolve(lam, np.ones(ref.n_max + 1))[1:] - log_n)) <= 1e-12
+        for n_max in [*range(1, 401), 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 3,
+                      2**18 - 1, 2**18, 2**18 + 1, 2**18 + 7]:
             t = build_sieve(n_max)
-            assert np.array_equal(t.lam, ref.lam[: n_max + 1]), n_max
+            # The sparse Lambda of the smaller table is the prefix of the
+            # reference's that stops at n_max.
+            end = np.searchsorted(ref.prime_powers, n_max, side="right")
+            assert np.array_equal(t.prime_powers, ref.prime_powers[:end]), n_max
+            assert np.array_equal(t.lam, ref.lam[:end]), n_max
             assert np.array_equal(t.mu, ref.mu[: n_max + 1]), n_max
             assert np.max(np.abs(t.mubar_arr - ref.mubar_arr[: n_max + 1])) <= 1e-12, n_max
             assert np.max(np.abs(t.upsilon_arr - ref.upsilon_arr[: n_max + 1])) <= 1e-12, n_max
 
+    def test_no_runtime_warning(self):
+        # No strided update reaches index 0, whose products would overflow
+        # (upsilon's, from n_max ~4e6 on): in every segment the updates for
+        # d start at the first multiple of d that is >= max(d, lo).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            build_sieve(3 * 10**5)
+        for lo in (0, 1, arith.SEGMENT, 3 * arith.SEGMENT):
+            for d in (2, 7, 49, 343, 2**17, 2**18 + 1):
+                first = lo + arith._first(d, lo)
+                assert first % d == 0 and max(d, lo) <= first < max(d, lo) + d, (lo, d)
+
 
 class TestVonMangoldt:
     def test_prime_square(self, table_small):
-        assert table_small.lam[9] == pytest.approx(math.log(3), abs=1e-15)
+        assert lam_at(table_small, 9) == pytest.approx(math.log(3), abs=1e-15)
 
     def test_two_distinct_primes(self, table_small):
-        assert table_small.lam[12] == 0.0
+        assert lam_at(table_small, 12) == 0.0
 
     def test_divisor_sum_is_log(self, table_small):
-        s = math.fsum(table_small.lam[d] for d in brute_divisors(12))
+        s = math.fsum(lam_at(table_small, d) for d in brute_divisors(12))
         assert abs(s - math.log(12)) <= 1e-12
 
 
@@ -168,6 +204,28 @@ class TestTableInvariants:
         assert sf.dtype == np.int32 and not sf.flags.writeable
         assert np.array_equal(sf, np.flatnonzero(table_small.mu))
         assert table_small.squarefree is sf
+
+    def test_sparse_lambda_checked(self, table_small):
+        # A table, built or loaded, keeps prime_powers int64, increasing and
+        # in [2, n_max], and lam float64, aligned with it and positive.
+        arrays = table_small.arrays()
+        pp, lam = arrays["prime_powers"], arrays["lam"]
+        assert pp.dtype == np.int64 and lam.dtype == np.float64
+        assert not pp.flags.writeable and not lam.flags.writeable
+        swapped = pp.copy()
+        swapped[[3, 4]] = swapped[[4, 3]]
+        for bad in [
+            dict(prime_powers=swapped),
+            dict(prime_powers=np.concatenate([[1], pp[1:]])),
+            dict(prime_powers=np.concatenate([pp[:-1], [table_small.n_max + 1]])),
+            dict(prime_powers=pp.astype(np.int32)),
+            dict(lam=np.concatenate([[0.0], lam[1:]])),
+            dict(lam=lam[:-1]),
+            dict(lam=lam.astype(np.float32)),
+        ]:
+            with pytest.raises(ValueError):
+                arith.ArithmeticTable(table_small.n_max, **dict(arrays, **bad))
+        arith.ArithmeticTable(table_small.n_max, **arrays)
 
     def test_dirichlet_series_cross_check(self, table_1e6):
         from fraczeta.zeta import zeta_em

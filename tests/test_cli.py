@@ -201,11 +201,30 @@ def parent_format(path):
     path.write_bytes(b"FZTB" + struct.pack("<IQI", 3, 3000, zlib.crc32(payload)) + payload)
 
 
+def save_npz(path, arrays):
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
 def missing_field(path):
     arrays = build_sieve(3000).arrays()
     del arrays["upsilon_arr"]
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    save_npz(path, arrays)
+
+
+def dense_lambda(path):
+    # The earlier .npz layout: Lambda as a dense array, no prime_powers.
+    arrays = build_sieve(3000).arrays()
+    lam = np.zeros(3001)
+    lam[arrays.pop("prime_powers")] = arrays["lam"]
+    save_npz(path, dict(arrays, lam=lam))
+
+
+def unsorted_prime_powers(path):
+    arrays = build_sieve(3000).arrays()
+    pp = arrays["prime_powers"].copy()
+    pp[[3, 4]] = pp[[4, 3]]
+    save_npz(path, dict(arrays, prime_powers=pp))
 
 
 class TestTableCache:
@@ -227,7 +246,7 @@ class TestTableCache:
         cli._TABLES.clear()
 
     @pytest.mark.parametrize("corrupt", [flip_byte, truncate, other_n_max, parent_format,
-                                         missing_field])
+                                         missing_field, dense_lambda, unsorted_prime_powers])
     def test_corrupt_cache_rebuilt(self, tmp_path, monkeypatch, corrupt):
         monkeypatch.setenv("FRACZETA_CACHE_DIR", str(tmp_path))
         cli._TABLES.clear()
