@@ -1,4 +1,4 @@
-"""Bernoulli numbers and polynomials, periodic extensions, and sawtooth kernels.
+"""Bernoulli numbers and polynomials, periodic extensions, and the sawtooth kernel.
 
 Everything downstream leans on a handful of closed forms collected here:
 
@@ -8,8 +8,8 @@ Everything downstream leans on a handful of closed forms collected here:
 - the periodic extension B_k({x});
 - I_k(x) = integral of B_k({t}) over [0,x], which collapses to
   (B_{k+1}({x}) - B_{k+1})/(k+1) because full periods integrate to zero;
-- the sawtooth S(x) = {x} - 1/2 (0 at integers) and its antiderivative
-  sdot(x) = ({x}^2 - {x})/2, which coincides with I_1.
+- sdot(x) = ({x}^2 - {x})/2, the antiderivative of the sawtooth
+  {x} - 1/2, which coincides with I_1.
 
 The module also carries the classical Euler-Maclaurin self-check over a
 small registry of test functions with hand-coded derivatives.
@@ -31,7 +31,6 @@ __all__ = [
     "bernoulli_poly",
     "periodic_bernoulli",
     "integral_Ik",
-    "sawtooth_S",
     "sdot",
     "em_identity_residual",
     "em_period_integrals",
@@ -126,15 +125,6 @@ def integral_ik_array(k: int, y: np.ndarray, out: np.ndarray | None = None) -> n
     for i in range(1, k + 2):
         np.add(np.multiply(acc, fr, out=acc), math.comb(k + 1, i) * BERNOULLI[i], out=acc)
     return np.divide(np.subtract(acc, BERNOULLI[k + 1], out=out), k + 1, out=out)
-
-
-def sawtooth_S(x: float) -> float:
-    """S(x) = {x} - 1/2 for non-integer x, exactly 0 at integers."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if x == math.floor(x):
-        return 0.0
-    return _frac(x) - 0.5
 
 
 def sdot(x: float) -> float:

@@ -19,11 +19,13 @@ Contour quadrature on a circle is correct for any pole order (simple,
 double, or none), so no pole-structure assumption enters the right side.
 Only the powers x^(s-1-k) depend on x: the zeta-engine values beside
 them are evaluated once per (k, circle), (k, zero table) or (k, run of
-trivial zeros) and kept in a small memo (_fixed).
+trivial zeros) and kept by functools.lru_cache (_circle, _zero_values,
+_trivial_run).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,26 +66,16 @@ _TRIVIAL_RUN = 16   # trivial zeros whose H_k one batch evaluates (x >= 4 needs 
 _UNIT_ROUNDOFF = 2.0**-53
 
 # Theorem 1's right side depends on x only through the powers x^(s-1-k).
-# _FIXED holds the zeta-engine values that do not, under three kinds of
-# key: ("circle", k, s0, radius), ("zeros", k, ZeroTable) and
-# ("trivial", k, first j).  Entries are made on first use; past
-# _FIXED_ENTRIES the oldest is dropped.
-_FIXED: dict = {}
-_FIXED_ENTRIES = 64
+# _circle, _zero_values and _trivial_run return the zeta-engine values
+# that do not, with read-only arrays; each cache keeps the _CACHE_ENTRIES
+# most recently used.
+_CACHE_ENTRIES = 64
 
 
-def _fixed(key, make):
-    """The tuple make() returns, made once per key and kept; its arrays are read-only."""
-    values = _FIXED.get(key)
-    if values is None:
-        values = make()
-        for a in values:
-            if isinstance(a, np.ndarray):
-                a.setflags(write=False)
-        if len(_FIXED) >= _FIXED_ENTRIES:
-            del _FIXED[next(iter(_FIXED))]
-        _FIXED[key] = values
-    return values
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -172,8 +164,8 @@ def lhs_theorem1(t: ArithmeticTable, k: int, x: float, N: int) -> TruncatedSum:
     """
     if not 1 <= k <= 4:
         raise ValueError("k must be in 1..4")
-    if not x > 1 or x == math.floor(x):
-        raise ValueError("x must be > 1 and non-integer")
+    if not (math.isfinite(x) and x > 1) or x == math.floor(x):
+        raise ValueError("x must be finite, > 1 and non-integer")
     if N > t.n_max:
         raise ValueError(f"N={N} exceeds table bound {t.n_max}")
     if N <= x:
@@ -199,9 +191,8 @@ def residue_at(k: int, x: float, s0: float, radius: float = RESIDUE_RADIUS) -> f
 
     64-node trapezoid on |s - s0| = radius.  Returns the residue for any
     pole order; a regular point yields ~0.  The nodes, H_k(1-z) and
-    -zeta'/zeta(z) are taken from the memo of x-independent values
-    (_fixed), so a call for a known (k, s0, radius) forms only the powers
-    x^(z-1-k).
+    -zeta'/zeta(z) come from the cached _circle(k, s0, radius), so a call
+    for a known (k, s0, radius) forms only the powers x^(z-1-k).
     """
     if not 1 <= k <= 4:
         raise ValueError("k must be in 1..4")
@@ -212,17 +203,18 @@ def residue_at(k: int, x: float, s0: float, radius: float = RESIDUE_RADIUS) -> f
     if not x > 1:
         raise ValueError("x must be > 1")
 
-    z, turn, hk, nzld = _fixed(("circle", k, s0, radius), lambda: _circle(k, s0, radius))
+    z, turn, hk, nzld = _circle(k, s0, radius)
     g = np.exp((z - 1.0 - k) * math.log(x)) * hk * nzld / (k + 1.0 - z)
     vals = g * turn * (radius / RESIDUE_NODES)
     return math.fsum(vals.real.tolist())
 
 
+@functools.lru_cache(maxsize=_CACHE_ENTRIES)
 def _circle(k: int, s0: float, radius: float):
     """Nodes z = s0 + radius e^(i theta), e^(i theta), H_k(1-z) and -zeta'/zeta(z)."""
     turn = np.exp(1j * (2.0 * np.pi * np.arange(RESIDUE_NODES) / RESIDUE_NODES))
     z = s0 + radius * turn
-    return z, turn, _hk_closed_batch(k, 1.0 - z), _neg_zld_batch(z)
+    return _read_only(z, turn, _hk_closed_batch(k, 1.0 - z), _neg_zld_batch(z))
 
 
 def zero_pair_terms(k: int, x: float, zeros: ZeroTable) -> np.ndarray:
@@ -231,13 +223,14 @@ def zero_pair_terms(k: int, x: float, zeros: ZeroTable) -> np.ndarray:
     One term per zero of the table.  Both members of each pair are
     evaluated explicitly, so the imaginary parts cancel only if the
     implementation is conjugate-symmetric; tests rely on that.
-    H_k(1-rho) and H_k(1-conj(rho)) come from the memo entry for
-    (k, zeros).
+    H_k(1-rho) and H_k(1-conj(rho)) come from the cached
+    _zero_values(k, zeros).
     """
-    rho, hk, hk_conj, _ = _fixed(("zeros", k, zeros), lambda: _zero_values(k, zeros))
+    rho, hk, hk_conj, _ = _zero_values(k, zeros)
     return _pair_terms(k, x, rho, hk, hk_conj)
 
 
+@functools.lru_cache(maxsize=_CACHE_ENTRIES)
 def _zero_values(k: int, zeros: ZeroTable):
     """rho, H_k(1-rho), H_k(1-conj(rho)) over the table, and the tail constant A_k.
 
@@ -249,7 +242,7 @@ def _zero_values(k: int, zeros: ZeroTable):
     hk = _hk_closed_batch(k, 1.0 - rho)
     hk_conj = _hk_closed_batch(k, 1.0 - rho.conj())
     a_k = 2.0 * float(np.max(np.abs(hk / (k + 1.0 - rho)) * gam**2, initial=0.0))
-    return rho, hk, hk_conj, a_k
+    return (*_read_only(rho, hk, hk_conj), a_k)
 
 
 def _pair_terms(k: int, x: float, rho, hk_rho, hk_conj) -> np.ndarray:
@@ -267,9 +260,9 @@ def zero_sum(k: int, x: float, zeros: ZeroTable, sign: float = -1.0) -> Truncate
     The tail above the table's last zero integrates the asymptotic density
     log(t/2pi)/(2pi) against A_k/t^2, where A_k is certified on the whole
     table and doubled; pairs contribute the leading factor 2.  H_k(1-rho),
-    H_k(1-conj(rho)) and A_k come from the memo entry for (k, zeros), so
-    only the first call for a table evaluates H_k; later calls, at any x
-    or sign, form only the powers x^(rho-1-k).
+    H_k(1-conj(rho)) and A_k come from the cached _zero_values(k, zeros),
+    so only the first call for a table evaluates H_k; later calls, at any
+    x or sign, form only the powers x^(rho-1-k).
     """
     if not 1 <= k <= 4:
         raise ValueError("k must be in 1..4")
@@ -280,7 +273,7 @@ def zero_sum(k: int, x: float, zeros: ZeroTable, sign: float = -1.0) -> Truncate
     if any(e.residual > 1e-8 for e in zeros.entries):
         raise ValueError("zeros must be refined before use (residual <= 1e-8)")
 
-    rho, hk, hk_conj, a_k = _fixed(("zeros", k, zeros), lambda: _zero_values(k, zeros))
+    rho, hk, hk_conj, a_k = _zero_values(k, zeros)
     pairs = _pair_terms(k, x, rho, hk, hk_conj)
     value = sign * math.fsum(pairs.real.tolist())
 
@@ -301,7 +294,7 @@ def trivial_sum(k: int, x: float, sign: float = -1.0) -> TruncatedSum:
     Terms decay geometrically in x^-2; summation stops when the next term
     drops below 1e-18 and that term, amplified by the geometric ratio,
     bounds the tail.  H_k(1+2j) comes in runs of _TRIVIAL_RUN values of j,
-    each evaluated once per (k, first j) and kept in the memo (_fixed).
+    each evaluated once per (k, first j) by the cached _trivial_run.
     """
     if not 1 <= k <= 4:
         raise ValueError("k must be in 1..4")
@@ -310,9 +303,7 @@ def trivial_sum(k: int, x: float, sign: float = -1.0) -> TruncatedSum:
     terms: list[float] = []
     j0 = 1
     while True:
-        js = range(j0, j0 + _TRIVIAL_RUN)
-        hks = _fixed(("trivial", k, j0), lambda: _trivial_run(k, js))
-        for j, hk in zip(js, hks):
+        for j, hk in enumerate(_trivial_run(k, j0), start=j0):
             term = sign * x ** (-2.0 * j - 1.0 - k) * hk / (k + 1.0 + 2.0 * j)
             if abs(term) < 1e-18:
                 tail = abs(term) / (1.0 - x**-2.0)
@@ -321,8 +312,10 @@ def trivial_sum(k: int, x: float, sign: float = -1.0) -> TruncatedSum:
         j0 += _TRIVIAL_RUN
 
 
-def _trivial_run(k: int, js: range) -> tuple[float, ...]:
-    """H_k(1+2j) for every j in js, from one batch."""
+@functools.lru_cache(maxsize=_CACHE_ENTRIES)
+def _trivial_run(k: int, j0: int) -> tuple[float, ...]:
+    """H_k(1+2j) for j = j0 .. j0 + _TRIVIAL_RUN - 1, from one batch."""
+    js = range(j0, j0 + _TRIVIAL_RUN)
     hks = _hk_closed_batch(k, np.array([1.0 + 2.0 * j for j in js], dtype=complex))
     return tuple(hks.real.tolist())
 

@@ -71,7 +71,6 @@ class SlopeFit:
 
     points: tuple[tuple[float, float], ...]
     slope: float
-    intercept: float
     r_squared: float
     dropped: int
 
@@ -268,7 +267,6 @@ def rh_slope(values: list[tuple[float, float, float]]) -> SlopeFit:
     return SlopeFit(
         points=tuple(zip(lx.tolist(), lv.tolist())),
         slope=float(slope),
-        intercept=float(intercept),
         r_squared=r_squared,
         dropped=dropped,
     )

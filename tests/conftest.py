@@ -67,8 +67,22 @@ def traced_peak_bytes():
 
 
 @pytest.fixture
-def hk_batch_sizes(monkeypatch):
-    """Empty the theorem-1 memo of explicit and record the size of every
+def theorem1_caches():
+    """explicit's three caches of theorem 1's x-independent values, emptied
+    before and after the test."""
+    from fraczeta import explicit
+
+    caches = (explicit._circle, explicit._zero_values, explicit._trivial_run)
+    for c in caches:
+        c.cache_clear()
+    yield caches
+    for c in caches:
+        c.cache_clear()
+
+
+@pytest.fixture
+def hk_batch_sizes(monkeypatch, theorem1_caches):
+    """Empty theorem 1's caches in explicit and record the size of every
     H_k batch explicit evaluates while the test runs."""
     from fraczeta import explicit
 
@@ -79,6 +93,5 @@ def hk_batch_sizes(monkeypatch):
         sizes.append(len(s))
         return batch(k, s)
 
-    monkeypatch.setattr(explicit, "_FIXED", {})
     monkeypatch.setattr(explicit, "_hk_closed_batch", counting)
     return sizes

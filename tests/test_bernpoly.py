@@ -13,7 +13,6 @@ from fraczeta.bernpoly import (
     integral_Ik,
     integral_ik_array,
     periodic_bernoulli,
-    sawtooth_S,
     sdot,
 )
 
@@ -84,11 +83,6 @@ class TestIntegralIk:
 
 
 class TestSawtooth:
-    def test_sawtooth_values(self):
-        assert sawtooth_S(2.25) == -0.25
-        assert sawtooth_S(3.0) == 0.0
-        assert sawtooth_S(0.5) == 0.0
-
     def test_sdot_values(self):
         assert sdot(0.5) == -0.125
         assert sdot(7.0) == 0.0

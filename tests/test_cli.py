@@ -304,9 +304,11 @@ class TestMainEntry:
     @pytest.mark.parametrize("argv", [
         ["verify", "rh-slope", "--nterms", "2000"],
         ["rh-explore", "--nterms", "2000"],
+        ["verify", "th1", "--x", "inf", "--nterms", "1000", "--zeros", "10"],
     ])
     def test_computation_error_is_verification_error(self, argv, capsys):
-        # Too few terms leave no profile point above its noise floor.
+        # Too few terms leave no profile point above its noise floor; an
+        # infinite x has no floor.
         assert cli.main(argv) == EXIT_VERIFY
         assert "verification error" in capsys.readouterr().err
 
@@ -409,6 +411,21 @@ class TestSelftest:
                          ids=[name for name, _ in cli.INVARIANTS])
 def test_invariant(check):
     check()
+
+
+def test_arith_imports_alone():
+    # The package re-exports nothing, so the sieve loads no other module of it.
+    script = (
+        "import sys\n"
+        "import fraczeta.arith\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'fraczeta')\n"
+        "assert loaded == ['fraczeta', 'fraczeta.arith'], loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_numpy_only_start_up():

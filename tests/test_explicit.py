@@ -140,6 +140,10 @@ class TestLhsTheorem1:
         with pytest.raises(ValueError):
             lhs_theorem1(table_1e6, 1, 10.0, 10**4)
 
+    def test_infinite_x_rejected(self, table_1e6):
+        with pytest.raises(ValueError, match="finite"):
+            lhs_theorem1(table_1e6, 1, math.inf, 10**4)
+
     def test_k_range(self, table_1e6):
         with pytest.raises(ValueError):
             lhs_theorem1(table_1e6, 5, 10.5, 10**4)
@@ -266,21 +270,24 @@ class TestRhsAssembly:
 
 
 class TestFixedValues:
-    """The memo of theorem 1's x-independent values (explicit._FIXED)."""
+    """The caches of theorem 1's x-independent values (explicit._circle,
+    _zero_values and _trivial_run)."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_warm_equals_cold(self, zeros100, monkeypatch, k):
-        monkeypatch.setattr(explicit, "_FIXED", {})
+    def test_warm_equals_cold(self, zeros100, theorem1_caches, k):
         cold = [rhs_theorem1(k, 7.5, zeros100, sign=s) for s in (-1.0, 1.0)]
-        explicit._FIXED.clear()
+        for c in theorem1_caches:
+            c.cache_clear()
         rhs_theorem1(k, 20.25, zeros100)
-        assert explicit._FIXED
+        assert all(c.cache_info().currsize for c in theorem1_caches)
         assert [rhs_theorem1(k, 7.5, zeros100, sign=s) for s in (-1.0, 1.0)] == cold
 
-    def test_cached_arrays_read_only(self, zeros100, monkeypatch):
-        monkeypatch.setattr(explicit, "_FIXED", {})
+    def test_cached_arrays_read_only(self, zeros100, theorem1_caches):
         rhs_theorem1(2, 5.5, zeros100)
-        arrays = [a for values in explicit._FIXED.values() for a in values if isinstance(a, np.ndarray)]
+        arrays = [explicit._circle(2, float(s0), explicit.RESIDUE_RADIUS) for s0 in (1, 2)]
+        arrays.append(explicit._zero_values(2, zeros100)[:3])
+        assert [c.cache_info().misses for c in theorem1_caches[:2]] == [2, 1]
+        arrays = [a for values in arrays for a in values]
         assert len(arrays) == 2 * 4 + 3  # two circles, one zero table
         for a in arrays:
             assert not a.flags.writeable
@@ -294,14 +301,17 @@ class TestFixedValues:
             assert hk_batch_sizes == [explicit.RESIDUE_NODES]
             hk_batch_sizes.clear()
 
-    def test_bounded(self, monkeypatch):
-        monkeypatch.setattr(explicit, "_FIXED", {})
-        radii = [0.3 - 0.002 * i for i in range(explicit._FIXED_ENTRIES + 3)]
+    def test_bounded(self, theorem1_caches):
+        radii = [0.3 - 0.002 * i for i in range(explicit._CACHE_ENTRIES + 3)]
         for r in radii:
             residue_at(1, 10.5, 1.0, r)
-        assert len(explicit._FIXED) == explicit._FIXED_ENTRIES
-        assert ("circle", 1, 1.0, radii[2]) not in explicit._FIXED
-        assert ("circle", 1, 1.0, radii[3]) in explicit._FIXED
+        circle = explicit._circle
+        assert circle.cache_info().currsize == explicit._CACHE_ENTRIES
+        misses = circle.cache_info().misses
+        residue_at(1, 10.5, 1.0, radii[-1])
+        assert circle.cache_info().misses == misses
+        residue_at(1, 10.5, 1.0, radii[0])
+        assert circle.cache_info().misses == misses + 1
 
 
 class TestPrintedPk:
