@@ -145,21 +145,16 @@ def get_refined_zeros(count: int = 100) -> zeta.ZeroTable:
 # ---------------------------------------------------------------------------
 
 def _check(identity_id: str, params: dict, lhs: TruncatedSum, rhs: TruncatedSum,
-           tolerance: float, adjudication: str, printed: float | None,
-           add_tolerance: bool = False) -> IdentityReport:
-    """Report lhs against rhs within both sides' tail and rounding bounds.
+           adjudication: str, printed: float | None) -> IdentityReport:
+    """Report lhs against rhs; the budget is both sides' tail and rounding bounds.
 
-    The tolerance is a floor under the budget, or with add_tolerance an
-    allowance on top of it.
+    The check passes iff |lhs - rhs| <= budget.  Otherwise a right side
+    within 3x the budget of 0 cannot adjudicate and the check is
+    inconclusive; any other gap fails.
     """
     diff = abs(lhs.value - rhs.value)
     budget = lhs.tail_bound + lhs.round_bound + rhs.tail_bound + rhs.round_bound
-    if add_tolerance:
-        budget, tolerance = budget + tolerance, 0.0
-    # A diff inside the error budget (or the tolerance) passes; otherwise a
-    # right side indistinguishable from its own budget cannot adjudicate
-    # and the check is inconclusive.
-    if diff <= max(budget, tolerance):
+    if diff <= budget:
         verdict = "pass"
     elif abs(rhs.value) <= 3.0 * budget:
         verdict = "inconclusive"
@@ -181,47 +176,40 @@ def _constant_adjudication(lhs: float, canonical: float) -> str:
             f"proof constant misses by {d_can:.3e}")
 
 
-def _th2_mu(x: float, N: int, tolerance: float) -> IdentityReport:
+def _th2_mu(x: float, N: int) -> IdentityReport:
     lhs = fourier.lhs_weighted_sdot(get_table(N), "mu", 2.0, x, N)
     rhs = fourier.rhs_th2_mu(x)
-    return _check("th2-mu", {"x": x, "N": N}, lhs, TruncatedSum(rhs, 1, 0.0), tolerance,
+    return _check("th2-mu", {"x": x, "N": N}, lhs, TruncatedSum(rhs, 1, 0.0),
                   _constant_adjudication(lhs.value, rhs), 2.0 * rhs)
 
 
-def _th2_log(x: float, N: int, tolerance: float) -> IdentityReport:
+def _th2_log(x: float, N: int) -> IdentityReport:
     lhs = fourier.lhs_weighted_sdot(get_table(N), "lambda", 2.0, x, N)
     rhs = fourier.rhs_th2_log(x, N)
-    return _check("th2-log", {"x": x, "N": N}, lhs, rhs, tolerance,
-                  _constant_adjudication(lhs.value, rhs.value), 2.0 * rhs.value,
-                  add_tolerance=True)
+    return _check("th2-log", {"x": x, "N": N}, lhs, rhs,
+                  _constant_adjudication(lhs.value, rhs.value), 2.0 * rhs.value)
 
 
-def _th4(x: float, N: int, tolerance: float) -> IdentityReport:
+def _th4(x: float, N: int) -> IdentityReport:
     tab = get_table(N)
     lhs = fourier.lhs_weighted_sdot(tab, "mu", 1.5, x, N)
     rhs = fourier.rhs_th4_upsilon(tab, x, N)
     adj = _constant_adjudication(lhs.value, rhs.value)
     adj += "; absolutely convergent, verified without RH assumption"
-    return _check("th4", {"x": x, "N": N}, lhs, rhs, tolerance, adj, 2.0 * rhs.value,
-                  add_tolerance=True)
+    return _check("th4", {"x": x, "N": N}, lhs, rhs, adj, 2.0 * rhs.value)
 
 
-def _th1(k: int, x: float, N: int, zeros: int, tolerance: float | None) -> IdentityReport:
+def _th1(k: int, x: float, N: int, zeros: int) -> IdentityReport:
     if not 1 <= k <= 4:
         raise UsageError("th1 needs k in 1..4")
-    if tolerance is None:
-        tolerance = 1e-3 if k == 1 else 1e-6
     tab = get_table(N)
     zero_table = get_refined_zeros(zeros)
     lhs = explicit.lhs_theorem1(tab, k, x, N)
     rhs = explicit.rhs_theorem1(k, x, zero_table)
     diff = abs(lhs.value - rhs.total)
 
-    # Sign adjudication: the right side with sigma = +1, whose zero and
-    # trivial sums are those of sigma = -1 negated.
-    total_plus = math.fsum([v for _, v in rhs.residues]
-                           + [-rhs.zero_sum.value, -rhs.trivial_sum.value])
-    diff_plus = abs(lhs.value - total_plus)
+    # Sign adjudication against the right side with sigma = +1.
+    diff_plus = abs(lhs.value - explicit.rhs_theorem1(k, x, zero_table, sign=+1.0).total)
     winner = "-1" if diff <= diff_plus else "+1"
     adj = (
         f"zero/trivial sum sign sigma={winner} wins "
@@ -249,22 +237,21 @@ def _th1(k: int, x: float, N: int, zeros: int, tolerance: float | None) -> Ident
 
     return _check("th1", {"k": k, "x": x, "N": N, "zeros": zeros,
                            "radius": explicit.RESIDUE_RADIUS}, lhs,
-                  TruncatedSum(rhs.total, 0, rhs.budget), tolerance, adj, rhs_printed)
+                  TruncatedSum(rhs.total, 0, rhs.budget), adj, rhs_printed)
 
 
-# (f, a, b, k, tolerance); a None tolerance takes the run's.
+EM_TOLERANCE = 1e-10
+# (f, a, b, k, budget): the check passes iff the residual is <= the budget.
 EM_CASES = (
     ("square", 1.0, 5.0, 2, 1e-12),
-    ("inverse_square", 1.0, 10.0, 3, None),
-    ("exp_decay", 1.0, 4.0, 4, None),
+    ("inverse_square", 1.0, 10.0, 3, EM_TOLERANCE),
+    ("exp_decay", 1.0, 4.0, 4, EM_TOLERANCE),
 )
-EM_TOLERANCE = 1e-10
 
 
-def _em_check(tolerance: float) -> list[IdentityReport]:
+def _em_check() -> list[IdentityReport]:
     out = []
     for f_id, a, b, k, tol in EM_CASES:
-        tol = tolerance if tol is None else tol
         res = bernpoly.em_identity_residual(f_id, a, b, k)
         out.append(IdentityReport(
             identity_id="em-check", params={"f": f_id, "a": a, "b": b, "k": k},
@@ -294,15 +281,15 @@ def _rh_slope(x_min: float, x_max: float, points: int, N: int) -> IdentityReport
     )
 
 
-# id -> (check, {param: (type, default)}).  Default tolerances mirror the
-# acceptance criteria; th1's None means 1e-3 at k = 1 and 1e-6 above.
+# id -> (check, {param: (type, default)}).  The parameters say what to
+# compute; none of them sets a budget.  Every budget is the sum of the
+# bounds the computation returns (em-check's are the constants of EM_CASES).
 IDENTITIES = {
-    "th1": (_th1, {"k": (int, 1), "x": (float, 10.5), "N": (int, 10**6),
-                   "zeros": (int, 100), "tolerance": (float, None)}),
-    "th2-log": (_th2_log, {"x": (float, 3.7), "N": (int, 10**6), "tolerance": (float, 1e-7)}),
-    "th2-mu": (_th2_mu, {"x": (float, 2.0), "N": (int, 10**6), "tolerance": (float, 5e-7)}),
-    "th4": (_th4, {"x": (float, 4.6), "N": (int, 10**6), "tolerance": (float, 0.0)}),
-    "em-check": (_em_check, {"tolerance": (float, EM_TOLERANCE)}),
+    "th1": (_th1, {"k": (int, 1), "x": (float, 10.5), "N": (int, 10**6), "zeros": (int, 100)}),
+    "th2-log": (_th2_log, {"x": (float, 3.7), "N": (int, 10**6)}),
+    "th2-mu": (_th2_mu, {"x": (float, 2.0), "N": (int, 10**6)}),
+    "th4": (_th4, {"x": (float, 4.6), "N": (int, 10**6)}),
+    "em-check": (_em_check, {}),
     "rh-slope": (_rh_slope, {"x_min": (float, 10.0), "x_max": (float, 100.0),
                              "points": (int, 20), "N": (int, 10**7)}),
 }
@@ -577,8 +564,8 @@ def residue_radius_independence():
 
 
 def euler_maclaurin_check():
-    bad = [r.params for r in _em_check(EM_TOLERANCE) if r.verdict != "pass"]
-    _require(not bad, f"Euler-Maclaurin residual over tolerance: {bad}")
+    bad = [r.params for r in _em_check() if r.verdict != "pass"]
+    _require(not bad, f"Euler-Maclaurin residual over budget: {bad}")
 
 
 # (name, check) in the order fraczeta selftest runs them; the test suite
@@ -639,7 +626,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--k", type=int)
     v.add_argument("--nterms", dest="N", type=int, metavar="NTERMS")
     v.add_argument("--zeros", type=int)
-    v.add_argument("--tolerance", type=float)
     v.add_argument("--json", type=Path, metavar="PATH")
     v.add_argument("--csv", type=Path, metavar="PATH")
 

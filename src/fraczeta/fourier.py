@@ -109,8 +109,8 @@ def _sdot_sums(t: ArithmeticTable, weight: str, p: float, N: int, xs: list[float
         raise ValueError(f"unsupported (weight, p) pair: ({weight!r}, {p})")
     if not 1 <= N <= t.n_max:
         raise ValueError(f"N must be in 1..{t.n_max}")
-    if not all(x > 0 for x in xs):
-        raise ValueError("x must be > 0")
+    if not all(0 < x < math.inf for x in xs):
+        raise ValueError("x must be > 0 and finite")
 
     # w is aligned with the points, except for mu, which is gathered at them.
     if weight == "lambda":
@@ -165,8 +165,8 @@ def rhs_th2_log(x: float, N: int) -> TruncatedSum:
     route's tail and constant error are not below that tail: near x = 1/k,
     where sin(pi/x) vanishes, and for very large x.
     """
-    if not x > 0:
-        raise ValueError("x must be > 0")
+    if not 0 < x < math.inf:
+        raise ValueError("x must be > 0 and finite")
     if N < 1:
         raise ValueError("N must be >= 1")
     if N < 2:
@@ -189,8 +189,8 @@ def rhs_th2_log(x: float, N: int) -> TruncatedSum:
 
 def rhs_th2_mu(x: float) -> float:
     """(1/(2 pi^2)) (cos(2 pi/x) - 1), the closed-form right side."""
-    if not x > 0:
-        raise ValueError("x must be > 0")
+    if not 0 < x < math.inf:
+        raise ValueError("x must be > 0 and finite")
     return (math.cos(2.0 * math.pi / x) - 1.0) / TWO_PI_SQ
 
 
@@ -208,8 +208,8 @@ def rhs_th4_upsilon(t: ArithmeticTable, x: float, N: int) -> TruncatedSum:
     like the rounding of np.cos, that evaluation error is in no budget
     (round_bound covers the summation).
     """
-    if not x > 0:
-        raise ValueError("x must be > 0")
+    if not 0 < x < math.inf:
+        raise ValueError("x must be > 0 and finite")
     if not 1 <= N <= t.n_max:
         raise ValueError(f"N must be in 1..{t.n_max}")
 

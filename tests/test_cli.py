@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -44,15 +45,15 @@ class TestRunIdentity:
         assert r.abs_diff <= 1e-3
         assert "sigma=-1" in r.adjudication
 
-    def test_th1_builds_its_right_side_once(self, table_small, zeros100, monkeypatch):
-        # The sigma = +1 side of the sign adjudication negates the zero and
-        # trivial sums of the one build, and matches a sigma = +1 build.
+    def test_th1_builds_each_sign_once(self, table_small, zeros100, monkeypatch):
+        # The canonical sigma = -1 side, then the sigma = +1 side of the sign
+        # adjudication, each from one rhs_theorem1 call.
         calls = []
         build = explicit.rhs_theorem1
         monkeypatch.setattr(explicit, "rhs_theorem1",
                             lambda *a, **kw: calls.append(kw) or build(*a, **kw))
         r = run_identity("th1", {"k": 1, "x": 10.5, "N": 10**4})
-        assert calls == [{}]
+        assert calls == [{}, {"sign": 1.0}]
         d_plus = abs(r.lhs.value - build(1, 10.5, zeros100, sign=+1.0).total)
         assert f"{d_plus:.3e}" in r.adjudication
 
@@ -65,6 +66,30 @@ class TestRunIdentity:
             monkeypatch.setattr(explicit, "lhs_theorem1", lambda *a: TruncatedSum(plus, 1, 0.0))
             r = run_identity("th1", {"k": k, "x": x, "N": 10**4})
             assert "sigma=+1 wins (|d|=0.000e+00 vs " in r.adjudication, (k, x)
+
+    def test_th2_mu_gap_over_budget_fails(self, table_1e6, monkeypatch):
+        # A gap of 3e-7 is over the 1.25e-7 budget at x = 2, N = 10^6.
+        rhs = cli.fourier.rhs_th2_mu
+        monkeypatch.setattr(cli.fourier, "rhs_th2_mu", lambda x: rhs(x) + 3e-7)
+        r = run_identity("th2-mu", {"x": 2.0, "N": 10**6})
+        assert r.budget < 3e-7 < r.abs_diff
+        assert r.verdict == "fail"
+
+    def test_th1_gap_over_budget_does_not_pass(self, table_1e6, zeros100, monkeypatch):
+        # A gap of 2e-7 is over the 5.8e-8 budget at k = 4, x = 7.5.  The
+        # right side there is within 3x the budget of 0, so the check
+        # cannot adjudicate.
+        lhs = explicit.lhs_theorem1
+
+        def shifted(*a):
+            ts = lhs(*a)
+            return dataclasses.replace(ts, value=ts.value + 2e-7)
+
+        monkeypatch.setattr(explicit, "lhs_theorem1", shifted)
+        r = run_identity("th1", {"k": 4, "x": 7.5, "N": 10**6})
+        assert r.budget < 1e-7 < r.abs_diff
+        assert abs(r.rhs.value) <= 3.0 * r.budget
+        assert r.verdict == "inconclusive"
 
     def test_unknown_identity(self):
         with pytest.raises(UsageError):
@@ -99,7 +124,7 @@ class TestRunIdentity:
     def test_budget_includes_round_bounds(self, table_1e6, zeros100, ident, params):
         r = run_identity(ident, dict(params, N=10**6))
         assert r.lhs.round_bound > 0.0
-        assert r.budget >= r.lhs.tail_bound + r.lhs.round_bound + r.rhs.tail_bound + r.rhs.round_bound
+        assert r.budget == r.lhs.tail_bound + r.lhs.round_bound + r.rhs.tail_bound + r.rhs.round_bound
         if ident in ("th2-log", "th4"):
             assert r.rhs.round_bound > 0.0
 
@@ -297,6 +322,9 @@ class TestMainEntry:
     def test_em_check(self, capsys):
         assert cli.main(["em-check"]) == EXIT_OK
 
+    def test_tolerance_flag_is_gone(self, capsys):
+        assert cli.main(["verify", "th1", "--tolerance", "1e-3"]) == EXIT_USAGE
+
     def test_flag_not_taken_is_usage_error(self, capsys):
         assert cli.main(["verify", "th2-mu", "--zeros", "7", "--k", "3"]) == EXIT_USAGE
         assert "th2-mu takes no k, zeros" in capsys.readouterr().err
@@ -305,10 +333,14 @@ class TestMainEntry:
         ["verify", "rh-slope", "--nterms", "2000"],
         ["rh-explore", "--nterms", "2000"],
         ["verify", "th1", "--x", "inf", "--nterms", "1000", "--zeros", "10"],
+        ["verify", "th2-mu", "--x", "inf", "--nterms", "1000"],
+        ["verify", "th2-log", "--x", "inf", "--nterms", "1000"],
+        ["verify", "th4", "--x", "inf", "--nterms", "1000"],
     ])
     def test_computation_error_is_verification_error(self, argv, capsys):
         # Too few terms leave no profile point above its noise floor; an
-        # infinite x has no floor.
+        # infinite x has no floor, and would make both sides of th2 and th4
+        # exactly 0.
         assert cli.main(argv) == EXIT_VERIFY
         assert "verification error" in capsys.readouterr().err
 
@@ -317,9 +349,8 @@ class TestMainEntry:
          "rh-slope", {"x_min": 12.0, "x_max": 90.0, "points": 15, "N": 5000}),
         (["rh-explore"], "rh-slope", {}),
         (["em-check"], "em-check", {}),
-        (["verify", "th1", "--k", "2", "--x", "5.5", "--nterms", "1000", "--zeros", "10",
-          "--tolerance", "0.5"],
-         "th1", {"x": 5.5, "k": 2, "N": 1000, "zeros": 10, "tolerance": 0.5}),
+        (["verify", "th1", "--k", "2", "--x", "5.5", "--nterms", "1000", "--zeros", "10"],
+         "th1", {"x": 5.5, "k": 2, "N": 1000, "zeros": 10}),
     ])
     def test_routes_through_run_identity(self, monkeypatch, capsys, argv, ident, params):
         calls = []

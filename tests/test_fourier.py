@@ -70,8 +70,17 @@ class TestLhsWeightedSdot:
         with pytest.raises(ValueError):
             lhs_weighted_sdot(table_small, "mu", 2.0, 2.0, 10**6)
 
+    def test_infinite_x_rejected(self, table_small):
+        # Every n/x would be 0, so the sum would be 0 exactly, like its right side.
+        with pytest.raises(ValueError, match="finite"):
+            lhs_weighted_sdot(table_small, "mu", 2.0, math.inf, 10**4)
+
 
 class TestRhsTheorem2Log:
+    def test_infinite_x_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            rhs_th2_log(math.inf, 10**4)
+
     def test_large_x_termwise_vanishing(self):
         ts = rhs_th2_log(1e9, 10**3)
         assert abs(ts.value) <= 1e-12
@@ -141,10 +150,18 @@ class TestRhsTheorem2Mu:
     def test_x4(self):
         assert rhs_th2_mu(4.0) == pytest.approx(-1.0 / (2.0 * math.pi**2), rel=1e-12)
 
+    def test_infinite_x_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            rhs_th2_mu(math.inf)
+
 
 class TestRhsTheorem4:
     def test_x1_vanishes(self, table_1e6):
         assert abs(rhs_th4_upsilon(table_1e6, 1.0, 10**6).value) <= 1e-12
+
+    def test_infinite_x_rejected(self, table_small):
+        with pytest.raises(ValueError, match="finite"):
+            rhs_th4_upsilon(table_small, math.inf, 10**4)
 
     def test_single_term(self, table_1e6):
         ts = rhs_th4_upsilon(table_1e6, 3.0, 1)
