@@ -1,11 +1,10 @@
-"""Bernoulli numbers and polynomials, periodic extensions, and the sawtooth kernel.
+"""Bernoulli numbers and polynomials, the integrals I_k, and the sawtooth kernel.
 
 Everything downstream leans on a handful of closed forms collected here:
 
 - B_j under the B_1 = -1/2 convention, computed once by the exact rational
   recurrence sum_{i<=m} C(m+1,i) B_i = 0 and stored as binary64;
 - B_k(t) = sum_i C(k,i) B_i t^(k-i), Horner-evaluated;
-- the periodic extension B_k({x});
 - I_k(x) = integral of B_k({t}) over [0,x], which collapses to
   (B_{k+1}({x}) - B_{k+1})/(k+1) because full periods integrate to zero;
 - sdot(x) = ({x}^2 - {x})/2, the antiderivative of the sawtooth
@@ -27,9 +26,7 @@ import numpy as np
 
 __all__ = [
     "BERNOULLI",
-    "bernoulli_number",
     "bernoulli_poly",
-    "periodic_bernoulli",
     "integral_Ik",
     "sdot",
     "em_identity_residual",
@@ -64,13 +61,6 @@ GL_X = 0.5 * (_GL_NODES + 1.0)
 GL_W = 0.5 * _GL_WEIGHTS
 
 
-def bernoulli_number(j: int) -> float:
-    """B_j (B_1 = -1/2 convention) for 0 <= j <= 64."""
-    if not 0 <= j <= _MAX_INDEX:
-        raise ValueError(f"j={j} beyond tabulated range 0..{_MAX_INDEX}")
-    return float(BERNOULLI[j])
-
-
 def bernoulli_poly(k: int, t):
     """B_k(t), Horner-evaluated; t may be a scalar or ndarray."""
     if not 0 <= k <= _MAX_INDEX:
@@ -81,27 +71,12 @@ def bernoulli_poly(k: int, t):
     return acc
 
 
-def _frac(x: float) -> float:
-    return x - math.floor(x)
-
-
-def periodic_bernoulli(k: int, x: float) -> float:
-    """B_k({x}) with {x} = x - floor(x); k >= 1, x >= 0."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    return float(bernoulli_poly(k, _frac(x)))
-
-
 def integral_Ik(k: int, x: float) -> float:
     """I_k(x) = integral of B_k({t}) dt over [0, x], in closed form.
 
     Full periods contribute nothing, so only the fractional part of x
     survives: I_k(x) = (B_{k+1}({x}) - B_{k+1})/(k+1).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if not 0 <= x < math.inf:
         raise ValueError("x must be finite and >= 0")
     return float(integral_ik_array(k, np.asarray(x, dtype=np.float64)))
@@ -254,7 +229,7 @@ def em_identity_residual(f_id: str, a: float, b: float, k: int) -> float:
     rhs = f.integral(a, b)
     rhs -= math.fsum(f.deriv(0, float(n)) for n in range(math.floor(a) + 1, math.floor(b) + 1))
     for l in range(1, k + 1):
-        bl = bernoulli_number(l)
+        bl = BERNOULLI[l]
         if bl != 0.0:
             rhs += (-1.0) ** l / math.factorial(l) * (f.deriv(l - 1, b) - f.deriv(l - 1, a)) * bl
     return float(abs(lhs - rhs))

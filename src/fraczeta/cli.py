@@ -29,6 +29,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 RH_SLOPE_BAND = (-1.45, -0.55)
+ZERO_COUNT = 100  # refined zeros th1, selftest and zeros refine use by default
 
 
 class UsageError(ValueError):
@@ -130,7 +132,7 @@ def get_table(n_max: int) -> ArithmeticTable:
 _REFINED_ZEROS: dict[int, zeta.ZeroTable] = {}
 
 
-def get_refined_zeros(count: int = 100) -> zeta.ZeroTable:
+def get_refined_zeros(count: int = ZERO_COUNT) -> zeta.ZeroTable:
     """Bundled seed table, Newton-refined; shipped digits are never trusted."""
     if count not in _REFINED_ZEROS:
         raw = zeta.load_zero_table(zeta.bundled_zeros_path())
@@ -200,8 +202,8 @@ def _th4(x: float, N: int) -> IdentityReport:
 
 
 def _th1(k: int, x: float, N: int, zeros: int) -> IdentityReport:
-    if not 1 <= k <= 4:
-        raise UsageError("th1 needs k in 1..4")
+    if k not in zeta.K_VALUES:
+        raise UsageError(f"th1 needs k in {zeta.K_VALUES[0]}..{zeta.K_VALUES[-1]}")
     tab = get_table(N)
     zero_table = get_refined_zeros(zeros)
     lhs = explicit.lhs_theorem1(tab, k, x, N)
@@ -285,7 +287,7 @@ def _rh_slope(x_min: float, x_max: float, points: int, N: int) -> IdentityReport
 # compute; none of them sets a budget.  Every budget is the sum of the
 # bounds the computation returns (em-check's are the constants of EM_CASES).
 IDENTITIES = {
-    "th1": (_th1, {"k": (int, 1), "x": (float, 10.5), "N": (int, 10**6), "zeros": (int, 100)}),
+    "th1": (_th1, {"k": (int, 1), "x": (float, 10.5), "N": (int, 10**6), "zeros": (int, ZERO_COUNT)}),
     "th2-log": (_th2_log, {"x": (float, 3.7), "N": (int, 10**6)}),
     "th2-mu": (_th2_mu, {"x": (float, 2.0), "N": (int, 10**6)}),
     "th4": (_th4, {"x": (float, 4.6), "N": (int, 10**6)}),
@@ -357,33 +359,45 @@ def _json_value(v, indent: int) -> str:
     return '"' + str(v).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+# The report layout, in output order: (CSV column, JSON path, IdentityReport
+# attribute).  A dotted JSON path nests the leaf under its leading keys.
+REPORT_FIELDS = (
+    ("identity_id", "identity_id", "identity_id"),
+    ("params", "params", "params"),
+    ("lhs_value", "lhs.value", "lhs.value"),
+    ("lhs_terms_used", "lhs.terms_used", "lhs.terms_used"),
+    ("lhs_tail_bound", "lhs.tail_bound", "lhs.tail_bound"),
+    ("lhs_round_bound", "lhs.round_bound", "lhs.round_bound"),
+    ("rhs_canonical", "rhs_canonical.value", "rhs.value"),
+    ("rhs_budget", "rhs_canonical.budget", "rhs.tail_bound"),
+    ("rhs_round_bound", "rhs_canonical.round_bound", "rhs.round_bound"),
+    ("rhs_printed", "rhs_printed", "rhs_printed"),
+    ("abs_diff", "abs_diff", "abs_diff"),
+    ("budget", "budget", "budget"),
+    ("verdict", "verdict", "verdict"),
+    ("adjudication", "adjudication", "adjudication"),
+    ("elapsed_s", "elapsed_s", "elapsed_s"),
+)
+
+
 def _report_dict(r: IdentityReport) -> dict:
-    return {
-        "identity_id": r.identity_id,
-        "params": r.params,
-        "lhs": {
-            "value": r.lhs.value,
-            "terms_used": r.lhs.terms_used,
-            "tail_bound": r.lhs.tail_bound,
-            "round_bound": r.lhs.round_bound,
-        },
-        "rhs_canonical": {
-            "value": r.rhs.value, "budget": r.rhs.tail_bound, "round_bound": r.rhs.round_bound,
-        },
-        "rhs_printed": r.rhs_printed,
-        "abs_diff": r.abs_diff,
-        "budget": r.budget,
-        "verdict": r.verdict,
-        "adjudication": r.adjudication,
-        "elapsed_s": r.elapsed_s,
-    }
+    doc: dict = {}
+    for _, path, attr in REPORT_FIELDS:
+        *keys, leaf = path.split(".")
+        node = doc
+        for key in keys:
+            node = node.setdefault(key, {})
+        node[leaf] = attrgetter(attr)(r)
+    return doc
 
 
-_CSV_FIELDS = [
-    "identity_id", "params", "lhs_value", "lhs_terms_used", "lhs_tail_bound",
-    "lhs_round_bound", "rhs_canonical", "rhs_budget", "rhs_round_bound", "rhs_printed",
-    "abs_diff", "budget", "verdict", "adjudication", "elapsed_s",
-]
+def _csv_cell(v):
+    """params as k=v;k=v, floats at 17 significant digits, None empty."""
+    if isinstance(v, dict):
+        return ";".join(f"{k}={val}" for k, val in v.items())
+    if isinstance(v, float):
+        return _fmt(v)
+    return "" if v is None else v
 
 
 def emit_report(reports: list[IdentityReport], fmt: str, path: str | Path) -> Path:
@@ -396,18 +410,9 @@ def emit_report(reports: list[IdentityReport], fmt: str, path: str | Path) -> Pa
         elif fmt == "csv":
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 w = csv.writer(fh)
-                w.writerow(_CSV_FIELDS)
+                w.writerow([column for column, _, _ in REPORT_FIELDS])
                 for r in reports:
-                    w.writerow([
-                        r.identity_id,
-                        ";".join(f"{k}={v}" for k, v in r.params.items()),
-                        _fmt(r.lhs.value), r.lhs.terms_used, _fmt(r.lhs.tail_bound),
-                        _fmt(r.lhs.round_bound), _fmt(r.rhs.value), _fmt(r.rhs.tail_bound),
-                        _fmt(r.rhs.round_bound),
-                        "" if r.rhs_printed is None else _fmt(r.rhs_printed),
-                        _fmt(r.abs_diff), _fmt(r.budget),
-                        r.verdict, r.adjudication, _fmt(r.elapsed_s),
-                    ])
+                    w.writerow([_csv_cell(attrgetter(attr)(r)) for _, _, attr in REPORT_FIELDS])
         else:
             raise UsageError(f"unknown report format {fmt!r}")
     except OSError as exc:
@@ -511,7 +516,7 @@ def ik_period_integrals(k: int, x: float) -> list[float]:
 
 
 def ik_quadrature_oracle():
-    for k in range(1, 5):
+    for k in zeta.K_VALUES:
         for x in (0.3, 2.7, 9.25):
             quadrature = math.fsum(ik_period_integrals(k, x))
             _require(abs(quadrature - bernpoly.integral_Ik(k, x)) <= 1e-10, f"I_{k}({x}) quadrature")
@@ -524,7 +529,7 @@ def zeta_classical_values():
 
 
 def hk_oracle_equivalence():
-    for k in range(1, 5):
+    for k in zeta.K_VALUES:
         for s in (0.0, 2.5, 4.0):
             c = zeta.Hk_closed(k, s)
             q = zeta.Hk_quadrature(k, s)
@@ -542,8 +547,8 @@ def pole_normalization():
 
 
 def zero_table_validation():
-    zeros = get_refined_zeros(100)
-    _require(all(e.residual <= 1e-8 for e in zeros.entries), "zero residuals")
+    zeros = get_refined_zeros()
+    _require(all(e.residual <= zeta.ZERO_RESIDUAL_MAX for e in zeros.entries), "zero residuals")
     _require(all(e.re_deviation <= 1e-9 for e in zeros.entries), "zeros off critical line")
     # Zeros come in reflected pairs: zeta(1 - conj(rho)) ~ 0.
     for e in zeros.entries[::10]:
@@ -552,8 +557,8 @@ def zero_table_validation():
 
 
 def conjugate_pair_realness():
-    pairs = explicit.zero_pair_terms(1, 10.5, get_refined_zeros(100))
-    _require(pairs.shape == (100,), f"pair terms have shape {pairs.shape}")
+    pairs = explicit.zero_pair_terms(1, 10.5, get_refined_zeros())
+    _require(pairs.shape == (ZERO_COUNT,), f"pair terms have shape {pairs.shape}")
     _require(float(np.max(np.abs(pairs.imag))) <= 1e-15, "pair terms not real")
 
 
@@ -640,7 +645,7 @@ def _build_parser() -> argparse.ArgumentParser:
     z = sub.add_parser("zeros", help="zero-table operations")
     zsub = z.add_subparsers(dest="zeros_command", required=True)
     zr = zsub.add_parser("refine", help="refine the bundled seed ordinates")
-    zr.add_argument("--count", type=int, default=100)
+    zr.add_argument("--count", type=int, default=ZERO_COUNT)
 
     sub.add_parser("em-check", help="Euler-Maclaurin self-check (verify em-check)") \
         .set_defaults(identity="em-check")
@@ -675,7 +680,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{e.index:4d}  gamma={e.gamma:.15f}  |zeta|={e.residual:.2e}  |Re-1/2|={e.re_deviation:.2e}")
             worst = max(e.residual for e in zeros.entries)
             print(f"refined {len(zeros)} zeros, worst residual {worst:.2e}")
-            return EXIT_OK if worst <= 1e-8 else EXIT_VERIFY
+            return EXIT_OK if worst <= zeta.ZERO_RESIDUAL_MAX else EXIT_VERIFY
 
         # verify, rh-explore and em-check: every flag set is a parameter.
         params = {name: v for name, v in vars(args).items()

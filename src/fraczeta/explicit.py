@@ -35,9 +35,11 @@ from .arith import ArithmeticTable
 from .bernpoly import ik_envelope, integral_ik_array
 from .zeta import (
     EULER_GAMMA,
+    ZERO_RESIDUAL_MAX,
     ZeroTable,
     _hk_closed_batch,
     _neg_zld_batch,
+    check_k,
 )
 
 __all__ = [
@@ -70,6 +72,13 @@ _UNIT_ROUNDOFF = 2.0**-53
 # that do not, with read-only arrays; each cache keeps the _CACHE_ENTRIES
 # most recently used.
 _CACHE_ENTRIES = 64
+
+
+def _check_k_x(k: int, x: float) -> None:
+    """The right side's domain: k in zeta.K_VALUES and x > 1."""
+    check_k(k)
+    if not x > 1:
+        raise ValueError("x must be > 1")
 
 
 def _read_only(*arrays):
@@ -162,8 +171,7 @@ def lhs_theorem1(t: ArithmeticTable, k: int, x: float, N: int) -> TruncatedSum:
     M_k * integral_N^inf log(t) t^-(k+1) dt
         = M_k * (log(N)/(k N^k) + 1/(k^2 N^k)).
     """
-    if not 1 <= k <= 4:
-        raise ValueError("k must be in 1..4")
+    check_k(k)
     if not (math.isfinite(x) and x > 1) or x == math.floor(x):
         raise ValueError("x must be finite, > 1 and non-integer")
     if N > t.n_max:
@@ -194,14 +202,11 @@ def residue_at(k: int, x: float, s0: float, radius: float = RESIDUE_RADIUS) -> f
     -zeta'/zeta(z) come from the cached _circle(k, s0, radius), so a call
     for a known (k, s0, radius) forms only the powers x^(z-1-k).
     """
-    if not 1 <= k <= 4:
-        raise ValueError("k must be in 1..4")
+    _check_k_x(k, x)
     if s0 not in tuple(float(i) for i in range(1, k + 1)):
         raise ValueError(f"s0 must be one of 1..{k}")
     if not 0.0 < radius <= 0.3:
         raise ValueError("radius must be in (0, 0.3]")
-    if not x > 1:
-        raise ValueError("x must be > 1")
 
     z, turn, hk, nzld = _circle(k, s0, radius)
     g = np.exp((z - 1.0 - k) * math.log(x)) * hk * nzld / (k + 1.0 - z)
@@ -264,14 +269,11 @@ def zero_sum(k: int, x: float, zeros: ZeroTable, sign: float = -1.0) -> Truncate
     so only the first call for a table evaluates H_k; later calls, at any
     x or sign, form only the powers x^(rho-1-k).
     """
-    if not 1 <= k <= 4:
-        raise ValueError("k must be in 1..4")
-    if not x > 1:
-        raise ValueError("x must be > 1")
+    _check_k_x(k, x)
     if not zeros.entries:
         raise ValueError("zero table is empty")
-    if any(e.residual > 1e-8 for e in zeros.entries):
-        raise ValueError("zeros must be refined before use (residual <= 1e-8)")
+    if any(e.residual > ZERO_RESIDUAL_MAX for e in zeros.entries):
+        raise ValueError(f"zeros must be refined before use (residual <= {ZERO_RESIDUAL_MAX})")
 
     rho, hk, hk_conj, a_k = _zero_values(k, zeros)
     pairs = _pair_terms(k, x, rho, hk, hk_conj)
@@ -296,10 +298,7 @@ def trivial_sum(k: int, x: float, sign: float = -1.0) -> TruncatedSum:
     bounds the tail.  H_k(1+2j) comes in runs of _TRIVIAL_RUN values of j,
     each evaluated once per (k, first j) by the cached _trivial_run.
     """
-    if not 1 <= k <= 4:
-        raise ValueError("k must be in 1..4")
-    if not x > 1:
-        raise ValueError("x must be > 1 (geometric decay in x^-2 is lost otherwise)")
+    _check_k_x(k, x)
     terms: list[float] = []
     j0 = 1
     while True:
@@ -341,8 +340,7 @@ def printed_Pk(k: int, x: float) -> float:
     does not reproduce; reports state which candidate the directly summed
     left side supports.
     """
-    if not x > 1:
-        raise ValueError("x must be > 1")
+    _check_k_x(k, x)
     if k == 1:
         return (math.log(2.0 * math.pi) - 2.0) / (2.0 * x)
     if k == 2:

@@ -56,6 +56,12 @@ COS_TERMS = 10**4  # cosine terms of rhs_th2_log's split route
 _SUPPORTED = {("lambda", 2.0), ("mu", 2.0), ("mu", 1.5), ("mubar", 2.0)}
 
 
+def _check_x(*xs: float) -> None:
+    """The sums' domain: every x > 0 and finite."""
+    if not all(0 < x < math.inf for x in xs):
+        raise ValueError("x must be > 0 and finite")
+
+
 class InsufficientDataError(ValueError):
     """Too few usable points for a slope fit."""
 
@@ -109,8 +115,7 @@ def _sdot_sums(t: ArithmeticTable, weight: str, p: float, N: int, xs: list[float
         raise ValueError(f"unsupported (weight, p) pair: ({weight!r}, {p})")
     if not 1 <= N <= t.n_max:
         raise ValueError(f"N must be in 1..{t.n_max}")
-    if not all(0 < x < math.inf for x in xs):
-        raise ValueError("x must be > 0 and finite")
+    _check_x(*xs)
 
     # w is aligned with the points, except for mu, which is gathered at them.
     if weight == "lambda":
@@ -165,8 +170,7 @@ def rhs_th2_log(x: float, N: int) -> TruncatedSum:
     route's tail and constant error are not below that tail: near x = 1/k,
     where sin(pi/x) vanishes, and for very large x.
     """
-    if not 0 < x < math.inf:
-        raise ValueError("x must be > 0 and finite")
+    _check_x(x)
     if N < 1:
         raise ValueError("N must be >= 1")
     if N < 2:
@@ -189,8 +193,7 @@ def rhs_th2_log(x: float, N: int) -> TruncatedSum:
 
 def rhs_th2_mu(x: float) -> float:
     """(1/(2 pi^2)) (cos(2 pi/x) - 1), the closed-form right side."""
-    if not 0 < x < math.inf:
-        raise ValueError("x must be > 0 and finite")
+    _check_x(x)
     return (math.cos(2.0 * math.pi / x) - 1.0) / TWO_PI_SQ
 
 
@@ -208,8 +211,7 @@ def rhs_th4_upsilon(t: ArithmeticTable, x: float, N: int) -> TruncatedSum:
     like the rounding of np.cos, that evaluation error is in no budget
     (round_bound covers the summation).
     """
-    if not 0 < x < math.inf:
-        raise ValueError("x must be > 0 and finite")
+    _check_x(x)
     if not 1 <= N <= t.n_max:
         raise ValueError(f"N must be in 1..{t.n_max}")
 
@@ -282,6 +284,7 @@ def rh_decay_profile(
     lhs_weighted_sdot gives at each x, bit for bit, and nothing of length
     N is allocated.
     """
+    _check_x(x_min, x_max)  # before the grid: np.geomspace warns on an infinite end
     xs = [float(x) for x in np.geomspace(x_min, x_max, points)]
     sums = _sdot_sums(t, "mubar", 2.0, N, xs)
     return [(x, ts.value, ts.tail_bound + ts.round_bound) for x, ts in zip(xs, sums)]

@@ -47,6 +47,7 @@ __all__ = [
     "FormatError",
     "RefinementError",
     "EULER_GAMMA",
+    "check_k",
     "zeta_em",
     "zeta_deriv",
     "neg_zeta_log_deriv",
@@ -64,6 +65,9 @@ EULER_GAMMA = 0.5772156649015329
 
 RE_MIN = -10.0
 IM_MAX = 500.0
+
+K_VALUES = (1, 2, 3, 4)   # the orders k of H_k and of theorem 1
+ZERO_RESIDUAL_MAX = 1e-8  # |zeta(rho)| a refined zero must reach before use
 
 _POLE_SWITCH = 0.5  # |s-1| below this: -zeta'/zeta goes through phi = (s-1) zeta
 
@@ -90,6 +94,12 @@ class RefinementError(RuntimeError):
     def __init__(self, message: str, last_iterate: complex):
         super().__init__(message)
         self.last_iterate = last_iterate
+
+
+def check_k(k: int) -> None:
+    """Raise ValueError unless k is one of K_VALUES."""
+    if k not in K_VALUES:
+        raise ValueError(f"k must be in {K_VALUES[0]}..{K_VALUES[-1]}")
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +385,7 @@ def _hk_closed_batch(k: int, s: np.ndarray) -> np.ndarray:
 
 def Hk_closed(k: int, s: complex) -> complex:
     """H_k(s) in closed form; the removable point s = 0 goes through the limit."""
-    if not 1 <= k <= 4:
-        raise ValueError("k must be in 1..4")
+    check_k(k)
     s = complex(s)
     if s == 1.0:
         raise PoleError("closed form is singular at s = 1")
@@ -406,8 +415,7 @@ def Hk_quadrature(k: int, s: complex) -> complex:
     t^-w = exp(-w log t).  Needs Re(s) + k > 0.  This route never touches
     the closed form and is its independent oracle.
     """
-    if not 1 <= k <= 4:
-        raise ValueError("k must be in 1..4")
+    check_k(k)
     s = complex(s)
     w = s + k
     if w.real <= 0.0:

@@ -5,43 +5,36 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraczeta.bernpoly import (
+    BERNOULLI,
     EM_FUNCTIONS,
-    bernoulli_number,
     bernoulli_poly,
     em_identity_residual,
     em_period_integrals,
     integral_Ik,
     integral_ik_array,
-    periodic_bernoulli,
     sdot,
 )
 
 
 class TestBernoulliNumbers:
     def test_low_indices(self):
-        assert bernoulli_number(0) == 1.0
-        assert bernoulli_number(1) == -0.5
-        assert bernoulli_number(2) == pytest.approx(1.0 / 6.0, rel=1e-15)
-        assert bernoulli_number(3) == 0.0
+        assert BERNOULLI[0] == 1.0
+        assert BERNOULLI[1] == -0.5
+        assert BERNOULLI[2] == pytest.approx(1.0 / 6.0, rel=1e-15)
+        assert BERNOULLI[3] == 0.0
 
     def test_b12_exact_rational(self):
         # -691/2730, from the exact recurrence
-        assert bernoulli_number(12) == pytest.approx(-691.0 / 2730.0, rel=1e-15)
+        assert BERNOULLI[12] == pytest.approx(-691.0 / 2730.0, rel=1e-15)
 
     def test_odd_vanish(self):
         for j in range(3, 64, 2):
-            assert bernoulli_number(j) == 0.0
-
-    def test_range_error(self):
-        with pytest.raises(ValueError):
-            bernoulli_number(65)
-        with pytest.raises(ValueError):
-            bernoulli_number(-1)
+            assert BERNOULLI[j] == 0.0
 
     def test_recurrence(self):
         # sum_{i<=m} C(m+1, i) B_i = 0, relative to the largest term
         for m in range(1, 64):
-            terms = [math.comb(m + 1, i) * bernoulli_number(i) for i in range(m + 1)]
+            terms = [math.comb(m + 1, i) * BERNOULLI[i] for i in range(m + 1)]
             scale = max(abs(t) for t in terms)
             assert abs(math.fsum(terms)) <= 1e-12 * scale
 
@@ -59,9 +52,10 @@ class TestBernoulliPoly:
 
 class TestPeriodicBernoulli:
     def test_examples(self):
-        assert periodic_bernoulli(1, 2.75) == 0.25
-        assert periodic_bernoulli(2, 5.0) == pytest.approx(1.0 / 6.0, abs=1e-16)
-        assert periodic_bernoulli(3, 7.5) == pytest.approx(0.0, abs=1e-16)
+        # B_k({x}) = B_k(x - floor(x))
+        assert bernoulli_poly(1, 2.75 - math.floor(2.75)) == 0.25
+        assert bernoulli_poly(2, 5.0 - math.floor(5.0)) == pytest.approx(1.0 / 6.0, abs=1e-16)
+        assert bernoulli_poly(3, 7.5 - math.floor(7.5)) == pytest.approx(0.0, abs=1e-16)
 
 
 class TestIntegralIk:

@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 import zlib
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 
 from fraczeta import cli, explicit
 from fraczeta.arith import build_sieve
-from fraczeta.bernpoly import periodic_bernoulli
+from fraczeta.bernpoly import bernoulli_poly
 from fraczeta.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -171,6 +172,44 @@ class TestEmitReport:
             tuple(float(row[k]) for k in ("lhs_round_bound", "rhs_round_bound", "elapsed_s")),
         ):
             assert got == (r.lhs.round_bound, r.rhs.round_bound, r.elapsed_s)
+
+    def test_csv_columns_are_the_json_leaves(self, tmp_path):
+        # Every field set, rhs_printed both None and a value.
+        r = self._sample_report()
+        r.params = {"k": 2, "x": 5.5, "N": 1000, "radius": 0.25}
+        r.lhs = TruncatedSum(0.012345678901234567, 607, 1.25e-7, round_bound=2.2737367544323206e-13)
+        r.rhs = TruncatedSum(0.012345678901234569, 3, 3.3e-9, round_bound=1.1368683772161603e-17)
+        r.abs_diff, r.budget = 2.0816681711721685e-18, 1.2830000000022737e-7
+        r.adjudication, r.elapsed_s = 'a "quoted", comma; note', 0.12345678901234568
+        printed = dataclasses.replace(r, rhs_printed=0.1)
+        emit_report([r, printed], "json", tmp_path / "r.json")
+        emit_report([r, printed], "csv", tmp_path / "r.csv")
+        docs = json.loads((tmp_path / "r.json").read_text())
+        with open(tmp_path / "r.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+
+        def leaves(node, prefix=""):
+            for key, val in node.items():
+                if isinstance(val, dict) and key != "params":
+                    yield from leaves(val, prefix + key + ".")
+                else:
+                    yield prefix + key, val
+
+        column = {path: col for col, path, _ in cli.REPORT_FIELDS}
+        assert [path for _, path, _ in cli.REPORT_FIELDS] == [p for p, _ in leaves(docs[0])]
+        assert header == [column[p] for p, _ in leaves(docs[0])]
+
+        def parse(cell, like):
+            if like is None:
+                return None if cell == "" else cell
+            if isinstance(like, dict):
+                return {k: json.loads(v) for k, v in (kv.split("=") for kv in cell.split(";"))}
+            return type(like)(cell)
+
+        assert [doc["rhs_printed"] for doc in docs] == [None, 0.1]
+        for doc, row in zip(docs, rows, strict=True):
+            for (path, leaf), cell in zip(leaves(doc), row, strict=True):
+                assert parse(cell, leaf) == leaf, (path, cell)
 
     def test_json_17_significant_digits(self, tmp_path):
         p = tmp_path / "r.json"
@@ -336,12 +375,20 @@ class TestMainEntry:
         ["verify", "th2-mu", "--x", "inf", "--nterms", "1000"],
         ["verify", "th2-log", "--x", "inf", "--nterms", "1000"],
         ["verify", "th4", "--x", "inf", "--nterms", "1000"],
+        ["rh-explore", "--xmax", "inf", "--nterms", "10000"],
     ])
     def test_computation_error_is_verification_error(self, argv, capsys):
         # Too few terms leave no profile point above its noise floor; an
         # infinite x has no floor, and would make both sides of th2 and th4
         # exactly 0.
         assert cli.main(argv) == EXIT_VERIFY
+        assert "verification error" in capsys.readouterr().err
+
+    def test_infinite_grid_end_under_runtime_warning_filter(self, capsys):
+        # The grid end is checked before np.geomspace, which warns on it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["rh-explore", "--xmax", "inf", "--nterms", "10000"]) == EXIT_VERIFY
         assert "verification error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,ident,params", [
@@ -425,7 +472,7 @@ class TestSelftest:
                 pieces = cli.ik_period_integrals(k, x)
                 assert len(pieces) == math.ceil(x)
                 for j, got in enumerate(pieces):
-                    ref, _ = quad(lambda t: periodic_bernoulli(k, t), j, min(j + 1.0, x),
+                    ref, _ = quad(lambda t: bernoulli_poly(k, t - math.floor(t)), j, min(j + 1.0, x),
                                   epsabs=1e-13, epsrel=1e-13)
                     assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (k, x, j)
 

@@ -17,7 +17,26 @@ from fraczeta.explicit import (
     weighted_sums,
     zero_sum,
 )
-from fraczeta.zeta import Hk_closed, ZeroEntry, ZeroTable, hk_limit_at_zero
+from fraczeta.zeta import Hk_closed, Hk_quadrature, ZeroEntry, ZeroTable, hk_limit_at_zero
+
+
+# Every entry point that takes k, called at a k outside zeta.K_VALUES.
+K_ENTRY_POINTS = {
+    "Hk_closed": lambda k, tab, zeros: Hk_closed(k, 2.5),
+    "Hk_quadrature": lambda k, tab, zeros: Hk_quadrature(k, 2.5),
+    "lhs_theorem1": lambda k, tab, zeros: lhs_theorem1(tab, k, 10.5, 1000),
+    "residue_at": lambda k, tab, zeros: residue_at(k, 10.5, 1.0),
+    "zero_sum": lambda k, tab, zeros: zero_sum(k, 10.5, zeros),
+    "trivial_sum": lambda k, tab, zeros: trivial_sum(k, 10.5),
+}
+
+
+@pytest.mark.parametrize("k", [0, 2.5, 5])
+@pytest.mark.parametrize("entry", list(K_ENTRY_POINTS))
+def test_k_outside_1_to_4_rejected(entry, k, table_small, zeros100):
+    # One rule: a non-integer k fails it too, before it reaches range(k).
+    with pytest.raises(ValueError, match=r"^k must be in 1\.\.4$"):
+        K_ENTRY_POINTS[entry](k, table_small, zeros100)
 
 
 class TestTruncatedSum:
