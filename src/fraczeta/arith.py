@@ -99,6 +99,11 @@ class ArithmeticTable:
         if not np.all(self.lam > 0.0):
             raise ValueError("lam must be > 0")
 
+    def check_n(self, N: int) -> None:
+        """Raise ValueError unless 1 <= N <= n_max, the term counts the table covers."""
+        if not 1 <= N <= self.n_max:
+            raise ValueError(f"N must be in 1..{self.n_max}")
+
     def arrays(self) -> dict[str, np.ndarray]:
         """The five arrays by field name."""
         return {name: getattr(self, name) for name in _DTYPES}

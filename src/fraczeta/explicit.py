@@ -65,7 +65,7 @@ RESIDUE_QUAD_BOUND = 1e-10
 
 SUM_BLOCK = 2**16
 _TRIVIAL_RUN = 16   # trivial zeros whose H_k one batch evaluates (x >= 4 needs one run)
-_UNIT_ROUNDOFF = 2.0**-53
+UNIT_ROUNDOFF = 2.0**-53
 
 # Theorem 1's right side depends on x only through the powers x^(s-1-k).
 # _circle, _zero_values and _trivial_run return the zeta-engine values
@@ -103,7 +103,7 @@ class TruncatedSum:
             raise ValueError("tail and rounding bounds must be finite and nonnegative")
 
 
-def weighted_sums(points, coef, factor, xs) -> list[tuple[float, float]]:
+def weighted_sums(points, coef, factor, xs, factor_max) -> list[tuple[float, float]]:
     """sum over n in points of coef(n) factor(n, x): one (value, round_bound) per x in xs.
 
     points is a range or an ascending index array, cut into SUM_BLOCK-point
@@ -114,17 +114,35 @@ def weighted_sums(points, coef, factor, xs) -> list[tuple[float, float]]:
     runs over the block while it is in cache: factor(n, x, y, v) returns
     the factor of each point and may use the two block buffers y and v,
     reused for every x and block, as scratch and output.  The terms are
-    coef * factor, written into v; y then takes their absolute values.
+    coef * factor, written into v, and np.sum reduces them: one product
+    and one sum per x and block.
 
-    Blocks are summed by np.sum, in any order within gamma_{B-1} sum |v_i|,
-    gamma_m = m u/(1 - m u) (Higham, Accuracy and Stability of Numerical
-    Algorithms, sec. 4.2); fsum of the block sums adds u |value|.  gamma_B
-    in place of gamma_{B-1} leaves ~u sum |v_i| of slack for the rounding
-    of the bound itself.  round_bound covers that summation, not the error
-    in evaluating each term.  Temporaries never outgrow one block; an
-    empty point set gives (0.0, 0.0) for each x.
+    factor_max is a proven bound on |factor| for every value factor
+    computes (rounding included), at every x.  Each block also np.sums
+    its |coef| to C_j, once for all x.  With u = 2^-53 and
+    gamma_m = m u/(1 - m u), np.sum adds the terms v_i = fl(c_i f_i) of a
+    block in some order within gamma_{B-1} sum |v_i| of their exact sum
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 4.2),
+    and, barring underflow, sum |v_i| <= (1 + u) factor_max sum |c_i|.
+    C_j is a sum of nonnegative values, so sum |c_i| <= C_j/(1 - gamma_{B-1}),
+    and sum_j C_j <= (1 + u) fsum(C_j).  Over all blocks, then,
+
+        |sum_j s_j - sum_i v_i|
+            <= gamma_{B-1} (1 + u)^2/(1 - gamma_{B-1}) factor_max fsum(C_j)
+            <= gamma_B/(1 - gamma_B) factor_max fsum(C_j),
+
+    where B = SUM_BLOCK; the last step keeps a relative margin of ~1/B =
+    2^-16, which covers the few roundings in forming the bound itself.
+    fsum of the block sums s_j adds u |value|, so
+
+        round_bound = gamma_B factor_max fsum(C_j)/(1 - gamma_B) + u |value|.
+
+    round_bound covers that summation, not the error in evaluating each
+    term.  Temporaries never outgrow one block; an empty point set gives
+    (0.0, 0.0) for each x.
     """
-    blocks = [[] for _ in xs]  # per x, per block: (sum, sum |v_i|)
+    sums = [[] for _ in xs]  # per x: the block sums
+    coef_sums = []  # per block: np.sum of |coef|
     # Both buffer rows start on a 64-byte boundary.  Where the allocator
     # left them 16 bytes off one, a 20-x mubar pass over 10^7 terms ran
     # ~15% slower, so its speed hung on the heap's history.
@@ -140,15 +158,14 @@ def weighted_sums(points, coef, factor, xs) -> list[tuple[float, float]]:
             n = block.astype(np.float64)
         c = coef(n, slice(lo, lo + len(n)))
         y, v = buffers[:, : len(n)]
-        for x, sums in zip(xs, blocks):
-            terms = np.multiply(c, factor(n, x, y, v), out=v)
-            sums.append((float(np.sum(terms)), float(np.sum(np.abs(terms, out=y)))))
-    gamma = SUM_BLOCK * _UNIT_ROUNDOFF / (1.0 - SUM_BLOCK * _UNIT_ROUNDOFF)
-    out = []
-    for sums in blocks:
-        value = math.fsum(s for s, _ in sums)
-        out.append((value, gamma * math.fsum(m for _, m in sums) + _UNIT_ROUNDOFF * abs(value)))
-    return out
+        coef_sums.append(float(np.sum(np.abs(c, out=y))))
+        for x, block_sums in zip(xs, sums):
+            block_sums.append(float(np.sum(np.multiply(c, factor(n, x, y, v), out=v))))
+    u = UNIT_ROUNDOFF
+    gamma = SUM_BLOCK * u / (1.0 - SUM_BLOCK * u)
+    bound = gamma * factor_max * math.fsum(coef_sums) / (1.0 - gamma)
+    values = [math.fsum(block_sums) for block_sums in sums]
+    return [(value, bound + u * abs(value)) for value in values]
 
 
 @dataclass(frozen=True)
@@ -165,7 +182,12 @@ class ExplicitFormulaRHS:
 def lhs_theorem1(t: ArithmeticTable, k: int, x: float, N: int) -> TruncatedSum:
     """sum_{x < n <= N} Lambda(n) n^-(k+1) I_k(n/x) over prime powers, by weighted_sums.
 
-    round_bound is weighted_sums' bound on the summation rounding.
+    round_bound is weighted_sums' bound on the summation rounding, with
+    factor_max = ik_envelope(k).  That bounds the computed I_k too: it is a
+    grid maximum plus 1e-5 times a bound on |I_k'|, and a point lies within
+    5e-6 of the grid, so the other 5e-6 times that bound (>= 1) covers the
+    ~1e-15 of rounding in the grid values and in each computed I_k (for
+    k = 1, sdot_array, within 1/8 + u/2; see fourier.SDOT_FACTOR_MAX).
 
     Tail bound: Lambda(n) <= log n and |I_k| <= M_k give
     M_k * integral_N^inf log(t) t^-(k+1) dt
@@ -174,8 +196,7 @@ def lhs_theorem1(t: ArithmeticTable, k: int, x: float, N: int) -> TruncatedSum:
     check_k(k)
     if not (math.isfinite(x) and x > 1) or x == math.floor(x):
         raise ValueError("x must be finite, > 1 and non-integer")
-    if N > t.n_max:
-        raise ValueError(f"N={N} exceeds table bound {t.n_max}")
+    t.check_n(N)
     if N <= x:
         raise ValueError(f"empty summation range: N={N} <= x={x}")
 
@@ -183,13 +204,14 @@ def lhs_theorem1(t: ArithmeticTable, k: int, x: float, N: int) -> TruncatedSum:
     lo, hi = np.searchsorted(t.prime_powers, [math.floor(x), N], side="right")
     pp, lam = t.prime_powers[lo:hi], t.lam[lo:hi]
 
+    mk = ik_envelope(k)
     [(value, err)] = weighted_sums(
         pp,
         lambda n, at: lam[at] * n ** (-(k + 1)),
         lambda n, x, y, v: integral_ik_array(k, np.divide(n, x, out=y), out=v),
         [x],
+        mk,
     )
-    mk = ik_envelope(k)
     tail = mk * (math.log(N) / (k * N**k) + 1.0 / (k * k * N**k))
     return TruncatedSum(value, len(pp), tail, round_bound=err)
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .arith import ArithmeticTable
 from .bernpoly import sdot_array
-from .explicit import SUM_BLOCK, TruncatedSum, weighted_sums
+from .explicit import SUM_BLOCK, UNIT_ROUNDOFF, TruncatedSum, weighted_sums
 
 __all__ = [
     "SlopeFit",
@@ -50,6 +50,16 @@ __all__ = [
 
 TWO_PI_SQ = 2.0 * math.pi**2
 SDOT_MAX = 0.125  # exact: max |({y}^2 - {y})/2| is 1/8 at half-integers
+# Proven bounds on the computed factors, rounding included, which the sums
+# pass to weighted_sums as factor_max (u = UNIT_ROUNDOFF).  sdot_array's is
+# derived in lhs_weighted_sdot, the rotation's in rhs_th4_upsilon.  numpy
+# holds float64 cos to 1 ulp of the correctly rounded value (its umath
+# accuracy tests), so |np.cos| <= 1 + 2u; fl(cos - 1) then lies in
+# [-(2 + 4u), 2u], since -(2 + 4u) is a double and rounding is monotone.
+SDOT_FACTOR_MAX = SDOT_MAX + UNIT_ROUNDOFF / 2
+COS_FACTOR_MAX = 1.0 + 2.0 * UNIT_ROUNDOFF
+COS_MINUS_ONE_FACTOR_MAX = 2.0 + 4.0 * UNIT_ROUNDOFF
+ROTATION_FACTOR_MAX = 2.0 + 12.0 * UNIT_ROUNDOFF
 ZETA_PRIME_2 = -0.9375482543158438  # zeta'(2), correctly rounded
 COS_TERMS = 10**4  # cosine terms of rhs_th2_log's split route
 
@@ -91,7 +101,15 @@ def lhs_weighted_sdot(
     """sum_{n<=N} w(n) n^-p sdot(n/x): _sdot_sums at one x.
 
     round_bound is explicit.weighted_sums' bound on the summation
-    rounding.  Lambda and mu sum over their non-zero terms only, cut at
+    rounding, with factor_max = SDOT_FACTOR_MAX = 1/8 + u/2, a bound on
+    every value sdot_array computes.  For y >= 0, fr = y - floor(y) is
+    exact (Sterbenz) and lies in [0, 1).  fl(fr^2) is within u fr^2 <= u
+    of fr^2, so fl(fr^2) - fr lies in [-(fr - fr^2) - u, u], inside
+    [-(1/4 + u), u]; -(1/4 + u) is a double and rounding is monotone, so
+    the difference rounds into that interval too, and the halving is
+    exact.  The u/2 is the slack near fr = 1/2, where fr - fr^2 = 1/4.
+
+    Lambda and mu sum over their non-zero terms only, cut at
     N: the table's prime_powers, with lam aligned, and its cached
     squarefree list.
 
@@ -113,8 +131,7 @@ def _sdot_sums(t: ArithmeticTable, weight: str, p: float, N: int, xs: list[float
     p = float(p)
     if (weight, p) not in _SUPPORTED:
         raise ValueError(f"unsupported (weight, p) pair: ({weight!r}, {p})")
-    if not 1 <= N <= t.n_max:
-        raise ValueError(f"N must be in 1..{t.n_max}")
+    t.check_n(N)
     _check_x(*xs)
 
     # w is aligned with the points, except for mu, which is gathered at them.
@@ -135,6 +152,7 @@ def _sdot_sums(t: ArithmeticTable, weight: str, p: float, N: int, xs: list[float
         lambda n, at: (t.mu[points[at]] if w is None else w[at]) * n ** (-p),
         lambda n, x, y, v: sdot_array(np.divide(n, x, out=y), out=v),
         xs,
+        SDOT_FACTOR_MAX,
     )
     return [TruncatedSum(value, len(points), tail, round_bound=err) for value, err in sums]
 
@@ -182,12 +200,14 @@ def rhs_th2_log(x: float, N: int) -> TruncatedSum:
     abel = math.log(M + 1.0) / ((M + 1.0) ** 2 * s) / TWO_PI_SQ if s > 0.0 else math.inf
     const_err = 0.5 * math.ulp(ZETA_PRIME_2)
     if abel + const_err / TWO_PI_SQ < tail:
-        [(value, err)] = weighted_sums(range(2, M + 1), _log_over_square, _cos, [x])
+        [(value, err)] = weighted_sums(range(2, M + 1), _log_over_square, _cos, [x], COS_FACTOR_MAX)
         total = value + ZETA_PRIME_2
         err += const_err + 0.5 * math.ulp(total)
         return TruncatedSum(total / TWO_PI_SQ, M - 1, abel, round_bound=err / TWO_PI_SQ)
 
-    [(value, err)] = weighted_sums(range(2, N + 1), _log_over_square, _cos_minus_one, [x])
+    [(value, err)] = weighted_sums(
+        range(2, N + 1), _log_over_square, _cos_minus_one, [x], COS_MINUS_ONE_FACTOR_MAX
+    )
     return TruncatedSum(value / TWO_PI_SQ, N - 1, tail, round_bound=err / TWO_PI_SQ)
 
 
@@ -210,10 +230,18 @@ def rhs_th4_upsilon(t: ArithmeticTable, x: float, N: int) -> TruncatedSum:
     formed per block.  The rotation adds a few u of rounding per term;
     like the rounding of np.cos, that evaluation error is in no budget
     (round_bound covers the summation).
+
+    factor_max is ROTATION_FACTOR_MAX = 2 + 12u.  np.sin, np.cos, math.sin
+    and math.cos are within 1 ulp of the correctly rounded value, so each
+    tabled or per-block value is within 3u of the true one and the pairs
+    (cos, sin) have norm at most 1 + 3 sqrt(2) u.  By Cauchy-Schwarz,
+    |cos_j C| + |sin_j S| <= (1 + 3 sqrt(2) u)^2, so the two products and
+    their difference round to at most (1 + 3 sqrt(2) u)^2 (1 + u)^2
+    < 1 + 11u, and subtracting 1 rounds into [-(2 + 12u), 11u], as
+    -(2 + 12u) is a double.
     """
     _check_x(x)
-    if not 1 <= N <= t.n_max:
-        raise ValueError(f"N must be in 1..{t.n_max}")
+    t.check_n(N)
 
     # One (2, B) array: the angles theta j in row 0, their sines into row 1,
     # then their cosines over the angles.
@@ -235,7 +263,7 @@ def rhs_th4_upsilon(t: ArithmeticTable, x: float, N: int) -> TruncatedSum:
         c = np.square(n)
         return np.divide(upsilon[at], c, out=c)
 
-    [(value, err)] = weighted_sums(range(1, N + 1), coef, cos_minus_one, [x])
+    [(value, err)] = weighted_sums(range(1, N + 1), coef, cos_minus_one, [x], ROTATION_FACTOR_MAX)
     # sqrt majorant
     tail = (2.0 / math.sqrt(N)) * (1.0 + math.log(N)) / math.pi**2
     return TruncatedSum(value / TWO_PI_SQ, N, tail, round_bound=err / TWO_PI_SQ)

@@ -97,8 +97,12 @@ class RefinementError(RuntimeError):
 
 
 def check_k(k: int) -> None:
-    """Raise ValueError unless k is one of K_VALUES."""
-    if k not in K_VALUES:
+    """Raise ValueError unless k is one of K_VALUES, as an integer.
+
+    2.0 == 2 and True == 1, so membership alone would let a float or a bool
+    through, to fail later as a TypeError; numpy integers are integers.
+    """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in K_VALUES:
         raise ValueError(f"k must be in {K_VALUES[0]}..{K_VALUES[-1]}")
 
 

@@ -95,3 +95,21 @@ def hk_batch_sizes(monkeypatch, theorem1_caches):
 
     monkeypatch.setattr(explicit, "_hk_closed_batch", counting)
     return sizes
+
+
+@pytest.fixture
+def weighted_sums_calls(monkeypatch):
+    """Record the arguments (points, coef, factor, xs, factor_max) of every
+    weighted_sums call the sums in fourier and explicit make during the test."""
+    from fraczeta import explicit, fourier
+
+    calls = []
+    kernel = explicit.weighted_sums
+
+    def recording(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    for module in (explicit, fourier):
+        monkeypatch.setattr(module, "weighted_sums", recording)
+    return calls

@@ -31,12 +31,17 @@ K_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("k", [0, 2.5, 5])
+@pytest.mark.parametrize("k", [0, 2.5, 5, 2.0, True])
 @pytest.mark.parametrize("entry", list(K_ENTRY_POINTS))
 def test_k_outside_1_to_4_rejected(entry, k, table_small, zeros100):
     # One rule: a non-integer k fails it too, before it reaches range(k).
+    # 2.0 == 2 and True == 1, yet neither is an integer order.
     with pytest.raises(ValueError, match=r"^k must be in 1\.\.4$"):
         K_ENTRY_POINTS[entry](k, table_small, zeros100)
+
+
+def test_numpy_integer_k_accepted():
+    assert Hk_closed(np.int64(2), 2.5) == Hk_closed(2, 2.5)
 
 
 class TestTruncatedSum:
@@ -73,13 +78,13 @@ class TestBlockedSum:
     )
     def test_within_bound_of_fsum(self, xs, n):
         v = np.resize(np.array(xs), n)
-        [(value, bound)] = weighted_sums(range(n), lambda m, at: v[at], unit_factor, [0.0])
+        [(value, bound)] = weighted_sums(range(n), lambda m, at: v[at], unit_factor, [0.0], 1.0)
         assert abs(exact_excess(value, v)) <= bound
 
     @pytest.mark.parametrize("reps", [1, SUM_BLOCK // 3, SUM_BLOCK // 3 + 1, SUM_BLOCK])
     def test_cancellation(self, reps):
         v = np.tile([1e16, 1.0, -1e16], reps)
-        [(value, bound)] = weighted_sums(range(len(v)), lambda m, at: v[at], unit_factor, [0.0])
+        [(value, bound)] = weighted_sums(range(len(v)), lambda m, at: v[at], unit_factor, [0.0], 1.0)
         assert abs(value - reps) <= bound  # the exact sum is reps
 
     @pytest.mark.parametrize("n", [1, SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1])
@@ -97,7 +102,7 @@ class TestBlockedSum:
                 seen.append(len(m))
                 return v[at]
 
-            [(value, bound)] = weighted_sums(points, coef, lambda m, x, y, out: m, [0.0])
+            [(value, bound)] = weighted_sums(points, coef, lambda m, x, y, out: m, [0.0], float(n))
             assert seen == [SUM_BLOCK] * (n // SUM_BLOCK) + ([n % SUM_BLOCK] if n % SUM_BLOCK else [])
             assert abs(exact_excess(value, v * w)) <= bound
             assert bound > 0.0 or not np.any(v * w)
@@ -116,7 +121,7 @@ class TestBlockedSum:
 
         keep = []
         for size in range(1, 9):  # under several allocator states
-            weighted_sums(range(n), lambda m, at: m, factor, [0.0])
+            weighted_sums(range(n), lambda m, at: m, factor, [0.0], float(n))
             keep.append(np.empty(size))
         assert set(offsets) == {0}
 
@@ -134,6 +139,7 @@ class TestBlockedSum:
                 lambda m, at: v[at],
                 lambda m, s, y, out: np.multiply(np.add(m, s, out=y), s, out=out),
                 xs,
+                3.0 * (n + 3.0),  # |(m + s) s| for m < n and |s| <= 3
             )
 
         assert sums(scales) == [sums([s])[0] for s in scales]

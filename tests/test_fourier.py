@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fraczeta import cli
-from fraczeta.bernpoly import sdot_array
+from fraczeta import cli, fourier
+from fraczeta.bernpoly import ik_envelope, integral_ik_array, sdot_array
 from fraczeta.zeta import zeta_deriv
-from fraczeta.explicit import SUM_BLOCK, TruncatedSum, weighted_sums
+from fraczeta.explicit import SUM_BLOCK, UNIT_ROUNDOFF, TruncatedSum, lhs_theorem1, weighted_sums
 from fraczeta.fourier import (
+    COS_FACTOR_MAX,
+    COS_MINUS_ONE_FACTOR_MAX,
     COS_TERMS,
+    SDOT_FACTOR_MAX,
+    SDOT_MAX,
     TWO_PI_SQ,
     ZETA_PRIME_2,
     InsufficientDataError,
@@ -20,6 +24,27 @@ from fraczeta.fourier import (
     rhs_th2_mu,
     rhs_th4_upsilon,
 )
+
+GAMMA_B = SUM_BLOCK * UNIT_ROUNDOFF / (1.0 - SUM_BLOCK * UNIT_ROUNDOFF)
+
+
+def replay(points, coef, factor, xs, factor_max):
+    """The blocks of one weighted_sums call, formed again: per x, per block,
+    the coefficients and the factors, in buffers of the block's length."""
+    for lo in range(0, len(points), SUM_BLOCK):
+        n = np.asarray(points[lo : lo + SUM_BLOCK], dtype=np.float64)
+        c = coef(n, slice(lo, lo + len(n)))
+        for x in xs:
+            y, v = np.empty((2, len(n)))
+            yield x, c, np.broadcast_to(factor(n, x, y, v), n.shape).copy()
+
+
+def termwise_bound(call):
+    """gamma_B sum |v_i| + u |value| over the terms of a one-x call: the
+    summation bound weighted_sums gave before it took factor_max."""
+    blocks = [c * f for _, c, f in replay(*call)]
+    value = math.fsum(float(np.sum(v)) for v in blocks)
+    return GAMMA_B * math.fsum(float(np.sum(np.abs(v))) for v in blocks) + UNIT_ROUNDOFF * abs(value)
 
 
 class TestLhsWeightedSdot:
@@ -127,6 +152,7 @@ class TestRhsTheorem2Log:
             lambda n, at: np.log(n) / n**2,
             lambda n, x, y, v: np.cos(2.0 * np.pi * n / x) - 1.0,
             [x],
+            COS_MINUS_ONE_FACTOR_MAX,
         )
         tail = (math.log(N) + 1.0) / (N * math.pi**2)
         assert rhs_th2_log(x, N) == TruncatedSum(value / TWO_PI_SQ, N - 1, tail, err / TWO_PI_SQ)
@@ -181,14 +207,20 @@ class TestRhsTheorem4:
 
 
     @pytest.mark.parametrize("x", [1.0, 2.5, 4.6, 9.5, 1e9])
-    def test_rotation_matches_np_cos(self, table_1e6, x):
+    def test_rotation_matches_np_cos(self, table_1e6, x, weighted_sums_calls):
         coef = lambda n, at: table_1e6.upsilon_arr[1:][at] / n**2  # at: positions in points
         for N in (1, 2, SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1, 3 * SUM_BLOCK + 5, 10**6):
             [(value, _)] = weighted_sums(
-                range(1, N + 1), coef, lambda n, x, y, v: np.cos(2.0 * np.pi * n / x) - 1.0, [x]
+                range(1, N + 1),
+                coef,
+                lambda n, x, y, v: np.cos(2.0 * np.pi * n / x) - 1.0,
+                [x],
+                COS_MINUS_ONE_FACTOR_MAX,
             )
             ts = rhs_th4_upsilon(table_1e6, x, N)
-            allowed = ts.round_bound
+            # Not ts.round_bound, which factor_max widens: the allowance
+            # stays gamma_B sum |v_i| + u |value| over the rotation's terms.
+            allowed = termwise_bound(weighted_sums_calls.pop()) / TWO_PI_SQ
             if x == 1.0:
                 allowed = 1e-12
             elif x == 1e9:
@@ -338,3 +370,93 @@ class TestStreamedMemory:
 
     def test_th4_peak(self, table_1e6, traced_peak_bytes):
         assert traced_peak_bytes(lambda: rhs_th4_upsilon(table_1e6, 4.6, 10**6)) <= 4e6
+
+
+def near_half():
+    """1/2 and the 1000 doubles on either side of it."""
+    return (np.float64(0.5).view(np.int64) + np.arange(-1000, 1001)).view(np.float64)
+
+
+def assert_factors_within(calls):
+    """Every factor each recorded weighted_sums call computes is within its factor_max."""
+    assert calls
+    for call in calls:
+        for x, _, f in replay(*call):
+            assert np.max(np.abs(f), initial=0.0) <= call[4], (x, call[4])
+
+
+class TestFactorMax:
+    """factor_max, the bound on |factor| each sum passes to weighted_sums,
+    holds for the computed factors, rounding included."""
+
+    def test_sdot_near_half(self):
+        # fr - fr^2 peaks at fr = 1/2, where the rounding of fr^2 can add u.
+        for m in (0.0, 1.0, 2.0, 7.0, 2.0**20):
+            assert np.max(np.abs(sdot_array(m + near_half()))) <= SDOT_FACTOR_MAX, m
+        assert np.all(sdot_array(np.array([0.5, 2.5])) == -SDOT_MAX)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_ik_near_extrema(self, k):
+        # I_k peaks inside (0, 1) for k >= 2; the grid step is 1e-6.
+        grid = np.linspace(0.0, 1.0, 10**6, endpoint=False)
+        y = np.concatenate([grid, near_half(), [np.nextafter(1.0, 0.0), 2.0**-1074]])
+        assert np.max(np.abs(integral_ik_array(k, y))) <= ik_envelope(k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e18, allow_nan=False), min_size=1, max_size=50))
+    def test_sdot_and_ik_at_any_argument(self, ys):
+        y = np.array(ys)
+        assert np.max(np.abs(sdot_array(y))) <= SDOT_FACTOR_MAX
+        for k in (1, 2, 3, 4):
+            assert np.max(np.abs(integral_ik_array(k, y))) <= ik_envelope(k), k
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(1e-3, 1e9, allow_nan=False) | st.sampled_from([0.5, 1.0, 2.0, 3.0, 1e9]))
+    def test_cosine_factors(self, x):
+        n = np.arange(1.0, 4097.0)
+        y, v = np.empty((2, n.size))
+        assert np.max(np.abs(fourier._cos(n, x, y, v))) <= COS_FACTOR_MAX
+        assert np.max(np.abs(fourier._cos_minus_one(n, x, y, v))) <= COS_MINUS_ONE_FACTOR_MAX
+
+    @pytest.mark.parametrize("x", [1.0, 2.0, 2.5, 4.6, 10.25, 1e9])
+    def test_callers_at_n_1e6(self, table_1e6, x, weighted_sums_calls):
+        # th2-log takes its full cos - 1 route at x = 1 and 1e9, and its
+        # cosine route elsewhere.
+        t, N = table_1e6, 10**6
+        for weight, p in (("lambda", 2.0), ("mu", 2.0), ("mu", 1.5), ("mubar", 2.0)):
+            lhs_weighted_sdot(t, weight, p, x, N)
+        rhs_th2_log(x, N)
+        rhs_th4_upsilon(t, x, N)
+        if x != math.floor(x):
+            for k in (1, 2, 3, 4):
+                lhs_theorem1(t, k, x, N)
+        assert_factors_within(weighted_sums_calls)
+
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.floats(1e-3, 1e9, allow_nan=False))
+    def test_callers_at_any_x(self, table_small, weighted_sums_calls, x):
+        weighted_sums_calls.clear()
+        N = table_small.n_max
+        lhs_weighted_sdot(table_small, "mubar", 2.0, x, N)
+        rhs_th2_log(x, N)
+        rhs_th4_upsilon(table_small, x, N)
+        if 1.0 < x < N and x != math.floor(x):
+            lhs_theorem1(table_small, 4, x, N)
+        assert_factors_within(weighted_sums_calls)
+
+    def test_profile_matches_blockwise_reference(self, table_1e6):
+        # The 20-point profile over three full blocks and a short one: each
+        # value is the fsum of the per-block np.sum(coef * sdot), and its
+        # floor the tail plus the factor_max bound, bit for bit.
+        t, N = table_1e6, 3 * SUM_BLOCK + 5
+        n = np.arange(1, N + 1, dtype=np.float64)
+        c = t.mubar_arr[1 : N + 1] * n**-2.0
+        blocks = [slice(lo, lo + SUM_BLOCK) for lo in range(0, N, SUM_BLOCK)]
+        coef_mass = math.fsum(float(np.sum(np.abs(c[b]))) for b in blocks)
+        profile = rh_decay_profile(t, 10.0, 100.0, 20, N)
+        assert len(profile) == 20
+        for x, value, floor in profile:
+            ref = math.fsum(float(np.sum(c[b] * sdot_array(n[b] / x))) for b in blocks)
+            bound = GAMMA_B * SDOT_FACTOR_MAX * coef_mass / (1.0 - GAMMA_B) + UNIT_ROUNDOFF * abs(ref)
+            assert value == ref, x
+            assert floor == lhs_weighted_sdot(t, "mubar", 2.0, x, N).tail_bound + bound, x
