@@ -36,10 +36,10 @@ from .bernpoly import ik_envelope, integral_ik_array
 from .zeta import (
     EULER_GAMMA,
     ZERO_RESIDUAL_MAX,
+    Hk_closed,
     ZeroTable,
-    _hk_closed_batch,
-    _neg_zld_batch,
     check_k,
+    neg_zeta_log_deriv,
 )
 
 __all__ = [
@@ -241,7 +241,7 @@ def _circle(k: int, s0: float, radius: float):
     """Nodes z = s0 + radius e^(i theta), e^(i theta), H_k(1-z) and -zeta'/zeta(z)."""
     turn = np.exp(1j * (2.0 * np.pi * np.arange(RESIDUE_NODES) / RESIDUE_NODES))
     z = s0 + radius * turn
-    return _read_only(z, turn, _hk_closed_batch(k, 1.0 - z), _neg_zld_batch(z))
+    return _read_only(z, turn, Hk_closed(k, 1.0 - z), neg_zeta_log_deriv(z))
 
 
 def zero_pair_terms(k: int, x: float, zeros: ZeroTable) -> np.ndarray:
@@ -266,8 +266,8 @@ def _zero_values(k: int, zeros: ZeroTable):
     """
     gam = np.array([e.gamma for e in zeros.entries])
     rho = 0.5 + 1j * gam
-    hk = _hk_closed_batch(k, 1.0 - rho)
-    hk_conj = _hk_closed_batch(k, 1.0 - rho.conj())
+    hk = Hk_closed(k, 1.0 - rho)
+    hk_conj = Hk_closed(k, 1.0 - rho.conj())
     a_k = 2.0 * float(np.max(np.abs(hk / (k + 1.0 - rho)) * gam**2, initial=0.0))
     return (*_read_only(rho, hk, hk_conj), a_k)
 
@@ -336,8 +336,7 @@ def trivial_sum(k: int, x: float, sign: float = -1.0) -> TruncatedSum:
 @functools.lru_cache(maxsize=_CACHE_ENTRIES)
 def _trivial_run(k: int, j0: int) -> tuple[float, ...]:
     """H_k(1+2j) for j = j0 .. j0 + _TRIVIAL_RUN - 1, from one batch."""
-    js = range(j0, j0 + _TRIVIAL_RUN)
-    hks = _hk_closed_batch(k, np.array([1.0 + 2.0 * j for j in js], dtype=complex))
+    hks = Hk_closed(k, 1.0 + 2.0 * np.arange(j0, j0 + _TRIVIAL_RUN))
     return tuple(hks.real.tolist())
 
 

@@ -11,10 +11,16 @@ over a whole batch forms every n^-s as one (batch x N) array and returns
 the pole-free part A(s) = zeta(s) - N^(1-s)/(s-1); asked for it, the
 same pass differentiates each term as well, so A'(s) and hence zeta'(s)
 come with the values, their truncation bounded by Cauchy's estimate of
-the remainder.  Left of Re s = -1/2 both are pulled back through the
-functional equation.  -zeta'/zeta near the pole at s = 1 goes through the
-entire function phi(s) = (s-1) zeta(s) = (s-1) A(s) + N^(1-s), whose
-derivative is formed from A and A' with no pole in it.
+the remainder.  Left of Re s = -1/2 zeta is pulled back through the
+functional equation; zeta' is computed only for Re s >= -1/2.  -zeta'/zeta
+near the pole at s = 1 goes through the entire function
+phi(s) = (s-1) zeta(s) = (s-1) A(s) + N^(1-s), whose derivative is formed
+from A and A' with no pole in it.
+
+zeta_em, zeta_deriv, neg_zeta_log_deriv and Hk_closed, the only entry
+points, map a scalar s to a complex and a 1-d array to an array from one
+pass.  That pass takes N from its largest |Im s|, whose rounding every
+point shares (zeta'(-1/2) batched with 3+400i: 3.1e-12 off, 1.8e-13 alone).
 
 The Mellin kernel
 
@@ -26,7 +32,7 @@ no code path past B_k itself and adjudicate each other.
 
 Zero ordinates ship as a seed CSV but are never trusted: every
 zero-dependent computation re-validates them through unconstrained
-complex Newton refinement.
+complex Newton refinement, run on the whole table as one batch.
 """
 
 from __future__ import annotations
@@ -57,7 +63,6 @@ __all__ = [
     "ZeroTable",
     "load_zero_table",
     "bundled_zeros_path",
-    "refine_zero",
     "refine_table",
 ]
 
@@ -89,11 +94,7 @@ class FormatError(ValueError):
 
 
 class RefinementError(RuntimeError):
-    """Newton refinement failed to converge; carries the last iterate."""
-
-    def __init__(self, message: str, last_iterate: complex):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """Newton refinement of a seed ordinate drifted away or failed to converge."""
 
 
 def check_k(k: int) -> None:
@@ -130,6 +131,18 @@ def _validate_domain(s: np.ndarray) -> None:
         )
 
 
+def _as_batch(s):
+    """(s as a 1-d complex array, whether s was a scalar)."""
+    arr = np.asarray(s, dtype=complex)
+    if arr.ndim > 1:
+        raise ValueError("s must be a scalar or a 1-d array")
+    return np.atleast_1d(arr), arr.ndim == 0
+
+
+def _unbatch(values: np.ndarray, scalar: bool):
+    return complex(values[0]) if scalar else values
+
+
 def _log_sin(z: np.ndarray) -> np.ndarray:
     """log(sin z), stable for large |Im z| (asymptotic single-exponential form)."""
     out = np.empty_like(z)
@@ -148,17 +161,17 @@ def _log_sin(z: np.ndarray) -> np.ndarray:
 def _zeta_batch(s: np.ndarray, deriv: bool = False):
     """zeta over a 1-d complex array (domain pre-validated); with deriv, (zeta, zeta').
 
-    For Re s < -0.5 the expansion is applied at 1-s and pulled back through
-    the functional equation zeta(s) = chi(s) zeta(1-s) with chi evaluated in
-    log space; direct summation there would cancel catastrophically.  Its
-    derivative is zeta'(s) = chi(s) [(log 2 pi + (pi/2) cot(pi s/2)
-    - psi(1-s)) zeta(1-s) - zeta'(1-s)].
+    deriv needs Re s >= -1/2 throughout (_check_deriv_domain).  For
+    Re s < -1/2, zeta alone is the expansion at 1-s pulled back through the
+    functional equation zeta(s) = chi(s) zeta(1-s) with chi evaluated in
+    log space; direct summation there would cancel catastrophically.
     """
+    if deriv:
+        return _zeta_direct(s, True)
     z = np.empty_like(s)
-    dz = np.empty_like(s) if deriv else None
     left = s.real < -0.5
     if np.any(left):
-        from scipy.special import digamma, loggamma
+        from scipy.special import loggamma
 
         sl = s[left]
         chi = np.exp(
@@ -167,19 +180,10 @@ def _zeta_batch(s: np.ndarray, deriv: bool = False):
             + _log_sin(0.5 * np.pi * sl)
             + loggamma(1.0 - sl)
         )
-        zr, dzr = _zeta_direct(1.0 - sl, deriv)
-        z[left] = chi * zr
-        if deriv:
-            log_chi_prime = (
-                math.log(2.0 * math.pi) + 0.5 * np.pi / np.tan(0.5 * np.pi * sl) - digamma(1.0 - sl)
-            )
-            dz[left] = chi * (log_chi_prime * zr - dzr)
+        z[left] = chi * _zeta_direct(1.0 - sl, False)[0]
     if not np.all(left):
-        zr, dzr = _zeta_direct(s[~left], deriv)
-        z[~left] = zr
-        if deriv:
-            dz[~left] = dzr
-    return (z, dz) if deriv else z
+        z[~left] = _zeta_direct(s[~left], False)[0]
+    return z
 
 
 def _zeta_direct(s: np.ndarray, deriv: bool):
@@ -264,7 +268,7 @@ def _em_try(s: np.ndarray, n_terms: int, deriv: bool):
     return None
 
 
-def zeta_em(s: complex) -> complex:
+def zeta_em(s):
     """zeta(s) by Euler-Maclaurin; relative error ~1e-13 for Re s >= -1/2.
 
     Left of that, chi(s) of the reflection rounds log Gamma(1-s) and adds
@@ -272,27 +276,27 @@ def zeta_em(s: complex) -> complex:
 
     Supported region: s != 1, Re s >= -10, |Im s| <= 500.
     """
-    arr = np.array([complex(s)])
+    arr, scalar = _as_batch(s)
     _validate_domain(arr)
-    return complex(_zeta_batch(arr)[0])
+    return _unbatch(_zeta_batch(arr), scalar)
 
 
-def _check_deriv_domain(s: complex) -> None:
-    """The 0.05 margin to the zeta_em region that zeta' and -zeta'/zeta require."""
-    if s.real < RE_MIN + 0.05 or abs(s.imag) > IM_MAX - 0.05:
-        raise DomainError("insufficient margin to the zeta_em region")
+def _check_deriv_domain(s: np.ndarray) -> None:
+    """The region of zeta' and -zeta'/zeta: Re s >= -1/2, |Im s| <= 500 - 0.05."""
+    if np.any(s.real < -0.5) or np.any(np.abs(s.imag) > IM_MAX - 0.05):
+        raise DomainError(f"zeta' needs Re s >= -1/2 and |Im s| <= {IM_MAX - 0.05}")
 
 
-def zeta_deriv(s: complex) -> complex:
+def zeta_deriv(s):
     """zeta'(s), differentiated term by term in the same Euler-Maclaurin pass as zeta.
 
-    Requires |s - 1| > 0.1 and a 0.05 margin to the zeta_em region.
+    Requires |s - 1| > 0.1, Re s >= -1/2 and |Im s| <= 499.95.
     """
-    s = complex(s)
-    if abs(s - 1.0) <= 0.1:
+    arr, scalar = _as_batch(s)
+    if np.any(np.abs(arr - 1.0) <= 0.1):
         raise DomainError("zeta_deriv needs |s - 1| > 0.1")
-    _check_deriv_domain(s)
-    return complex(_zeta_batch(np.array([s]), deriv=True)[1][0])
+    _check_deriv_domain(arr)
+    return _unbatch(_zeta_batch(arr, deriv=True)[1], scalar)
 
 
 def _neg_zld_near_pole(s: np.ndarray) -> np.ndarray:
@@ -309,35 +313,29 @@ def _neg_zld_near_pole(s: np.ndarray) -> np.ndarray:
     return 1.0 / (s - 1.0) - phi_prime / phi
 
 
-def _neg_zld_batch(s: np.ndarray) -> np.ndarray:
-    out = np.empty_like(s)
-    near = np.abs(s - 1.0) <= _POLE_SWITCH
+def neg_zeta_log_deriv(s):
+    """-zeta'(s)/zeta(s); for Re s > 1 this is sum Lambda(n) n^-s.
+
+    zeta and zeta' come from one Euler-Maclaurin pass.  Within 1/2 of s = 1
+    the pole part 1/(s-1) is split off analytically, so the value stays
+    accurate right up to (but not at) the pole.  Like zeta_deriv, it needs
+    Re s >= -1/2 and |Im s| <= 499.95.
+    """
+    arr, scalar = _as_batch(s)
+    if np.any(arr == 1.0):
+        raise PoleError("logarithmic derivative has a pole at s = 1")
+    _check_deriv_domain(arr)
+    out = np.empty_like(arr)
+    near = np.abs(arr - 1.0) <= _POLE_SWITCH
     if np.any(near):
-        out[near] = _neg_zld_near_pole(s[near])
+        out[near] = _neg_zld_near_pole(arr[near])
     far = ~near
     if np.any(far):
-        zs, dzs = _zeta_batch(s[far], deriv=True)
+        zs, dzs = _zeta_batch(arr[far], deriv=True)
         if np.any(np.abs(zs) <= 1e-12):
             raise PoleProximityError("zeta(s) within 1e-12 of zero")
         out[far] = -dzs / zs
-    return out
-
-
-def neg_zeta_log_deriv(s: complex) -> complex:
-    """-zeta'(s)/zeta(s); for Re s > 1 this is sum Lambda(n) n^-s.
-
-    zeta and zeta' come from one Euler-Maclaurin pass.  Near s = 1 the pole
-    part 1/(s-1) is split off analytically, so the value stays accurate
-    right up to (but not at) the pole.  Like zeta_deriv, it needs a 0.05
-    margin to the zeta_em region.
-    """
-    s = complex(s)
-    if s == 1.0:
-        raise PoleError("logarithmic derivative has a pole at s = 1")
-    arr = np.array([s])
-    _validate_domain(arr)
-    _check_deriv_domain(s)
-    return complex(_neg_zld_batch(arr)[0])
+    return _unbatch(out, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -375,28 +373,20 @@ def hk_limit_at_zero(k: int) -> float:
     return -k * (zp0 + 1.0 - corr)
 
 
-def _hk_closed_batch(k: int, s: np.ndarray) -> np.ndarray:
-    out = np.empty_like(s)
-    at_zero = np.abs(s) < 1e-6
+def Hk_closed(k: int, s):
+    """H_k(s) in closed form; the removable point s = 0 goes through the limit."""
+    check_k(k)
+    arr, scalar = _as_batch(s)
+    out = np.empty_like(arr)
+    at_zero = np.abs(arr) < 1e-6
     if np.any(at_zero):
         out[at_zero] = hk_limit_at_zero(k)
     rest = ~at_zero
     if np.any(rest):
-        sr = s[rest]
+        sr = arr[rest]
+        _validate_domain(sr)
         out[rest] = _hk_bracket(k, sr) / _hk_denominator(k, sr)
-    return out
-
-
-def Hk_closed(k: int, s: complex) -> complex:
-    """H_k(s) in closed form; the removable point s = 0 goes through the limit."""
-    check_k(k)
-    s = complex(s)
-    if s == 1.0:
-        raise PoleError("closed form is singular at s = 1")
-    arr = np.array([s])
-    if abs(s) >= 1e-6:
-        _validate_domain(arr)
-    return complex(_hk_closed_batch(k, arr)[0])
+    return _unbatch(out, scalar)
 
 
 def Hk_quadrature(k: int, s: complex) -> complex:
@@ -519,44 +509,47 @@ def bundled_zeros_path() -> Path:
     return Path(__file__).parent / "data" / "zeros_seed.csv"
 
 
-def refine_zero(seed_gamma: float, index: int = 0) -> ZeroEntry:
-    """Newton-refine one zero from the seed ordinate.
-
-    Iterates s <- s - zeta(s)/zeta'(s) from 1/2 + i*seed, unconstrained in
-    the complex plane, until |zeta(s)| <= 1e-10 (at most 50 steps).  An
-    iterate drifting more than 0.5 from the seed aborts: the seed was not
-    near a zero.
-    """
-    if not 0.0 < seed_gamma <= 500.0:
-        raise DomainError("seed ordinate must be in (0, 500]")
-    start = complex(0.5, seed_gamma)
-    s = start
-    for _ in range(50):
-        try:
-            z = zeta_em(s)
-        except DomainError as exc:
-            raise RefinementError(f"iterate left the zeta domain: {exc}", s) from exc
-        if abs(z) <= 1e-10:
-            return ZeroEntry(
-                index=index,
-                gamma=s.imag,
-                residual=abs(z),
-                re_deviation=abs(s.real - 0.5),
-            )
-        dz = zeta_deriv(s)
-        s = s - z / dz
-        if abs(s - start) > 0.5:
-            raise RefinementError(
-                f"no zero near ordinate {seed_gamma}: iterate drifted to {s}", s
-            )
-    raise RefinementError(f"Newton did not converge from ordinate {seed_gamma}", s)
-
-
 def refine_table(table: ZeroTable, count: int | None = None) -> ZeroTable:
-    """Refine the first `count` seeds (default: all); re-checks the ordering."""
+    """Newton-refine the first `count` seeds (default: all) as one batch.
+
+    Every iterate s <- s - zeta(s)/zeta'(s) starts at 1/2 + i*seed and
+    moves unconstrained in the complex plane; each step takes zeta and
+    zeta' at the zeros not yet done from one Euler-Maclaurin pass.  A zero
+    is done once |zeta(s)| <= 1e-10, within 50 passes.  An iterate drifting
+    more than 0.5 from its seed aborts: that seed was not near a zero.
+    The refined ordinates are re-checked for order.
+    """
+    if count is not None and count < 1:
+        raise ValueError(f"zero count must be at least 1, got {count}")
     take = table.entries if count is None else table.entries[:count]
     if not take:
         raise ValueError("zero table is empty")
-    refined = tuple(refine_zero(e.gamma, index=e.index) for e in take)
+    seeds = np.array([e.gamma for e in take])
+    if not np.all((seeds > 0.0) & (seeds <= IM_MAX)):
+        raise DomainError(f"seed ordinates must be in (0, {IM_MAX}]")
+    start = 0.5 + 1j * seeds
+    s = start.copy()
+    residual = np.empty(seeds.size)
+    todo = np.arange(seeds.size)
+    for _ in range(50):
+        z, dz = _zeta_batch(s[todo], deriv=True)
+        residual[todo] = np.abs(z)
+        more = residual[todo] > 1e-10
+        todo, z, dz = todo[more], z[more], dz[more]
+        if not todo.size:
+            break
+        s[todo] -= z / dz
+        drift = ~(np.abs(s[todo] - start[todo]) <= 0.5)
+        if np.any(drift):
+            i = todo[np.argmax(drift)]
+            raise RefinementError(f"no zero near ordinate {seeds[i]}: iterate drifted to {s[i]}")
+        _validate_domain(s[todo])
+    else:
+        raise RefinementError(f"Newton did not converge from ordinate {seeds[todo[0]]}")
+    deviation = np.abs(s.real - 0.5)
+    refined = tuple(
+        ZeroEntry(index=e.index, gamma=g, residual=r, re_deviation=d)
+        for e, g, r, d in zip(take, s.imag.tolist(), residual.tolist(), deviation.tolist())
+    )
     _validate_ordinates([e.gamma for e in refined], f"{table.source} (refined)")
     return ZeroTable(entries=refined, source=table.source + " (refined)")

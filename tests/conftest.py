@@ -87,13 +87,13 @@ def hk_batch_sizes(monkeypatch, theorem1_caches):
     from fraczeta import explicit
 
     sizes = []
-    batch = explicit._hk_closed_batch
+    closed = explicit.Hk_closed
 
     def counting(k, s):
         sizes.append(len(s))
-        return batch(k, s)
+        return closed(k, s)
 
-    monkeypatch.setattr(explicit, "_hk_closed_batch", counting)
+    monkeypatch.setattr(explicit, "Hk_closed", counting)
     return sizes
 
 

@@ -102,6 +102,22 @@ class TestRunIdentity:
         with pytest.raises(UsageError):
             run_identity("th2-mu", {"x": "not a number"})
 
+    @pytest.mark.parametrize("params", [
+        {"k": 2.7}, {"N": 100000.9}, {"N": "1e5"}, {"N": math.inf}, {"zeros": math.nan},
+    ])
+    def test_non_integral_int_param_rejected(self, params):
+        # An int parameter takes no fraction: int(2.7) would truncate it to 2.
+        with pytest.raises(UsageError):
+            run_identity("th1", params)
+
+    def test_integral_float_accepted_as_int(self, monkeypatch):
+        seen = {}
+        _, spec = cli.IDENTITIES["th1"]
+        monkeypatch.setitem(cli.IDENTITIES, "th1", (lambda **kw: seen.update(kw) or [], spec))
+        assert run_identity("th1", {"k": 2.0, "N": 100000.0, "zeros": "10"}) == []
+        assert (seen["k"], seen["N"], seen["zeros"]) == (2, 100000, 10)
+        assert all(type(seen[name]) is int for name in ("k", "N", "zeros"))
+
     @pytest.mark.parametrize("ident,params", [
         ("th2-mu", {"zeros": 7}), ("th2-mu", {"k": 3}), ("em-check", {"x": 2.0}),
         ("rh-slope", {"tolerance": 1e-3}), ("th4", {"nterms": 10**6}),
@@ -415,6 +431,17 @@ class TestMainEntry:
         assert cli.main(["zeros", "refine", "--count", "3"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "14.134725" in out
+
+    @pytest.mark.parametrize("count", ["0", "-95", "101"])
+    def test_zeros_refine_count_out_of_range_is_usage_error(self, count, capsys):
+        assert cli.main(["zeros", "refine", "--count", count]) == EXIT_USAGE
+        assert "zero count must be in 1..100" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("zeros", ["0", "-90"])
+    def test_verify_th1_zero_count_below_one_is_usage_error(self, zeros, capsys):
+        argv = ["verify", "th1", "--zeros", zeros, "--nterms", "1000"]
+        assert cli.main(argv) == EXIT_USAGE
+        assert "zero count must be in 1..100" in capsys.readouterr().err
 
 
 class TestSelftest:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fraczeta import explicit
+from fraczeta import zeta as zeta_module
 from fraczeta.zeta import (
     DomainError,
     FormatError,
@@ -14,13 +15,13 @@ from fraczeta.zeta import (
     PoleError,
     PoleProximityError,
     RefinementError,
+    ZeroEntry,
     ZeroTable,
     bundled_zeros_path,
     hk_limit_at_zero,
     load_zero_table,
     neg_zeta_log_deriv,
     refine_table,
-    refine_zero,
     zeta_deriv,
     zeta_em,
 )
@@ -99,8 +100,16 @@ class TestZetaDeriv:
         with pytest.raises(DomainError):
             zeta_deriv(complex(0.5, 499.97))
 
+    @pytest.mark.parametrize("s", [-0.5000001, -2.0, -3.0 + 5.0j, -7.5 + 2.0j, np.array([2.0, -0.6])])
+    def test_left_of_minus_half_rejected(self, s):
+        # zeta' is computed only for Re s >= -1/2; zeta itself reflects.
+        with pytest.raises(DomainError):
+            zeta_deriv(s)
+        with pytest.raises(DomainError):
+            neg_zeta_log_deriv(s)
+
     @pytest.mark.parametrize(
-        "s", [2.0, 4.0, 0.0, -2.0, 1.2 + 0.1j, 0.5 + 14.1j, 0.5 + 100.0j, -3.0 + 5.0j, -7.5 + 2.0j, 3.0 + 400.0j]
+        "s", [2.0, 4.0, 0.0, -0.5, 1.2 + 0.1j, 0.5 + 14.1j, 0.5 + 100.0j, 3.0 + 400.0j]
     )
     def test_against_circle_oracle(self, s):
         # The circle divides zeta_em's ~1e-14 relative noise by its radius.
@@ -223,25 +232,58 @@ class TestZeroTable:
             load_zero_table(p)
 
 
-class TestRefineZero:
-    def test_first_zero_from_coarse_seed(self):
-        e = refine_zero(14.1347)
-        assert e.gamma == pytest.approx(14.134725, abs=1e-6)
-        assert e.residual <= 1e-8
-        assert e.re_deviation <= 1e-9
+def seed_table(*gammas: float) -> ZeroTable:
+    return ZeroTable(entries=tuple(ZeroEntry(index=i, gamma=g) for i, g in enumerate(gammas, 1)),
+                     source="test")
 
-    def test_second_zero(self):
-        e = refine_zero(21.0220)
-        assert e.gamma == pytest.approx(21.022040, abs=1e-6)
-        assert e.residual <= 1e-8
+
+class TestRefineTable:
+    def test_first_two_zeros_from_coarse_seeds(self):
+        refined = refine_table(seed_table(14.1347, 21.0220))
+        assert [e.index for e in refined.entries] == [1, 2]
+        for e, exact in zip(refined.entries, (14.134725142, 21.022039639)):
+            assert e.gamma == pytest.approx(exact, abs=1e-8)
+            assert e.residual <= 1e-10
+            assert e.re_deviation <= 1e-9
+
+    def test_coarse_and_exact_seeds_in_one_table(self):
+        seeds = load_zero_table(bundled_zeros_path())
+        entries = list(seeds.entries[:5])
+        entries[2] = dataclasses.replace(entries[2], gamma=25.01)
+        refined = refine_table(ZeroTable(entries=tuple(entries), source="mixed"))
+        for i, (seed, e) in enumerate(zip(seeds.entries, refined.entries)):
+            assert e.residual <= 1e-10 and e.re_deviation <= 1e-9
+            if i == 2:
+                assert abs(e.gamma - seed.gamma) <= 1e-9
+            else:
+                # A converged seed takes no Newton step, so it stays as it was.
+                assert e.gamma == seed.gamma
 
     def test_no_zero_nearby(self):
-        with pytest.raises(RefinementError):
-            refine_zero(3.0)
+        with pytest.raises(RefinementError, match="ordinate 3.0"):
+            refine_table(seed_table(14.134725142, 3.0))
 
     def test_seed_domain(self):
         with pytest.raises(DomainError):
-            refine_zero(501.0)
+            refine_table(seed_table(14.134725142, 501.0))
+
+    @pytest.mark.parametrize("count", [0, -95])
+    def test_count_below_one_rejected(self, count):
+        with pytest.raises(ValueError, match="at least 1"):
+            refine_table(load_zero_table(bundled_zeros_path()), count)
+
+    def test_one_pass_when_every_seed_converged(self, monkeypatch):
+        passes = []
+        batch = zeta_module._zeta_batch
+
+        def counting(s, deriv=False):
+            passes.append((len(s), deriv))
+            return batch(s, deriv)
+
+        monkeypatch.setattr(zeta_module, "_zeta_batch", counting)
+        refined = refine_table(load_zero_table(bundled_zeros_path()), 100)
+        assert passes == [(100, True)]
+        assert max(e.residual for e in refined.entries) <= 1e-10
 
 
 class TestAnalyticConstants:
@@ -306,8 +348,37 @@ class TestAgainstMpmath:
 
     def test_zeta_deriv(self, reference):
         for s, _, dz in reference["circles"] + reference["other"]:
-            assert abs(zeta_deriv(s) - dz) <= 1e-12 * max(abs(dz), 1.0), s
+            if s.real >= -0.5:
+                assert abs(zeta_deriv(s) - dz) <= 1e-12 * max(abs(dz), 1.0), s
 
     def test_neg_log_deriv_on_residue_circles(self, reference):
         for s, z, dz in reference["circles"]:
             assert abs(neg_zeta_log_deriv(s) - (-dz / z)) <= 5e-14, s
+
+
+class TestBatch:
+    """Each public function takes a 1-d array as one batch.  Its N follows
+    the batch's largest |Im s|, so a batch agrees with scalar calls within
+    the engine's tolerance, not bit for bit.  The rounding of the n^-s sums
+    grows with N: batched with 3+400i, zeta'(-1/2) moves by 3.3e-12 from
+    its scalar value (mpmath: 1.8e-13 off alone, 3.1e-12 in the batch)."""
+
+    CASES = [
+        (zeta_em, [2.0, 0.3, -1.0, -3.0 + 5.0j, 0.5 + 14.1j, 3.0 + 400.0j]),
+        (zeta_deriv, [2.0, 0.0, -0.5, 0.5 + 14.1j, 3.0 + 400.0j]),
+        (neg_zeta_log_deriv, [1.2 + 0.1j, 1.001, 2.0, 4.0, 0.5 + 100.0j]),
+        (lambda s: Hk_closed(2, s), [0.0, 2.5, 4.0, -1.0 + 0.3j, 0.5 + 14.0j]),
+    ]
+
+    @pytest.mark.parametrize("fn,points", CASES)
+    def test_batch_matches_scalar_calls(self, fn, points):
+        scalars = [fn(s) for s in points]
+        assert all(type(v) is complex for v in scalars)
+        batch = fn(np.array(points))
+        assert isinstance(batch, np.ndarray) and batch.shape == (len(points),)
+        for s, a, b in zip(points, scalars, batch):
+            assert abs(a - b) <= 5e-12 * max(abs(a), 1.0), s
+
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(ValueError):
+            zeta_em(np.ones((2, 2)))
