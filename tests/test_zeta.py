@@ -237,15 +237,28 @@ def seed_table(*gammas: float) -> ZeroTable:
                      source="test")
 
 
-class TestRefineTable:
-    def test_first_two_zeros_from_coarse_seeds(self):
-        refined = refine_table(seed_table(14.1347, 21.0220))
-        assert [e.index for e in refined.entries] == [1, 2]
-        for e, exact in zip(refined.entries, (14.134725142, 21.022039639)):
-            assert e.gamma == pytest.approx(exact, abs=1e-8)
-            assert e.residual <= 1e-10
-            assert e.re_deviation <= 1e-9
+class TestRefineZero:
+    """A single coarse seed refined through refine_table."""
 
+    def test_first_zero_from_coarse_seed(self):
+        (e,) = refine_table(seed_table(14.1347)).entries
+        assert e.index == 1
+        assert e.gamma == pytest.approx(14.134725142, abs=1e-8)
+        assert e.residual <= 1e-10
+        assert e.re_deviation <= 1e-9
+
+    def test_second_zero(self):
+        # A table must start at the first zero, so the second zero's coarse
+        # seed follows an exact first one.
+        first, e = refine_table(seed_table(14.134725142, 21.0220)).entries
+        assert first.gamma == pytest.approx(14.134725142, abs=1e-8)
+        assert e.index == 2
+        assert e.gamma == pytest.approx(21.022039639, abs=1e-8)
+        assert e.residual <= 1e-10
+        assert e.re_deviation <= 1e-9
+
+
+class TestRefineTable:
     def test_coarse_and_exact_seeds_in_one_table(self):
         seeds = load_zero_table(bundled_zeros_path())
         entries = list(seeds.entries[:5])
