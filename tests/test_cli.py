@@ -471,6 +471,22 @@ class TestSelftest:
         assert code == EXIT_VERIFY
         assert "zero-table-validation" in out
 
+    def test_reflection_check_evaluates_no_refined_zero(self, monkeypatch):
+        # On the critical line 1 - conj(rho) is rho itself, so evaluating
+        # there would re-test |zeta(rho)| and no reflection.
+        zeros = {complex(0.5, e.gamma) for e in cli.get_refined_zeros().entries}
+        points = []
+        zeta_em = cli.zeta.zeta_em
+
+        def recording(s):
+            points.extend(np.atleast_1d(s).tolist())
+            return zeta_em(s)
+
+        monkeypatch.setattr(cli.zeta, "zeta_em", recording)
+        cli.zero_table_validation()
+        assert points
+        assert not zeros.intersection(points)
+
     def test_em_invariant_reads_em_cases(self, monkeypatch):
         cli.euler_maclaurin_check()
         monkeypatch.setattr(cli, "EM_CASES", (("square", 1.0, 5.0, 2, 0.0),))

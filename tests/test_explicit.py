@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -145,6 +148,111 @@ class TestBlockedSum:
         assert sums(scales) == [sums([s])[0] for s in scales]
         if n == 0:
             assert sums(scales) == [(0.0, 0.0)] * len(scales)
+
+
+class TestHelperThread:
+    """weighted_sums hands the odd-indexed x to one helper thread when there
+    are two or more x and two or more usable CPUs."""
+
+    N = 3 * SUM_BLOCK + 5
+
+    @staticmethod
+    def sums(xs, factor=lambda m, x, y, v: np.multiply(m, x, out=v)):
+        # |m x| < 5 N for the x below.
+        n = TestHelperThread.N
+        return weighted_sums(range(n), lambda m, at: 1.0 / (m + 1.0), factor, xs, 5.0 * n)
+
+    def test_single_x_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise RuntimeError("thread started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        self.sums([1.0])
+        if len(explicit._usable_cpus()) > 1:
+            with pytest.raises(RuntimeError, match="thread started"):
+                self.sums([1.0, 2.0])
+
+    def test_helper_buffers_own_and_aligned(self):
+        # Each thread sweeps in its own buffer pair, every row 64-byte aligned.
+        rows = {}
+
+        def factor(m, x, y, v):
+            rows.setdefault(threading.get_ident(), set()).update([y.ctypes.data, v.ctypes.data])
+            return np.multiply(m, x, out=v)
+
+        self.sums([1.0, 2.0, 3.0], factor)
+        assert len(rows) == (2 if len(explicit._usable_cpus()) > 1 else 1)
+        addresses = [a for pair in rows.values() for a in pair]
+        assert len(set(addresses)) == 2 * len(rows)
+        assert all(a % 64 == 0 for a in addresses)
+
+    def test_threads_on_separate_cpus(self):
+        # Each thread runs on CPUs of its own during the call; the caller's
+        # CPUs are restored after it, also when factor raises.
+        cpus = explicit._usable_cpus()
+        if len(cpus) < 2:
+            pytest.skip("needs two usable CPUs")
+        seen = {}
+
+        def factor(m, x, y, v):
+            seen[threading.get_ident()] = frozenset(os.sched_getaffinity(0))
+            if x == 4.0:
+                raise ValueError("last x")
+            return np.multiply(m, x, out=v)
+
+        self.sums([1.0, 2.0, 3.0], factor)
+        assert len(seen) == 2
+        assert set(seen.values()) == {frozenset(cpus[:-1]), frozenset(cpus[-1:])}
+        assert explicit._usable_cpus() == cpus
+        with pytest.raises(ValueError, match="last x"):
+            self.sums([1.0, 2.0, 3.0, 4.0], factor)
+        assert explicit._usable_cpus() == cpus
+
+    def test_helper_exception_reaches_caller(self):
+        raised_in = []
+
+        def factor(m, x, y, v):
+            if x == 2.0:  # index 1: the helper's half
+                raised_in.append(threading.current_thread())
+                raise ZeroDivisionError("helper x")
+            return np.multiply(m, x, out=v)
+
+        with pytest.raises(ZeroDivisionError, match="helper x"):
+            self.sums([1.0, 2.0, 3.0], factor)
+        if len(explicit._usable_cpus()) > 1:
+            assert raised_in[0] is not threading.main_thread()
+
+    def test_concurrent_calls_under_fast_switching(self):
+        # Four callers at once, each with its helper: more threads than
+        # CPUs, switching every microsecond; each sum matches its
+        # single-x value.
+        xs = [0.5 * j for j in range(1, 10)]
+        expected = [self.sums([x])[0] for x in xs]
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=lambda: results.append(self.sums(xs))) for _ in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert results == [expected] * 4
+
+    def test_threads_joined(self):
+        baseline = threading.active_count()
+        self.sums([1.0, 2.0])
+        assert threading.active_count() == baseline
+
+        def factor(m, x, y, v):
+            raise ValueError("any x")
+
+        with pytest.raises(ValueError):
+            self.sums([1.0, 2.0], factor)
+        assert threading.active_count() == baseline
 
 
 class TestLhsTheorem1:

@@ -1,10 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fraczeta import cli, fourier
+from fraczeta import cli, explicit, fourier
 from fraczeta.bernpoly import ik_envelope, integral_ik_array, sdot_array
 from fraczeta.zeta import zeta_deriv
 from fraczeta.explicit import SUM_BLOCK, UNIT_ROUNDOFF, TruncatedSum, lhs_theorem1, weighted_sums
@@ -347,6 +350,29 @@ class TestDecayProfile:
                 ts = lhs_weighted_sdot(table_1e6, "mubar", 2.0, x, N)
                 assert value == ts.value, (N, x)
                 assert floor == ts.tail_bound + ts.round_bound, (N, x)
+
+    def test_one_cpu_route_matches(self, table_1e6):
+        # With two CPUs a helper thread sweeps the odd-indexed x; pinned to
+        # one, the caller sweeps them all.  The profiles agree bit for bit.
+        cpus = explicit._usable_cpus()
+        if len(cpus) < 2:
+            pytest.skip("needs two usable CPUs")
+        ns = (1, SUM_BLOCK - 1, 3 * SUM_BLOCK + 5, 10**6)
+        script = (
+            "import os\n"
+            f"os.sched_setaffinity(0, {{{cpus[0]}}})\n"
+            "from fraczeta import cli, explicit\n"
+            "from fraczeta.fourier import rh_decay_profile\n"
+            "assert len(explicit._usable_cpus()) == 1\n"
+            "t = cli.get_table(10**6)\n"
+            f"print(repr([rh_decay_profile(t, 5.0, 20.0, 5, N) for N in {ns}]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == repr([rh_decay_profile(table_1e6, 5.0, 20.0, 5, N) for N in ns])
 
     def test_rejects_nonpositive_x(self, table_small):
         with pytest.raises(ValueError, match="x must be > 0"):
