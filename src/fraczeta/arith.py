@@ -9,20 +9,39 @@ Builds the tables of the four weights used by the series identities:
 - upsilon(n) = sum_{d|n} mu(d) sqrt(d) = prod_{p|n} (1 - sqrt(p)),
   Dirichlet series zeta(s)/zeta(s-1/2)
 
-mu, mubar and upsilon are multiplicative, so one strided sieve over the
-primes p <= sqrt(n_max) multiplies in their local factors at p^a; sqrt(p)
-is taken in binary64, which keeps every downstream tolerance (>= 1e-8)
-with several orders of headroom.  The sieve runs over SEGMENT-index
-segments (the usual segmented layout, as in Oliveira e Silva, Herzog and
-Pardi, Math. Comp. 83 (2014)), so its working state, the smooth part of
-each index and the Lambda marks, is one segment long; each index still
-takes its factors in increasing order of p, so the values do not depend
-on the segment size.  dirichlet_convolve is the independent O(N log N)
-oracle the selftest and the tests check the sieve against.
+mu, mubar and upsilon are multiplicative, so one sieve over the primes
+p <= sqrt(n_max) multiplies in their local factors at p^a; sqrt(p) is
+taken in binary64, which keeps every downstream tolerance (>= 1e-8) with
+several orders of headroom.  The sieve runs over SEGMENT-index segments
+(the usual segmented layout, as in Oliveira e Silva, Herzog and Pardi,
+Math. Comp. 83 (2014)), so its working state, the smooth part of each
+index, is one segment long.  In a segment the primes with p^3 <= n_max
+update strided slices one prime at a time.  The others divide an index
+at most twice, and each 2^15-index slice takes all of them in one
+np.multiply.at per array, over a template that lists their multiples
+prime by prime, just before the slice's pass for the one prime factor
+above sqrt(n_max).  Both routes give each index its factors in
+increasing order of p, and floating products are rounded in that order,
+so the values depend neither on the segment size nor on the route a
+prime takes.
+
+With two segments or more and two usable CPUs, the caller sieves the
+even segments and one helper thread (pinned_helper) the odd ones, each
+with buffers of its own that the caller allocates once.  Segments write
+disjoint slices of the tables and keep the order of factors within each
+index, so the split changes no value either.  Lambda is log p at the
+powers of the primes p <= sqrt(n_max), listed up front, and log n at
+the n > sqrt(n_max) whose smooth part is 1, which the large-prime pass
+marks.  dirichlet_convolve is the independent O(N log N) oracle the
+selftest and the tests check the sieve against.
 """
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt, log, sqrt
@@ -34,24 +53,26 @@ __all__ = [
     "CapacityError",
     "build_sieve",
     "dirichlet_convolve",
+    "pinned_helper",
 ]
 
 # Peak resident bytes per table index during construction.  Live at the
 # peak are mu(1) + mubar(8) + upsilon(8) and the sparse Lambda, 16 bytes
 # for each of the ~6.7% of indices that are prime powers at 10^7: 18.
-# The smooth part and the Lambda marks are one SEGMENT long, so they add
-# nothing per index.  The peak RSS of a build grows by 19.6 B/index at
-# 10^7 and 23.2 at 10^6, where the segment's buffers weigh more.  44
-# stays: it leaves room for the allocator and numpy's buffers, and keeps
-# the largest table under MEM_BUDGET (below) where it is.
+# Each thread's buffers, ~1.5 MB at full segments, do not grow with
+# n_max.  The VmHWM of a fresh process grows by 19.2 B/index at 10^7 and
+# by 23.3 at 10^6, where the buffers of two threads weigh more (19.1 and
+# 21.7 pinned to one CPU).  44 stays: it leaves room for the allocator
+# and numpy's buffers, and keeps the largest table under MEM_BUDGET
+# (below) where it is.
 _BYTES_PER_INDEX = 44
 
 # 2 GiB: the largest table is n_max = 48806446 (~4.88e7).  It also keeps
 # every index below 2^31, as the int32 smooth part needs.
 MEM_BUDGET = 2 * 2**30
 
-# Indices per sieve segment; its smooth part and Lambda marks take 3 MB.
-# At 10^6, 2^16-index segments doubled the build time (per-prime Python
+# Indices per sieve segment; its smooth part takes 1 MB per thread.  At
+# 10^6, 2^16-index segments doubled the build time (per-prime Python
 # work), and 2^20-index ones peaked above the unsegmented build's 61 MB.
 SEGMENT = 2**18
 
@@ -155,6 +176,83 @@ def _primes_upto(m: int) -> list[int]:
     return np.flatnonzero(~composite).tolist()
 
 
+def _usable_cpus() -> list[int]:
+    """The CPUs the calling thread may run on now, ascending; [] where the
+    platform cannot set a thread's CPUs (no os.sched_setaffinity)."""
+    return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+
+
+@contextmanager
+def pinned_helper():
+    """One helper thread on the last of the caller's CPUs, the caller on the others.
+
+    Yields submit(fn, *args), which queues fn(*args) for the helper and
+    returns wait(): wait blocks until that call is done and returns its
+    value or raises its exception.  The helper runs calls in the order
+    submitted.  On exit it finishes what is queued and stops, and the
+    caller's CPUs are restored, also when the body raises.  With one
+    usable CPU, or on a platform without os.sched_setaffinity, it yields
+    None and starts no thread.  Left to the scheduler, the helper was
+    often woken on the caller's CPU, where the two take turns; so each
+    has CPUs of its own.
+    """
+    cpus = _usable_cpus()
+    if len(cpus) < 2:
+        yield None
+        return
+    tasks = queue.SimpleQueue()
+
+    def serve():
+        while (task := tasks.get()) is not None:
+            fn, args, done = task
+            try:
+                done.put((fn(*args), None))
+            except BaseException as exc:  # noqa: BLE001 - wait() raises it in the caller
+                done.put((None, exc))
+            # While it waits for the next call, the helper holds none of
+            # this one's arguments: the caller may free them.
+            del task, fn, args, done
+
+    def submit(fn, *args):
+        done = queue.SimpleQueue()
+        tasks.put((fn, args, done))
+
+        def wait():
+            value, exc = done.get()
+            if exc is not None:
+                raise exc
+            return value
+
+        return wait
+
+    helper = threading.Thread(target=serve)
+    helper.start()
+    try:
+        submit(os.sched_setaffinity, 0, cpus[-1:])()
+        os.sched_setaffinity(0, cpus[:-1])
+        yield submit
+    finally:
+        tasks.put(None)
+        helper.join()
+        os.sched_setaffinity(0, cpus)
+
+
+class _Scratch:
+    """One sieve thread's buffers, allocated once per build: the segment's
+    smooth part, the scatter's indices and past-the-end flags (one per
+    template entry), and three arrays that a slice's scatter and
+    large-prime pass use in turn."""
+
+    def __init__(self, segment: int, entries: int, slots: int):
+        self.smooth = np.empty(segment, dtype=np.int32)
+        self.idx, self.past = np.empty(entries, dtype=np.intp), np.empty(entries, dtype=bool)
+        self.ints, self.flags, self.floats = (np.empty(slots, dtype=t) for t in (np.int32, bool, np.float64))
+
+    def slot_views(self, length: int) -> tuple[np.ndarray, ...]:
+        """ints, flags and floats cut to length."""
+        return self.ints[:length], self.flags[:length], self.floats[:length]
+
+
 def _first(d: int, lo: int) -> int:
     """Offset from lo of the first multiple of d that is >= max(d, lo)."""
     return max(d, -(-lo // d) * d) - lo
@@ -173,68 +271,160 @@ def build_sieve(n_max: int) -> ArithmeticTable:
             f"n_max={n_max} needs ~{n_max * _BYTES_PER_INDEX / 2**30:.2f} GiB, "
             f"budget is {MEM_BUDGET / 2**30:.2f} GiB"
         )
+    # Each list is rebound to its concatenation at once, so the pieces of
+    # one go before the other is joined; the sieve's buffers went with
+    # _sieve's frame.
+    mu, mubar, upsilon, prime_powers, lam = _sieve(n_max)
+    prime_powers = np.concatenate(prime_powers, dtype=np.int64)
+    lam = np.concatenate(lam)
+    mu[0] = 0
+    mubar[0] = upsilon[0] = 0.0
+    return ArithmeticTable(n_max=n_max, prime_powers=prime_powers, lam=lam, mu=mu, mubar_arr=mubar,
+                           upsilon_arr=upsilon)
 
-    mu = np.ones(n_max + 1, dtype=np.int8)
-    mubar = np.ones(n_max + 1)
-    upsilon = np.ones(n_max + 1)
+
+def _sieve(n_max: int):
+    """mu, mubar and upsilon, slot 0 not yet reset, and the prime powers
+    and Lambda at each as lists of per-segment arrays."""
+    # Each segment sets its own slices to 1, so the two threads share the
+    # first touch of the pages too.
+    mu = np.empty(n_max + 1, dtype=np.int8)
+    mubar = np.empty(n_max + 1)
+    upsilon = np.empty(n_max + 1)
     primes = _primes_upto(isqrt(n_max))
-    # Per segment [lo, hi): smooth[i] becomes the product of the p^a || lo + i
-    # with p <= sqrt(n_max), and marks[i] Lambda(lo + i); both buffers are
-    # reused, and the marks are cleared again once they are kept.
-    smooth = np.empty(min(SEGMENT, n_max + 1), dtype=np.int32)
-    marks = np.zeros(len(smooth))
-    prime_powers, lam = [], []
-    for lo in range(0, n_max + 1, SEGMENT):
+    # The powers p^a <= n_max of these primes, ascending, and Lambda at each.
+    small = sorted((p**a, log(p)) for p in primes for a in range(1, n_max.bit_length()) if p**a <= n_max)
+    small_pp = np.array([pa for pa, _ in small], dtype=np.int32)
+    small_lam = np.array([lam for _, lam in small])
+    cubed = sum(p**3 <= n_max for p in primes)
+    strided = primes[:cubed]
+    # The primes with p^3 > n_max divide an index at most twice.  In a
+    # width-index slice each has at most ceil(width/p) multiples: entry e
+    # of the template is the j-th of them, step[e] = j p past the first,
+    # for the prime big[which[e]].  2^15-index slices keep a thread's slice
+    # buffers near 0.5 MB; 2^16 ran no faster at 10^7 and, on two threads,
+    # lifted a 10^6 build's peak above the one-thread sieve's.
+    big = np.array(primes[cubed:], dtype=np.int64)
+    big_root = np.sqrt(big.astype(np.float64))
+    width = min(2**15, n_max + 1)
+    runs = -(-width // big)
+    which = np.repeat(np.arange(len(big)), runs)
+    step = (big[which] * (np.arange(len(which)) - np.repeat(np.cumsum(runs) - runs, runs))).astype(np.int32)
+    sq_e = (big * big).astype(np.int32)[which]
+    iota = np.arange(width, dtype=np.int32)
+
+    def scatter(lo, m, mb, up, sm, buf):
+        """Multiply in the big primes' factors at the slice lo:lo + len(m).
+
+        np.multiply.at applies the entries in template order, so each index
+        takes its factors in increasing p.  Entries past the slice's end
+        point at its first index with factor 1, which changes nothing.
+        """
+        idx, past = buf.idx, buf.past
+        ints, flags, floats = buf.slot_views(len(which))
+        first = np.maximum(-(-lo // big) * big, big) - lo
+        np.add(np.take(first, which, out=idx, mode="clip"), step, out=idx)
+        np.greater_equal(idx, len(m), out=past)
+        np.copyto(idx, 0, where=past)
+        np.equal(np.remainder(np.add(idx, lo, out=ints), sq_e, out=ints), 0, out=flags)
+        at = np.flatnonzero(flags)
+        # At p^2: mu 0, smooth part p^2, mubar sqrt(p); at p: -1, p, -(1 + sqrt(p)).
+        signs = np.subtract(flags.view(np.int8), 1, out=flags.view(np.int8))
+        np.take(big, which, out=ints, mode="clip")
+        ints[at] *= ints[at]
+        for target, factor in ((m, signs), (sm, ints)):
+            np.copyto(factor, 1, where=past)
+            np.multiply.at(target, idx, factor)
+        np.negative(np.take(big_root + 1.0, which, out=floats, mode="clip"), out=floats)
+        floats[at] = big_root[which[at]]
+        np.copyto(floats, 1.0, where=past)
+        np.multiply.at(mb, idx, floats)
+        np.subtract(1.0, np.take(big_root, which, out=floats, mode="clip"), out=floats)
+        np.copyto(floats, 1.0, where=past)
+        np.multiply.at(up, idx, floats)
+
+    def large_primes(lo, m, mb, up, sm, buf):
+        """Multiply in the factor at the one prime q > sqrt(n_max) of each n, if any.
+
+        What is left of n = lo + i is 1 or that q.  Each factor is exactly 1
+        where q = 1: 1.0 * x and x + 0.0 (x != 0) are exact, so the values
+        equal those of multiplying only where q > 1.  Slot 0 (q = 0) is
+        reset by the caller.  sm is left -1 where n > 1 is itself prime
+        (its smooth part was 1, so q = n) and q elsewhere.
+        """
+        n, one, f = buf.slot_views(len(m))
+        np.add(iota[: len(m)], lo, out=n)
+        q = np.floor_divide(n, sm, out=sm)
+        np.equal(q, 1, out=one)
+        # upsilon (1 - sqrt(q)) + [q = 1]; mu 2 [q = 1] - 1, made in one's
+        # place; mubar ((1 + sqrt(q)) - [q = 1]) (2 [q = 1] - 1).
+        np.add(np.subtract(1.0, np.sqrt(q, out=f), out=f), one, out=f)
+        np.multiply(up, f, out=up)
+        np.subtract(np.add(1.0, np.sqrt(q, out=f), out=f), one, out=f)
+        sign = np.subtract(np.multiply(one.view(np.int8), 2, out=one.view(np.int8)), 1, out=one.view(np.int8))
+        np.multiply(m, sign, out=m)
+        np.multiply(mb, np.multiply(f, sign, out=f), out=mb)
+        np.equal(q, n, out=one)
+        if lo == 0:
+            one[:2] = False
+        np.copyto(sm, -1, where=one)
+
+    def sieve(lo, buf):
+        """Segment [lo, lo + SEGMENT): mu, mubar and upsilon, and in buf.smooth
+        -1 at the primes > sqrt(n_max)."""
         hi = min(lo + SEGMENT, n_max + 1)
-        m, mb, up, sm, lm = mu[lo:hi], mubar[lo:hi], upsilon[lo:hi], smooth[: hi - lo], marks[: hi - lo]
-        sm.fill(1)
+        m, mb, up, sm = mu[lo:hi], mubar[lo:hi], upsilon[lo:hi], buf.smooth[: hi - lo]
+        for a in (m, mb, up):
+            a.fill(1)
         # Local factors at p^a: mu -1, then 0 from a = 2; upsilon 1 - sqrt(p);
-        # mubar -(1 + sqrt(p)), then sqrt(p) at a = 2 and 0 from a = 3.
-        for p in primes:
+        # mubar -(1 + sqrt(p)), then sqrt(p) at a = 2 and 0 from a = 3.  Until
+        # the smooth part is formed below, its buffer holds mubar's values at
+        # the multiples of p^2: at most len/4 + 1 of them, in len//2 float64.
+        at_p2 = buf.smooth[: len(buf.smooth) // 2 * 2].view(np.float64)
+        for p in strided:
             s = sqrt(p)
             a1, a2, a3 = _first(p, lo), _first(p * p, lo), _first(p**3, lo)
             m[a1::p] *= -1
             m[a2 :: p * p] = 0
             up[a1::p] *= 1.0 - s
-            at_p2 = mb[a2 :: p * p] * s
+            kept = np.multiply(mb[a2 :: p * p], s, out=at_p2[: len(range(a2, hi - lo, p * p))])
             mb[a1::p] *= -(1.0 + s)
-            mb[a2 :: p * p] = at_p2
+            mb[a2 :: p * p] = kept
             mb[a3 :: p**3] = 0.0
+        sm.fill(1)
+        for p in strided:
             pa = p
             while pa < hi:
-                if pa >= lo:
-                    lm[pa - lo] = log(p)
                 sm[_first(pa, lo) :: pa] *= p
                 pa *= p
+        for a in range(0, hi - lo, width):
+            part = slice(a, a + width)
+            scatter(lo + a, m[part], mb[part], up[part], sm[part], buf)
+            large_primes(lo + a, m[part], mb[part], up[part], sm[part], buf)
 
-        # What is left of n is 1 or a single prime q > sqrt(n_max), and n is
-        # prime itself when its smooth part is 1.  Slices of 2^16 indices keep
-        # this pass's temporaries small.
-        for a in range(0, hi - lo, 2**16):
-            part = slice(a, a + 2**16)
-            n = np.arange(lo + a, min(lo + a + 2**16, hi), dtype=np.int32)
-            large = (sm[part] == 1) & (n > 1)
-            lm[part][large] = np.log(n[large].astype(np.float64))
-            q = np.floor_divide(n, sm[part], out=sm[part])
-            big = q > 1
-            np.negative(m[part], out=m[part], where=big)
-            r = np.sqrt(q)
-            np.multiply(up[part], np.subtract(1.0, r, out=r), out=up[part], where=big)
-            np.sqrt(q, out=r)
-            np.multiply(mb[part], np.negative(np.add(1.0, r, out=r), out=r), out=mb[part], where=big)
+    def collect(lo, smooth):
+        """Append the segment's prime powers, int32 until they are joined: its
+        primes > sqrt(n_max), with Lambda = log n, and the powers of the
+        smaller primes that fall in it."""
+        n = np.flatnonzero(smooth[: min(SEGMENT, n_max + 1 - lo)] == -1).astype(np.int32) + np.int32(lo)
+        inside = slice(*np.searchsorted(small_pp, (lo, lo + SEGMENT)))
+        at = np.searchsorted(n, small_pp[inside])
+        prime_powers.append(np.insert(n, at, small_pp[inside]))
+        lam.append(np.insert(np.log(n), at, small_lam[inside]))
 
-        at = np.flatnonzero(lm)
-        prime_powers.append(at + lo)
-        lam.append(lm[at])
-        lm[at] = 0.0
+    segments = range(0, n_max + 1, SEGMENT)
+    prime_powers, lam = [], []
+    with pinned_helper() if len(segments) > 1 else nullcontext() as submit:
+        threads = 2 if submit else 1
+        # The helper allocates nothing large: its buffers come from here.
+        bufs = [_Scratch(min(SEGMENT, n_max + 1), len(which), max(width, len(which))) for _ in range(threads)]
+        for j in range(0, len(segments), threads):
+            pair = segments[j : j + threads]
+            odd = submit(sieve, pair[1], bufs[1]) if len(pair) > 1 else None
+            sieve(pair[0], bufs[0])
+            collect(pair[0], bufs[0].smooth)
+            if odd is not None:
+                odd()
+                collect(pair[1], bufs[1].smooth)
 
-    mu[0] = 0
-    mubar[0] = upsilon[0] = 0.0
-    return ArithmeticTable(
-        n_max=n_max,
-        prime_powers=np.concatenate(prime_powers),
-        lam=np.concatenate(lam),
-        mu=mu,
-        mubar_arr=mubar,
-        upsilon_arr=upsilon,
-    )
+    return mu, mubar, upsilon, prime_powers, lam

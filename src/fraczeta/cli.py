@@ -28,6 +28,7 @@ import os
 import sys
 import tempfile
 import time
+import zipfile
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -117,8 +118,13 @@ def get_table(n_max: int) -> ArithmeticTable:
             # a partial file; it is renamed into place or removed.
             fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.stem}.", suffix=".tmp")
             try:
-                with os.fdopen(fd, "wb") as fh:
-                    np.savez(fh, **t.arrays())
+                # np.savez's layout, written straight from each array: into
+                # a zip member np.savez copies the data in 16 MiB chunks.
+                with os.fdopen(fd, "wb") as fh, zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as archive:
+                    for name, a in t.arrays().items():
+                        with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                            np.lib.format.write_array_header_1_0(member, np.lib.format.header_data_from_array_1_0(a))
+                            member.write(a.data)
                 os.replace(tmp, path)
             except BaseException:
                 os.unlink(tmp)

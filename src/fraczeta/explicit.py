@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import functools
 import math
-import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import ArithmeticTable
+from .arith import ArithmeticTable, pinned_helper
 from .bernpoly import ik_envelope, integral_ik_array
 from .zeta import (
     EULER_GAMMA,
@@ -82,12 +82,6 @@ def _check_k_x(k: int, x: float) -> None:
         raise ValueError("x must be > 1")
 
 
-def _usable_cpus() -> list[int]:
-    """The CPUs the calling thread may run on now, ascending; [] where the
-    platform cannot set a thread's CPUs (no os.sched_setaffinity)."""
-    return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
-
-
 def _read_only(*arrays):
     for a in arrays:
         a.setflags(write=False)
@@ -132,14 +126,14 @@ def weighted_sums(points, coef, factor, xs, factor_max) -> list[tuple[float, flo
     Both finish a block before the next is formed, and numpy releases the
     GIL inside the ufuncs, so the halves run at once.  For the call the
     helper runs on the last of the caller's CPUs and the caller on the
-    others; the caller's CPUs are restored when it returns.  factor is
-    called from both threads, each time with that thread's buffers; an
-    exception it raises in either reaches the caller.  A single x, one
-    usable CPU, or a platform without os.sched_setaffinity starts no
-    thread.  There is one helper, not one per CPU, because each thread
-    holds its own buffer pair (1 MB at full blocks): with one, a 6-x
-    profile at N = 10^6 peaks near 3.7 MB traced, inside the 4 MB its
-    per-call memory tests allow.  The split changes no value: each block
+    others (arith.pinned_helper); the caller's CPUs are restored when it
+    returns.  factor is called from both threads, each time with that
+    thread's buffers; an exception it raises in either reaches the
+    caller.  A single x, one usable CPU, or a platform without
+    os.sched_setaffinity starts no thread.  There is one helper, not one
+    per CPU, because each thread holds its own buffer pair (1 MB at full
+    blocks): with one, a 6-x profile at N = 10^6 peaks near 3.7 MB
+    traced, inside the 4 MB its per-call memory tests allow.  The split changes no value: each block
     sum is the same np.sum over the same terms in a 64-byte aligned
     buffer, whichever thread forms it, and the fsum below is correctly
     rounded whatever order the block sums arrive in.
@@ -170,32 +164,22 @@ def weighted_sums(points, coef, factor, xs, factor_max) -> list[tuple[float, flo
     """
     sums = [[] for _ in xs]  # per x: the block sums
     coef_sums = []  # per block: np.sum of |coef|
-    cpus = _usable_cpus() if len(xs) > 1 else []
-    threads = 2 if len(cpus) > 1 else 1
-    # Each thread has its own buffer pair, every row on a 64-byte boundary.
-    # Where the allocator left them 16 bytes off one, a 20-x mubar pass over
-    # 10^7 terms ran ~15% slower, so its speed hung on the heap's history.
-    width = -(-min(len(points), SUM_BLOCK) // 8) * 8
-    raw = np.empty(2 * threads * width + 8)
-    start = (-raw.ctypes.data % 64) // 8
-    buffers = raw[start : start + 2 * threads * width].reshape(threads, 2, width)
+    with pinned_helper() if len(xs) > 1 else nullcontext() as submit:
+        threads = 2 if submit else 1
+        # Each thread has its own buffer pair, every row on a 64-byte boundary.
+        # Where the allocator left them 16 bytes off one, a 20-x mubar pass over
+        # 10^7 terms ran ~15% slower, so its speed hung on the heap's history.
+        width = -(-min(len(points), SUM_BLOCK) // 8) * 8
+        raw = np.empty(2 * threads * width + 8)
+        start = (-raw.ctypes.data % 64) // 8
+        buffers = raw[start : start + 2 * threads * width].reshape(threads, 2, width)
 
-    def sweep(n, c, part):
-        """Thread part's x: those at positions part, part + threads, ... of xs."""
-        y, v = buffers[part, :, : len(n)]
-        for x, block_sums in zip(xs[part::threads], sums[part::threads]):
-            block_sums.append(float(np.sum(np.multiply(c, factor(n, x, y, v), out=v))))
+        def sweep(n, c, part):
+            """Thread part's x: those at positions part, part + threads, ... of xs."""
+            y, v = buffers[part, :, : len(n)]
+            for x, block_sums in zip(xs[part::threads], sums[part::threads]):
+                block_sums.append(float(np.sum(np.multiply(c, factor(n, x, y, v), out=v))))
 
-    helper = None
-    if threads > 1:
-        # Imported here only: concurrent.futures loads logging, ~2 MB resident.
-        from concurrent.futures import ThreadPoolExecutor
-
-        # Left to the scheduler, the helper was often woken on the caller's
-        # CPU, where the halves take turns; so each has its own CPUs.
-        helper = ThreadPoolExecutor(1, initializer=os.sched_setaffinity, initargs=(0, cpus[-1:]))
-        os.sched_setaffinity(0, cpus[:-1])
-    try:
         for lo in range(0, max(len(points), 1), SUM_BLOCK):
             block = points[lo : lo + SUM_BLOCK]
             if isinstance(block, range):
@@ -204,14 +188,10 @@ def weighted_sums(points, coef, factor, xs, factor_max) -> list[tuple[float, flo
                 n = block.astype(np.float64)
             c = coef(n, slice(lo, lo + len(n)))
             coef_sums.append(float(np.sum(np.abs(c, out=buffers[0, 0, : len(n)]))))
-            odd = helper.submit(sweep, n, c, 1) if helper is not None else None
+            odd = submit(sweep, n, c, 1) if submit else None
             sweep(n, c, 0)
             if odd is not None:
-                odd.result()
-    finally:
-        if helper is not None:
-            helper.shutdown()
-            os.sched_setaffinity(0, cpus)
+                odd()
     u = UNIT_ROUNDOFF
     gamma = SUM_BLOCK * u / (1.0 - SUM_BLOCK * u)
     bound = gamma * factor_max * math.fsum(coef_sums) / (1.0 - gamma)

@@ -1,7 +1,11 @@
+import hashlib
+import inspect
 import math
 import os
+import random
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -73,8 +77,10 @@ class TestBuildSieve:
 
     def test_small_tables_match_large(self):
         # Every n_max crosses the sqrt(n_max) boundary where the large-prime
-        # pass takes over from the loop (49, 121, 169, ...); the next four
-        # end just before, on and after the edge of its 2^16-index slices,
+        # pass takes over from the loop (49, 121, 169, ...); the next three
+        # end just before, on and after 23^3, where 23 moves from the
+        # scattered primes (p^3 > n_max) to the strided ones; the next four
+        # end just before, on and after an edge of its 2^15-index slices,
         # and the last four just before, on and after the first SEGMENT.
         ref = build_sieve(3 * 10**5)
         assert arith.SEGMENT == 2**18 < ref.n_max
@@ -84,8 +90,8 @@ class TestBuildSieve:
         lam[ref.prime_powers] = ref.lam
         log_n = np.log(np.arange(1, ref.n_max + 1, dtype=np.float64))
         assert np.max(np.abs(dirichlet_convolve(lam, np.ones(ref.n_max + 1))[1:] - log_n)) <= 1e-12
-        for n_max in [*range(1, 401), 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 3,
-                      2**18 - 1, 2**18, 2**18 + 1, 2**18 + 7]:
+        for n_max in [*range(1, 401), 23**3 - 1, 23**3, 23**3 + 1, 2**16 - 1, 2**16, 2**16 + 1,
+                      2**17 + 3, 2**18 - 1, 2**18, 2**18 + 1, 2**18 + 7]:
             t = build_sieve(n_max)
             # The sparse Lambda of the smaller table is the prefix of the
             # reference's that stops at n_max.
@@ -107,6 +113,123 @@ class TestBuildSieve:
             for d in (2, 7, 49, 343, 2**17, 2**18 + 1):
                 first = lo + arith._first(d, lo)
                 assert first % d == 0 and max(d, lo) <= first < max(d, lo) + d, (lo, d)
+
+
+# The CPUs this process may run on, read before any test runs: a build
+# that failed to restore its caller's CPUs would leave fewer behind.
+CPUS = arith._usable_cpus()
+
+
+def _digest(t):
+    """sha256 over the table's five arrays, names and bytes."""
+    h = hashlib.sha256()
+    for name, a in t.arrays().items():
+        h.update(name.encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestSieveThreads:
+    """Two segments or more are split between the caller and one pinned
+    helper thread; one segment, or one usable CPU, starts no thread."""
+
+    def test_one_cpu_route_matches(self):
+        cpus = CPUS
+        if len(cpus) < 2:
+            pytest.skip("needs two usable CPUs")
+        sizes = (2**18 + 1, 2**19 + 7, 10**6 + 3)
+        script = (
+            "import hashlib, os\n"
+            f"os.sched_setaffinity(0, {{{cpus[0]}}})\n"
+            "from fraczeta import arith\n"
+            "assert len(arith._usable_cpus()) == 1\n"
+            f"{inspect.getsource(_digest)}\n"
+            f"print([_digest(arith.build_sieve(n)) for n in {sizes}])\n"
+        )
+        src = os.path.dirname(os.path.dirname(arith.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == repr([_digest(build_sieve(n)) for n in sizes])
+
+    def test_one_segment_starts_no_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        # Slots 0..n_max: one segment up to n_max = SEGMENT - 1.
+        build_sieve(10**5)
+        build_sieve(arith.SEGMENT - 1)
+        assert started == []
+        build_sieve(arith.SEGMENT)
+        assert len(started) == (1 if len(CPUS) > 1 else 0)
+        assert arith._usable_cpus() == CPUS
+
+    def test_helper_exception_reaches_caller(self, monkeypatch):
+        # The helper sieves the odd segments; a failure there is raised in the
+        # caller, whose CPUs are restored, and the helper is joined.
+        if len(CPUS) < 2:
+            pytest.skip("needs two usable CPUs")
+        first = arith._first
+
+        def failing(d, lo):
+            if threading.current_thread() is not threading.main_thread():
+                raise ZeroDivisionError("helper segment")
+            return first(d, lo)
+
+        baseline = threading.active_count()
+        monkeypatch.setattr(arith, "_first", failing)
+        with pytest.raises(ZeroDivisionError, match="helper segment"):
+            build_sieve(2 * arith.SEGMENT)
+        assert arith._usable_cpus() == CPUS
+        assert threading.active_count() == baseline
+
+    def test_concurrent_builds_under_fast_switching(self):
+        # Three builds at once, each with its helper: more threads than
+        # CPUs, switching every microsecond; each table matches a lone build.
+        n_max = 2**19 + 7
+        expected = _digest(build_sieve(n_max))
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=lambda: results.append(_digest(build_sieve(n_max))))
+                       for _ in range(3)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert results == [expected] * 3
+        assert arith._usable_cpus() == CPUS
+
+    def test_pinned_helper(self):
+        cpus = CPUS
+        baseline = threading.active_count()
+        with arith.pinned_helper() as submit:
+            if len(cpus) < 2:
+                assert submit is None
+                return
+            assert submit(os.sched_getaffinity, 0)() == set(cpus[-1:])
+            assert os.sched_getaffinity(0) == set(cpus[:-1])
+            wait = submit(math.sqrt, -1.0)
+            with pytest.raises(ValueError):
+                wait()
+        assert arith._usable_cpus() == cpus
+        assert threading.active_count() == baseline
+        with pytest.raises(KeyError):
+            with arith.pinned_helper() as submit:
+                submit(math.sqrt, 4.0)
+                raise KeyError("caller")
+        assert arith._usable_cpus() == cpus
+        assert threading.active_count() == baseline
 
 
 class TestVonMangoldt:
@@ -152,6 +275,34 @@ class TestDirichletConvolve:
 
 
 class TestMubarUpsilon:
+    def test_products_in_increasing_p(self):
+        # Each index takes its local factors in increasing p from 1.0, and a
+        # cube of p sets mubar to +0.0 before the larger primes multiply in:
+        # the same steps in Python floats give every value bit for bit,
+        # signed zeros included.  At 2^19 + 7 (three segments, two threads
+        # where there are two CPUs) 83 is the first prime with p^3 > n_max.
+        n_max = 2**19 + 7
+        t = build_sieve(n_max)
+        rng = random.Random(7)
+        for n in [*range(1, 3000), *rng.sample(range(3000, n_max + 1), 3000)]:
+            mu, mubar, upsilon, m, p = 1, 1.0, 1.0, n, 2
+            while m > 1:
+                if p * p > m:
+                    p = m
+                a = 0
+                while m % p == 0:
+                    m //= p
+                    a += 1
+                if a:
+                    s = math.sqrt(p)
+                    mu *= -1 if a == 1 else 0
+                    mubar = mubar * -(1.0 + s) if a == 1 else mubar * s if a == 2 else 0.0
+                    upsilon *= 1.0 - s
+                p += 1
+            assert t.mu[n] == mu, n
+            assert t.mubar_arr[n].tobytes() == np.float64(mubar).tobytes(), n
+            assert t.upsilon_arr[n].tobytes() == np.float64(upsilon).tobytes(), n
+
     def test_mubar_examples(self, table_small):
         assert table_small.mubar_arr[1] == 1.0
         assert table_small.mubar_arr[2] == pytest.approx(-1.0 - math.sqrt(2.0), abs=1e-14)

@@ -348,7 +348,7 @@ class TestTableCache:
         def disk_full(*args, **kwargs):
             raise OSError("No space left on device")
 
-        monkeypatch.setattr(cli.np, "savez", disk_full)
+        monkeypatch.setattr(cli.np.lib.format, "write_array_header_1_0", disk_full)
         t = get_table(3000)
         ref = build_sieve(3000)
         for name, arr in t.arrays().items():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraczeta import explicit
+from fraczeta import arith, explicit
 from fraczeta.bernpoly import integral_ik_array
 from fraczeta.explicit import (
     SUM_BLOCK,
@@ -168,7 +168,7 @@ class TestHelperThread:
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
         self.sums([1.0])
-        if len(explicit._usable_cpus()) > 1:
+        if len(arith._usable_cpus()) > 1:
             with pytest.raises(RuntimeError, match="thread started"):
                 self.sums([1.0, 2.0])
 
@@ -181,7 +181,7 @@ class TestHelperThread:
             return np.multiply(m, x, out=v)
 
         self.sums([1.0, 2.0, 3.0], factor)
-        assert len(rows) == (2 if len(explicit._usable_cpus()) > 1 else 1)
+        assert len(rows) == (2 if len(arith._usable_cpus()) > 1 else 1)
         addresses = [a for pair in rows.values() for a in pair]
         assert len(set(addresses)) == 2 * len(rows)
         assert all(a % 64 == 0 for a in addresses)
@@ -189,7 +189,7 @@ class TestHelperThread:
     def test_threads_on_separate_cpus(self):
         # Each thread runs on CPUs of its own during the call; the caller's
         # CPUs are restored after it, also when factor raises.
-        cpus = explicit._usable_cpus()
+        cpus = arith._usable_cpus()
         if len(cpus) < 2:
             pytest.skip("needs two usable CPUs")
         seen = {}
@@ -203,10 +203,10 @@ class TestHelperThread:
         self.sums([1.0, 2.0, 3.0], factor)
         assert len(seen) == 2
         assert set(seen.values()) == {frozenset(cpus[:-1]), frozenset(cpus[-1:])}
-        assert explicit._usable_cpus() == cpus
+        assert arith._usable_cpus() == cpus
         with pytest.raises(ValueError, match="last x"):
             self.sums([1.0, 2.0, 3.0, 4.0], factor)
-        assert explicit._usable_cpus() == cpus
+        assert arith._usable_cpus() == cpus
 
     def test_helper_exception_reaches_caller(self):
         raised_in = []
@@ -219,7 +219,7 @@ class TestHelperThread:
 
         with pytest.raises(ZeroDivisionError, match="helper x"):
             self.sums([1.0, 2.0, 3.0], factor)
-        if len(explicit._usable_cpus()) > 1:
+        if len(arith._usable_cpus()) > 1:
             assert raised_in[0] is not threading.main_thread()
 
     def test_concurrent_calls_under_fast_switching(self):
