@@ -26,21 +26,20 @@ so the values depend neither on the segment size nor on the route a
 prime takes.
 
 With two segments or more and two usable CPUs, the caller sieves the
-even segments and one helper thread (pinned_helper) the odd ones, each
-with buffers of its own that the caller allocates once.  Segments write
-disjoint slices of the tables and keep the order of factors within each
-index, so the split changes no value either.  Lambda is log p at the
-powers of the primes p <= sqrt(n_max), listed up front, and log n at
-the n > sqrt(n_max) whose smooth part is 1, which the large-prime pass
-marks.  dirichlet_convolve is the independent O(N log N) oracle the
-selftest and the tests check the sieve against.
+even segments and the one worker of a pinned ThreadPoolExecutor
+(pinned_helper) the odd ones, each with buffers of its own that the
+caller allocates once.  Segments write disjoint slices of the tables
+and keep the order of factors within each index, so the split changes
+no value either.  Lambda is log p at the powers of the primes
+p <= sqrt(n_max), listed up front, and log n at the n > sqrt(n_max)
+whose smooth part is 1, which the large-prime pass marks.
+dirichlet_convolve is the independent O(N log N) oracle the selftest
+and the tests check the sieve against.
 """
 
 from __future__ import annotations
 
 import os
-import queue
-import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cached_property
@@ -186,55 +185,31 @@ def _usable_cpus() -> list[int]:
 def pinned_helper():
     """One helper thread on the last of the caller's CPUs, the caller on the others.
 
-    Yields submit(fn, *args), which queues fn(*args) for the helper and
-    returns wait(): wait blocks until that call is done and returns its
-    value or raises its exception.  The helper runs calls in the order
-    submitted.  On exit it finishes what is queued and stops, and the
-    caller's CPUs are restored, also when the body raises.  With one
-    usable CPU, or on a platform without os.sched_setaffinity, it yields
-    None and starts no thread.  Left to the scheduler, the helper was
-    often woken on the caller's CPU, where the two take turns; so each
-    has CPUs of its own.
+    Yields submit(fn, *args), which hands fn(*args) to a one-worker
+    ThreadPoolExecutor and returns wait(): wait blocks until that call is
+    done and returns its value or raises its exception.  The helper runs
+    calls in the order submitted.  On exit it finishes what is queued and
+    stops, and the caller's CPUs are restored, also when the body raises.
+    With one usable CPU, or on a platform without os.sched_setaffinity, it
+    yields None, starts no thread and imports no executor.  Left to the
+    scheduler, the helper was often woken on the caller's CPU, where the
+    two take turns; so each has CPUs of its own.
     """
     cpus = _usable_cpus()
     if len(cpus) < 2:
         yield None
         return
-    tasks = queue.SimpleQueue()
+    from concurrent.futures import ThreadPoolExecutor
 
-    def serve():
-        while (task := tasks.get()) is not None:
-            fn, args, done = task
-            try:
-                done.put((fn(*args), None))
-            except BaseException as exc:  # noqa: BLE001 - wait() raises it in the caller
-                done.put((None, exc))
-            # While it waits for the next call, the helper holds none of
-            # this one's arguments: the caller may free them.
-            del task, fn, args, done
-
-    def submit(fn, *args):
-        done = queue.SimpleQueue()
-        tasks.put((fn, args, done))
-
-        def wait():
-            value, exc = done.get()
-            if exc is not None:
-                raise exc
-            return value
-
-        return wait
-
-    helper = threading.Thread(target=serve)
-    helper.start()
-    try:
-        submit(os.sched_setaffinity, 0, cpus[-1:])()
+    with ThreadPoolExecutor(1) as pool:
+        # Pinned by its first call rather than an initializer, so that a
+        # failure raises its own OSError here, not BrokenThreadPool.
+        pool.submit(os.sched_setaffinity, 0, cpus[-1:]).result()
         os.sched_setaffinity(0, cpus[:-1])
-        yield submit
-    finally:
-        tasks.put(None)
-        helper.join()
-        os.sched_setaffinity(0, cpus)
+        try:
+            yield lambda fn, *args: pool.submit(fn, *args).result
+        finally:
+            os.sched_setaffinity(0, cpus)
 
 
 class _Scratch:

@@ -76,10 +76,10 @@ _CACHE_ENTRIES = 64
 
 
 def _check_k_x(k: int, x: float) -> None:
-    """The right side's domain: k in zeta.K_VALUES and x > 1."""
+    """The right side's domain: k in zeta.K_VALUES and 1 < x < inf."""
     check_k(k)
-    if not x > 1:
-        raise ValueError("x must be > 1")
+    if not 1 < x < math.inf:
+        raise ValueError("x must be > 1 and finite")
 
 
 def _read_only(*arrays):

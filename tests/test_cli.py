@@ -569,3 +569,31 @@ def test_numpy_only_start_up():
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_executor_loads_only_with_a_helper(tmp_path):
+    # A one-segment table and a one-x sum start no helper thread, so they
+    # import neither concurrent.futures nor the logging it pulls in; a
+    # two-segment sieve on two usable CPUs starts one and loads both.
+    script = (
+        "import sys\n"
+        "from fraczeta import arith, cli\n"
+        "runs = [['verify', 'th2-mu', '--x', '2', '--nterms', '100000'],\n"
+        "        ['verify', 'th1', '--k', '2', '--x', '5.5', '--nterms', '100000'], ['selftest']]\n"
+        "codes = [cli.main(args) for args in runs]\n"
+        "assert codes == [0] * len(runs), codes\n"
+        "names = ('concurrent.futures', 'logging')\n"
+        "assert not any(m in sys.modules for m in names), [m for m in names if m in sys.modules]\n"
+        "if len(arith._usable_cpus()) > 1:\n"
+        "    arith.build_sieve(2**18 + 1)\n"
+        "    assert all(m in sys.modules for m in names), [m for m in names if m not in sys.modules]\n"
+        "    print('helper')\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, FRACZETA_CACHE_DIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    if "helper" not in proc.stdout:
+        pytest.skip("the helper half needs two usable CPUs")

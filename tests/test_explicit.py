@@ -47,6 +47,25 @@ def test_numpy_integer_k_accepted():
     assert Hk_closed(np.int64(2), 2.5) == Hk_closed(2, 2.5)
 
 
+# Every piece of theorem 1's right side, called at x.
+RHS_ENTRY_POINTS = {
+    "residue_at": lambda x, zeros: residue_at(1, x, 1.0),
+    "zero_sum": lambda x, zeros: zero_sum(1, x, zeros),
+    "trivial_sum": lambda x, zeros: trivial_sum(1, x),
+    "rhs_theorem1": lambda x, zeros: rhs_theorem1(1, x, zeros),
+    "printed_Pk": lambda x, zeros: printed_Pk(2, x),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry", list(RHS_ENTRY_POINTS))
+def test_rhs_infinite_x_rejected(entry, zeros100):
+    # x^(s-1-k) at x = inf gave 0.0 (or nan) after numpy's invalid-value
+    # warning; the domain is 1 < x < inf, as on the left side.
+    with pytest.raises(ValueError, match=r"^x must be > 1 and finite$"):
+        RHS_ENTRY_POINTS[entry](math.inf, zeros100)
+
+
 class TestTruncatedSum:
     def test_validation(self):
         with pytest.raises(ValueError):
