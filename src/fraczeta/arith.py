@@ -130,8 +130,13 @@ class ArithmeticTable:
 
     @cached_property
     def squarefree(self) -> np.ndarray:
-        """Ascending indices n with mu(n) != 0, as read-only int32 (cached)."""
-        out = np.flatnonzero(self.mu).astype(np.int32)
+        """Ascending indices n with mu(n) != 0, as read-only int32 (cached),
+        found a segment at a time: no int64 list of them all is held."""
+        out, end = np.empty(np.count_nonzero(self.mu), dtype=np.int32), 0
+        for lo in range(0, len(self.mu), SEGMENT):
+            found = np.flatnonzero(self.mu[lo : lo + SEGMENT])
+            end += len(np.add(found, lo, out=out[end : end + len(found)], casting="unsafe"))
+            del found  # before the next segment's is formed
         out.setflags(write=False)
         return out
 

@@ -64,7 +64,7 @@ RESIDUE_RADIUS = 0.25
 # radius-independence invariant.
 RESIDUE_QUAD_BOUND = 1e-10
 
-SUM_BLOCK = 2**16
+SUM_BLOCK = 7 * 2**13  # see weighted_sums
 _TRIVIAL_RUN = 16   # trivial zeros whose H_k one batch evaluates (x >= 4 needs one run)
 UNIT_ROUNDOFF = 2.0**-53
 
@@ -113,58 +113,56 @@ def weighted_sums(points, coef, factor, xs, factor_max) -> list[tuple[float, flo
     in points, so it cuts the block from any array aligned with points
     (weights indexed by n itself are gathered at points[at]).  Every x then
     runs over the block while it is in cache: factor(n, x, y, v) returns
-    the factor of each point and may use the block buffers y and v of the
-    thread that calls it, reused for every x and block, as scratch and
-    output.  The terms are coef * factor, written into v, and np.sum
-    reduces them: one product and one sum per x and block.
+    the factor of each point (or one scalar) and may use the block buffers
+    y and v of the thread that calls it as scratch and output.  One
+    np.einsum, numpy's own loop and not BLAS, fuses the products with the
+    block sum s_j = sum c_i f_i.
 
-    With two or more x and two or more CPUs the caller may run on, the x
-    are split between two threads: the caller forms each block's n and
-    coef and sweeps the x at even positions of xs over it, while one
-    helper thread, started for the call, sweeps those at odd positions
-    over the same read-only n and coef with a buffer pair of its own.
-    Both finish a block before the next is formed, and numpy releases the
-    GIL inside the ufuncs, so the halves run at once.  For the call the
-    helper runs on the last of the caller's CPUs and the caller on the
-    others (arith.pinned_helper); the caller's CPUs are restored when it
-    returns.  factor is called from both threads, each time with that
-    thread's buffers; an exception it raises in either reaches the
-    caller.  A single x, one usable CPU, or a platform without
-    os.sched_setaffinity starts no thread.  There is one helper, not one
-    per CPU, because each thread holds its own buffer pair (1 MB at full
-    blocks): with one, a 6-x profile at N = 10^6 peaks near 3.7 MB
-    traced, inside the 4 MB its per-call memory tests allow.  The split changes no value: each block
-    sum is the same np.sum over the same terms in a 64-byte aligned
-    buffer, whichever thread forms it, and the fsum below is correctly
-    rounded whatever order the block sums arrive in.
+    With two or more x and two or more CPUs the caller may run on, one
+    helper thread, started for the call, takes the odd blocks and the
+    caller the even ones; each forms its blocks' n and coef and sweeps
+    every x over them with a buffer pair of its own, and numpy releases
+    the GIL inside the ufuncs, so the halves run at once.  For the call
+    the helper runs on the last of the caller's CPUs and the caller on the
+    others (arith.pinned_helper).  An exception factor raises in either
+    thread reaches the caller.  A single x or block, one usable CPU, or a
+    platform without os.sched_setaffinity starts no thread.  Each thread
+    holds four block arrays (n, coef, y, v), so a 6-x profile at N = 10^6
+    peaks near 3.7 MB traced, inside the 4 MB its per-call memory tests
+    allow: SUM_BLOCK = 7 * 2^13 is the largest multiple of 2^13 that fits,
+    and shorter blocks lose more to the GIL hand-off between ufunc calls.
+    The split changes no value: each block sum is the same computation
+    whichever thread forms it, and the fsum below is correctly rounded.
 
     factor_max is a proven bound on |factor| for every value factor
     computes (rounding included), at every x.  Each block also np.sums
     its |coef| to C_j, once for all x.  With u = 2^-53 and
-    gamma_m = m u/(1 - m u), np.sum adds the terms v_i = fl(c_i f_i) of a
-    block in some order within gamma_{B-1} sum |v_i| of their exact sum
-    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 4.2),
-    and, barring underflow, sum |v_i| <= (1 + u) factor_max sum |c_i|.
-    C_j is a sum of nonnegative values, so sum |c_i| <= C_j/(1 - gamma_{B-1}),
-    and sum_j C_j <= (1 + u) fsum(C_j).  Over all blocks, then,
+    gamma_m = m u/(1 - m u), an inner product of at most B terms, formed
+    in any order, with or without fused multiply-adds, lies within
+    gamma_B sum |c_i f_i| of its exact value (Higham, Accuracy and
+    Stability of Numerical Algorithms, sec. 3.1), barring underflow, and
+    sum |c_i f_i| <= factor_max sum |c_i|.  C_j is a sum of nonnegative
+    values, so sum |c_i| <= C_j/(1 - gamma_{B-1}), and
+    sum_j C_j <= (1 + u) fsum(C_j).  Over all blocks, then,
 
-        |sum_j s_j - sum_i v_i|
-            <= gamma_{B-1} (1 + u)^2/(1 - gamma_{B-1}) factor_max fsum(C_j)
-            <= gamma_B/(1 - gamma_B) factor_max fsum(C_j),
+        |sum_j s_j - sum_i c_i f_i|
+            <= gamma_B (1 + u)/(1 - gamma_{B-1}) factor_max fsum(C_j)
+            <= gamma_{B+1}/(1 - gamma_{B+1}) factor_max fsum(C_j),
 
-    where B = SUM_BLOCK; the last step keeps a relative margin of ~1/B =
-    2^-16, which covers the few roundings in forming the bound itself.
-    fsum of the block sums s_j adds u |value|, so
+    where B = SUM_BLOCK; the last step keeps a relative margin of ~1/B,
+    which covers the few roundings in forming the bound itself.  fsum of
+    the block sums s_j adds u |value|, so
 
-        round_bound = gamma_B factor_max fsum(C_j)/(1 - gamma_B) + u |value|.
+        round_bound = gamma_{B+1} factor_max fsum(C_j)/(1 - gamma_{B+1}) + u |value|.
 
     round_bound covers that summation, not the error in evaluating each
     term.  Temporaries never outgrow one block per thread; an empty point
     set gives (0.0, 0.0) for each x.
     """
-    sums = [[] for _ in xs]  # per x: the block sums
-    coef_sums = []  # per block: np.sum of |coef|
-    with pinned_helper() if len(xs) > 1 else nullcontext() as submit:
+    starts = range(0, len(points), SUM_BLOCK)
+    sums = [[0.0] * len(starts) for _ in xs]  # per x: the block sums
+    coef_sums = [0.0] * len(starts)  # per block: np.sum of |coef|
+    with pinned_helper() if len(xs) > 1 and len(starts) > 1 else nullcontext() as submit:
         threads = 2 if submit else 1
         # Each thread has its own buffer pair, every row on a 64-byte boundary.
         # Where the allocator left them 16 bytes off one, a 20-x mubar pass over
@@ -174,29 +172,29 @@ def weighted_sums(points, coef, factor, xs, factor_max) -> list[tuple[float, flo
         start = (-raw.ctypes.data % 64) // 8
         buffers = raw[start : start + 2 * threads * width].reshape(threads, 2, width)
 
-        def sweep(n, c, part):
-            """Thread part's x: those at positions part, part + threads, ... of xs."""
-            y, v = buffers[part, :, : len(n)]
-            for x, block_sums in zip(xs[part::threads], sums[part::threads]):
-                block_sums.append(float(np.sum(np.multiply(c, factor(n, x, y, v), out=v))))
+        def sweep(part):
+            """Thread part's blocks: those at positions part, part + threads, ... of starts."""
+            for j in range(part, len(starts), threads):
+                block = points[starts[j] : starts[j] + SUM_BLOCK]
+                if isinstance(block, range):
+                    n = np.arange(block.start, block.stop, dtype=np.float64)
+                else:
+                    n = block.astype(np.float64)
+                c = coef(n, slice(starts[j], starts[j] + len(n)))
+                y, v = buffers[part, :, : len(n)]
+                coef_sums[j] = float(np.sum(np.abs(c, out=v)))
+                for i, x in enumerate(xs):
+                    f = factor(n, x, y, v)
+                    sums[i][j] = float(np.einsum("i,i->" if np.ndim(f) else "i,->", c, f))
+                del n, c  # before the next block's are formed
 
-        for lo in range(0, max(len(points), 1), SUM_BLOCK):
-            block = points[lo : lo + SUM_BLOCK]
-            if isinstance(block, range):
-                n = np.arange(block.start, block.stop, dtype=np.float64)
-            else:
-                n = block.astype(np.float64)
-            c = coef(n, slice(lo, lo + len(n)))
-            coef_sums.append(float(np.sum(np.abs(c, out=buffers[0, 0, : len(n)]))))
-            odd = submit(sweep, n, c, 1) if submit else None
-            sweep(n, c, 0)
-            if odd is not None:
-                odd()
-    u = UNIT_ROUNDOFF
-    gamma = SUM_BLOCK * u / (1.0 - SUM_BLOCK * u)
+        helper = submit(sweep, 1) if submit else lambda: None
+        sweep(0)
+        helper()
+    m = (SUM_BLOCK + 1) * UNIT_ROUNDOFF
+    gamma = m / (1.0 - m)
     bound = gamma * factor_max * math.fsum(coef_sums) / (1.0 - gamma)
-    values = [math.fsum(block_sums) for block_sums in sums]
-    return [(value, bound + u * abs(value)) for value in values]
+    return [(value, bound + UNIT_ROUNDOFF * abs(value)) for value in map(math.fsum, sums)]
 
 
 @dataclass(frozen=True)
@@ -224,9 +222,9 @@ def lhs_theorem1(t: ArithmeticTable, k: int, x: float, N: int) -> TruncatedSum:
     M_k * integral_N^inf log(t) t^-(k+1) dt
         = M_k * (log(N)/(k N^k) + 1/(k^2 N^k)).
     """
-    check_k(k)
-    if not (math.isfinite(x) and x > 1) or x == math.floor(x):
-        raise ValueError("x must be finite, > 1 and non-integer")
+    _check_k_x(k, x)
+    if x == math.floor(x):
+        raise ValueError("x must not be an integer")
     t.check_n(N)
     if N <= x:
         raise ValueError(f"empty summation range: N={N} <= x={x}")
@@ -294,7 +292,10 @@ def _zero_values(k: int, zeros: ZeroTable):
 
     A_k = 2 * max over the table of |H_k(1-rho)/(k+1-rho)| * gamma^2, an
     empirical majorant constant (the 2x is the certification margin).
+    An unrefined zero raises ValueError, at every call (lru_cache keeps none).
     """
+    if any(e.residual > ZERO_RESIDUAL_MAX for e in zeros.entries):
+        raise ValueError(f"zeros must be refined before use (residual <= {ZERO_RESIDUAL_MAX})")
     gam = np.array([e.gamma for e in zeros.entries])
     rho = 0.5 + 1j * gam
     hk = Hk_closed(k, 1.0 - rho)
@@ -319,14 +320,12 @@ def zero_sum(k: int, x: float, zeros: ZeroTable, sign: float = -1.0) -> Truncate
     log(t/2pi)/(2pi) against A_k/t^2, where A_k is certified on the whole
     table and doubled; pairs contribute the leading factor 2.  H_k(1-rho),
     H_k(1-conj(rho)) and A_k come from the cached _zero_values(k, zeros),
-    so only the first call for a table evaluates H_k; later calls, at any
-    x or sign, form only the powers x^(rho-1-k).
+    so only the first call for a table evaluates H_k and checks residuals;
+    later calls, at any x or sign, form only the powers x^(rho-1-k).
     """
     _check_k_x(k, x)
     if not zeros.entries:
         raise ValueError("zero table is empty")
-    if any(e.residual > ZERO_RESIDUAL_MAX for e in zeros.entries):
-        raise ValueError(f"zeros must be refined before use (residual <= {ZERO_RESIDUAL_MAX})")
 
     rho, hk, hk_conj, a_k = _zero_values(k, zeros)
     pairs = _pair_terms(k, x, rho, hk, hk_conj)

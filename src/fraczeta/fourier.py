@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import ArithmeticTable
-from .bernpoly import sdot_array
 from .explicit import SUM_BLOCK, UNIT_ROUNDOFF, TruncatedSum, weighted_sums
 
 __all__ = [
@@ -51,11 +50,12 @@ __all__ = [
 TWO_PI_SQ = 2.0 * math.pi**2
 SDOT_MAX = 0.125  # exact: max |({y}^2 - {y})/2| is 1/8 at half-integers
 # Proven bounds on the computed factors, rounding included, which the sums
-# pass to weighted_sums as factor_max (u = UNIT_ROUNDOFF).  sdot_array's is
-# derived in lhs_weighted_sdot, the rotation's in rhs_th4_upsilon.  numpy
-# holds float64 cos to 1 ulp of the correctly rounded value (its umath
-# accuracy tests), so |np.cos| <= 1 + 2u; fl(cos - 1) then lies in
-# [-(2 + 4u), 2u], since -(2 + 4u) is a double and rounding is monotone.
+# pass to weighted_sums as factor_max (u = UNIT_ROUNDOFF).  sdot's is
+# derived in lhs_weighted_sdot (the sdot sums pass twice it, for 2 sdot),
+# the rotation's in rhs_th4_upsilon.  numpy holds float64 cos to 1 ulp of
+# the correctly rounded value (its umath accuracy tests), so |np.cos| <=
+# 1 + 2u; fl(cos - 1) then lies in [-(2 + 4u), 2u], since -(2 + 4u) is a
+# double and rounding is monotone.
 SDOT_FACTOR_MAX = SDOT_MAX + UNIT_ROUNDOFF / 2
 COS_FACTOR_MAX = 1.0 + 2.0 * UNIT_ROUNDOFF
 COS_MINUS_ONE_FACTOR_MAX = 2.0 + 4.0 * UNIT_ROUNDOFF
@@ -101,13 +101,13 @@ def lhs_weighted_sdot(
     """sum_{n<=N} w(n) n^-p sdot(n/x): _sdot_sums at one x.
 
     round_bound is explicit.weighted_sums' bound on the summation
-    rounding, with factor_max = SDOT_FACTOR_MAX = 1/8 + u/2, a bound on
-    every value sdot_array computes.  For y >= 0, fr = y - floor(y) is
-    exact (Sterbenz) and lies in [0, 1).  fl(fr^2) is within u fr^2 <= u
-    of fr^2, so fl(fr^2) - fr lies in [-(fr - fr^2) - u, u], inside
-    [-(1/4 + u), u]; -(1/4 + u) is a double and rounding is monotone, so
-    the difference rounds into that interval too, and the halving is
-    exact.  The u/2 is the slack near fr = 1/2, where fr - fr^2 = 1/4.
+    rounding, with factor_max = 2 SDOT_FACTOR_MAX = 1/4 + u, a bound on
+    every fr^2 - fr that _sdot_sums computes (it halves the coefficient
+    exactly instead).  For y >= 0, fr = y - floor(y) is exact (Sterbenz)
+    and lies in [0, 1).  fl(fr^2) is within u fr^2 <= u of fr^2, so
+    fl(fr^2) - fr lies in [-(fr - fr^2) - u, u], inside [-(1/4 + u), u];
+    -(1/4 + u) is a double and rounding is monotone, so the difference
+    rounds into that interval too, with slack u near fr = 1/2.
 
     Lambda and mu sum over their non-zero terms only, cut at
     N: the table's prime_powers, with lam aligned, and its cached
@@ -125,8 +125,10 @@ def lhs_weighted_sdot(
 def _sdot_sums(t: ArithmeticTable, weight: str, p: float, N: int, xs: list[float]) -> list[TruncatedSum]:
     """sum_{n<=N} w(n) n^-p sdot(n/x) for every x in xs, in one weighted_sums pass.
 
-    The points are the n with w(n) != 0 (all n <= N for mubar); sdot_array
-    writes into the kernel's block buffers.
+    The points are the n with w(n) != 0 (all n <= N for mubar), summed as
+    w(n) n^-p/2 against fr^2 - fr = 2 sdot(n/x), which five ufunc calls form
+    in the kernel's block buffers.  At p = 2, n <= n_max < 2^26.5
+    (arith.MEM_BUDGET), so w/(2 n^2) rounds once.
     """
     p = float(p)
     if (weight, p) not in _SUPPORTED:
@@ -147,13 +149,19 @@ def _sdot_sums(t: ArithmeticTable, weight: str, p: float, N: int, xs: list[float
         points, w = range(1, N + 1), t.mubar_arr[1 : N + 1]
         tail = SDOT_MAX * 2.0 * (math.log(N) + 2.0) / math.sqrt(N)
 
-    sums = weighted_sums(
-        points,
-        lambda n, at: (t.mu[points[at]] if w is None else w[at]) * n ** (-p),
-        lambda n, x, y, v: sdot_array(np.divide(n, x, out=y), out=v),
-        xs,
-        SDOT_FACTOR_MAX,
-    )
+    def coef(n, at):
+        w_at = np.take(t.mu, points[at]) if w is None else w[at]
+        if p != 2.0:
+            return np.multiply(w_at * n**-p, 0.5)
+        c = np.square(n)  # exact: n^2 < 2^53
+        return np.divide(w_at, np.multiply(c, 2.0, out=c), out=c)
+
+    def twice_sdot(n, x, y, v):
+        np.divide(n, x, out=y)
+        fr = np.subtract(y, np.floor(y, out=v), out=y)
+        return np.subtract(np.multiply(fr, fr, out=v), fr, out=v)
+
+    sums = weighted_sums(points, coef, twice_sdot, xs, 2.0 * SDOT_FACTOR_MAX)
     return [TruncatedSum(value, len(points), tail, round_bound=err) for value, err in sums]
 
 
@@ -308,7 +316,7 @@ def rh_decay_profile(
     """mubar-weighted sums on a log-spaced grid, with their noise floors (tail + round_bound).
 
     One _sdot_sums pass sweeps the whole grid over each block, forming
-    mubar(n) n^-2 once per block; the sums and floors are those
+    mubar(n)/(2 n^2) once per block; the sums and floors are those
     lhs_weighted_sdot gives at each x, bit for bit, and nothing of length
     N is allocated.
     """

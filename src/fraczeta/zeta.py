@@ -41,6 +41,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -506,6 +507,13 @@ class ZeroTable:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:  # taken once: explicit's caches key on the table at every call
+        return hash((self.entries, self.source))
 
 
 def _validate_ordinates(gammas: list[float], origin: str) -> None:

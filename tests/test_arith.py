@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import math
@@ -355,6 +356,16 @@ class TestTableInvariants:
         assert sf.dtype == np.int32 and not sf.flags.writeable
         assert np.array_equal(sf, np.flatnonzero(table_small.mu))
         assert table_small.squarefree is sf
+
+    def test_squarefree_by_segments(self, table_1e6, traced_peak_bytes):
+        # Over four segments the list is the same, and building it holds the
+        # int32 result and one segment's int64 indices, not an int64 list of
+        # all of them (4.9 MB here).
+        t = dataclasses.replace(table_1e6)
+        peak = traced_peak_bytes(lambda: t.squarefree)
+        assert np.array_equal(t.squarefree, np.flatnonzero(t.mu))
+        assert t.squarefree.dtype == np.int32 and not t.squarefree.flags.writeable
+        assert peak <= t.squarefree.nbytes + 8 * arith.SEGMENT
 
     def test_sparse_lambda_checked(self, table_small):
         # A table, built or loaded, keeps prime_powers int64, increasing and

@@ -11,6 +11,7 @@ from fraczeta import arith, explicit
 from fraczeta.bernpoly import integral_ik_array
 from fraczeta.explicit import (
     SUM_BLOCK,
+    UNIT_ROUNDOFF,
     TruncatedSum,
     lhs_theorem1,
     printed_Pk,
@@ -79,6 +80,9 @@ class TestTruncatedSum:
         ts = TruncatedSum(1.0, 3, 0.5)
         assert ts.terms_used == 3
         assert ts.round_bound == 0.0
+
+
+GAMMA_B = SUM_BLOCK * UNIT_ROUNDOFF / (1.0 - SUM_BLOCK * UNIT_ROUNDOFF)
 
 
 def exact_excess(value, terms):
@@ -168,10 +172,60 @@ class TestBlockedSum:
         if n == 0:
             assert sums(scales) == [(0.0, 0.0)] * len(scales)
 
+    @staticmethod
+    def dot(c, f):
+        """weighted_sums over range(len(c)) of c against the factor f."""
+        return weighted_sums(
+            range(len(c)), lambda m, at: c[at], lambda m, x, y, v: f[int(m[0]) : int(m[0]) + len(m)],
+            [0.0], float(np.max(np.abs(f), initial=0.0)),
+        )[0]
+
+    @pytest.mark.parametrize("n", [1001, SUM_BLOCK])
+    def test_block_sum_independent_of_alignment(self, n):
+        # One block: its sum is the same with c and the factor at each of
+        # the 8 byte offsets (multiples of 8) from a 64-byte boundary.
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-8, 8, (2, n))
+        width = -(-n // 8) * 8 + 8
+        raw = np.empty(2 * width + 8)
+        base = (-raw.ctypes.data % 64) // 8
+        sums = set()
+        for oc in range(8):
+            for of in range(8):
+                c = raw[base + oc : base + oc + n]
+                f = raw[base + width + of : base + width + of + n]
+                c[:], f[:] = values
+                assert (c.ctypes.data % 64, f.ctypes.data % 64) == (8 * oc, 8 * of)
+                sums.add(self.dot(c, f)[0])
+        assert len(sums) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.floats(-1e300, 1e300, allow_nan=False), min_size=1, max_size=40),
+        st.lists(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0]), min_size=1, max_size=7),
+        st.sampled_from([1, 7, SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1, 3 * SUM_BLOCK + 5]),
+    )
+    def test_fused_sum_within_gamma_b(self, cs, fs, n):
+        # Each block's fused product-sum lies within gamma_B sum |c_i f_i| of
+        # the exact sum (Higham sec. 3.1), and fsum of the blocks adds u |value|.
+        # Factors of 0, +-1 and +-2 keep every product c_i f_i exact.
+        c, f = np.resize(np.array(cs), n), np.resize(np.array(fs), n)
+        value, _ = self.dot(c, f)
+        products = c * f
+        allowed = GAMMA_B * math.fsum(np.abs(products)) + UNIT_ROUNDOFF * abs(value)
+        assert abs(exact_excess(value, products)) <= allowed
+
+    @pytest.mark.parametrize("reps", [1, SUM_BLOCK // 3, SUM_BLOCK // 3 + 1, SUM_BLOCK])
+    def test_fused_sum_cancellation(self, reps):
+        c, f = np.tile([1e16, 1.0, -1e16], reps), np.tile([2.0, 1.0, 2.0], reps)
+        value, _ = self.dot(c, f)
+        # The exact sum is reps.
+        assert abs(value - reps) <= GAMMA_B * math.fsum(np.abs(c * f)) + UNIT_ROUNDOFF * abs(value)
+
 
 class TestHelperThread:
-    """weighted_sums hands the odd-indexed x to one helper thread when there
-    are two or more x and two or more usable CPUs."""
+    """weighted_sums hands the odd-indexed blocks to one helper thread when
+    there are two or more x and two or more usable CPUs."""
 
     N = 3 * SUM_BLOCK + 5
 
@@ -187,6 +241,8 @@ class TestHelperThread:
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
         self.sums([1.0])
+        # Nor does a single block, which leaves the helper nothing to sweep.
+        weighted_sums(range(SUM_BLOCK), lambda m, at: m, unit_factor, [1.0, 2.0], 1.0)
         if len(arith._usable_cpus()) > 1:
             with pytest.raises(RuntimeError, match="thread started"):
                 self.sums([1.0, 2.0])
@@ -231,12 +287,12 @@ class TestHelperThread:
         raised_in = []
 
         def factor(m, x, y, v):
-            if x == 2.0:  # index 1: the helper's half
+            if m[0] // SUM_BLOCK % 2 == 1:  # an odd block: the helper's half
                 raised_in.append(threading.current_thread())
-                raise ZeroDivisionError("helper x")
+                raise ZeroDivisionError("helper block")
             return np.multiply(m, x, out=v)
 
-        with pytest.raises(ZeroDivisionError, match="helper x"):
+        with pytest.raises(ZeroDivisionError, match="helper block"):
             self.sums([1.0, 2.0, 3.0], factor)
         if len(arith._usable_cpus()) > 1:
             assert raised_in[0] is not threading.main_thread()
@@ -361,6 +417,32 @@ class TestZeroSum:
         raw = ZeroTable(entries=(ZeroEntry(1, 14.134725),), source="raw")
         with pytest.raises(ValueError):
             zero_sum(1, 10.5, raw)
+
+    def test_unrefined_rejected_at_every_call(self, zeros100):
+        # The residual check lives in the cached _zero_values, which keeps no
+        # exception: an unrefined table raises again, a refined one still sums.
+        entries = list(zeros100.entries)
+        entries[7] = ZeroEntry(entries[7].index, entries[7].gamma)
+        raw = ZeroTable(entries=tuple(entries), source="one raw zero")
+        for _ in range(3):
+            with pytest.raises(ValueError, match="refined"):
+                zero_sum(2, 5.5, raw)
+            with pytest.raises(ValueError, match="refined"):
+                explicit.zero_pair_terms(2, 5.5, raw)
+        assert math.isfinite(zero_sum(2, 5.5, zeros100).value)
+
+    def test_table_hashed_once(self, zeros100, monkeypatch):
+        # A new table equal to a cached one hashes its entries on its first
+        # zero sum only; later sums find the cache without rehashing.
+        hashed = []
+        entry_hash = ZeroEntry.__hash__
+        monkeypatch.setattr(ZeroEntry, "__hash__", lambda e: hashed.append(e) or entry_hash(e))
+        table = ZeroTable(entries=zeros100.entries, source=zeros100.source)
+        zero_sum(2, 5.5, zeros100)
+        hashed.clear()
+        for x in (5.5, 9.5, 13.5):
+            assert zero_sum(2, x, table) == zero_sum(2, x, zeros100)
+        assert len(hashed) == len(table.entries)
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):

@@ -352,8 +352,8 @@ class TestDecayProfile:
                 assert floor == ts.tail_bound + ts.round_bound, (N, x)
 
     def test_one_cpu_route_matches(self, table_1e6):
-        # With two CPUs a helper thread sweeps the odd-indexed x; pinned to
-        # one, the caller sweeps them all.  The profiles agree bit for bit.
+        # With two CPUs a helper thread sweeps the odd-indexed blocks; pinned
+        # to one, the caller sweeps them all.  The profiles agree bit for bit.
         cpus = arith._usable_cpus()
         if len(cpus) < 2:
             pytest.skip("needs two usable CPUs")
@@ -383,8 +383,8 @@ class TestDecayProfile:
 
 class TestStreamedMemory:
     # tracemalloc sees numpy's buffers.  At N = 10^6 one N-length float64
-    # temporary alone is 8 MB; the streamed kernel holds a few 2^16-term
-    # blocks (0.5 MB each).
+    # temporary alone is 8 MB; the streamed kernel holds four SUM_BLOCK-term
+    # block arrays per thread (0.46 MB each).
     def test_profile_peak(self, table_1e6, traced_peak_bytes):
         assert traced_peak_bytes(lambda: rh_decay_profile(table_1e6, 5.0, 20.0, 6, 10**6)) <= 4e6
 
@@ -472,17 +472,21 @@ class TestFactorMax:
 
     def test_profile_matches_blockwise_reference(self, table_1e6):
         # The 20-point profile over three full blocks and a short one: each
-        # value is the fsum of the per-block np.sum(coef * sdot), and its
-        # floor the tail plus the factor_max bound, bit for bit.
+        # value is the fsum of the per-block einsum of w/(2 n^2) against
+        # fr^2 - fr = 2 sdot, and its floor the tail plus the factor_max
+        # bound, bit for bit.
         t, N = table_1e6, 3 * SUM_BLOCK + 5
         n = np.arange(1, N + 1, dtype=np.float64)
-        c = t.mubar_arr[1 : N + 1] * n**-2.0
+        c = t.mubar_arr[1 : N + 1] / (2.0 * n**2)
         blocks = [slice(lo, lo + SUM_BLOCK) for lo in range(0, N, SUM_BLOCK)]
         coef_mass = math.fsum(float(np.sum(np.abs(c[b]))) for b in blocks)
+        gamma = (SUM_BLOCK + 1) * UNIT_ROUNDOFF / (1.0 - (SUM_BLOCK + 1) * UNIT_ROUNDOFF)
         profile = rh_decay_profile(t, 10.0, 100.0, 20, N)
         assert len(profile) == 20
         for x, value, floor in profile:
-            ref = math.fsum(float(np.sum(c[b] * sdot_array(n[b] / x))) for b in blocks)
-            bound = GAMMA_B * SDOT_FACTOR_MAX * coef_mass / (1.0 - GAMMA_B) + UNIT_ROUNDOFF * abs(ref)
+            fr = n / x - np.floor(n / x)
+            f = fr * fr - fr
+            ref = math.fsum(float(np.einsum("i,i->", c[b], f[b])) for b in blocks)
+            bound = gamma * (2.0 * SDOT_FACTOR_MAX) * coef_mass / (1.0 - gamma) + UNIT_ROUNDOFF * abs(ref)
             assert value == ref, x
             assert floor == lhs_weighted_sdot(t, "mubar", 2.0, x, N).tail_bound + bound, x
