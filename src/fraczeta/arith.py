@@ -23,24 +23,17 @@ prime by prime, just before the slice's pass for the one prime factor
 above sqrt(n_max).  Both routes give each index its factors in
 increasing order of p, and floating products are rounded in that order,
 so the values depend neither on the segment size nor on the route a
-prime takes.
-
-With two segments or more and two usable CPUs, the caller sieves the
-even segments and the one worker of a pinned ThreadPoolExecutor
-(pinned_helper) the odd ones, each with buffers of its own that the
-caller allocates once.  Segments write disjoint slices of the tables
-and keep the order of factors within each index, so the split changes
-no value either.  Lambda is log p at the powers of the primes
-p <= sqrt(n_max), listed up front, and log n at the n > sqrt(n_max)
-whose smooth part is 1, which the large-prime pass marks.
+prime takes.  The segments run in order on the calling thread, and
+their buffers are allocated once per build.  Lambda is log p at the
+powers of the primes p <= sqrt(n_max), listed up front, and log n at
+the n > sqrt(n_max) whose smooth part is 1, which the large-prime pass
+marks.
 dirichlet_convolve is the independent O(N log N) oracle the selftest
 and the tests check the sieve against.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt, log, sqrt
@@ -52,25 +45,23 @@ __all__ = [
     "CapacityError",
     "build_sieve",
     "dirichlet_convolve",
-    "pinned_helper",
 ]
 
 # Peak resident bytes per table index during construction.  Live at the
 # peak are mu(1) + mubar(8) + upsilon(8) and the sparse Lambda, 16 bytes
 # for each of the ~6.7% of indices that are prime powers at 10^7: 18.
-# Each thread's buffers, ~1.5 MB at full segments, do not grow with
-# n_max.  The VmHWM of a fresh process grows by 19.2 B/index at 10^7 and
-# by 23.3 at 10^6, where the buffers of two threads weigh more (19.1 and
-# 21.7 pinned to one CPU).  44 stays: it leaves room for the allocator
-# and numpy's buffers, and keeps the largest table under MEM_BUDGET
-# (below) where it is.
+# The sieve's buffers, ~1.5 MB at full segments, do not grow with n_max.
+# The VmHWM of a fresh process grows by 19.1 B/index at 10^7 and by 21.6
+# at 10^6, where the buffers weigh more.  44 stays: it leaves room for the
+# allocator and numpy's buffers, and keeps the largest table under
+# MEM_BUDGET (below) where it is.
 _BYTES_PER_INDEX = 44
 
 # 2 GiB: the largest table is n_max = 48806446 (~4.88e7).  It also keeps
 # every index below 2^31, as the int32 smooth part needs.
 MEM_BUDGET = 2 * 2**30
 
-# Indices per sieve segment; its smooth part takes 1 MB per thread.  At
+# Indices per sieve segment; its smooth part takes 1 MB.  At
 # 10^6, 2^16-index segments doubled the build time (per-prime Python
 # work), and 2^20-index ones peaked above the unsegmented build's 61 MB.
 SEGMENT = 2**18
@@ -180,59 +171,6 @@ def _primes_upto(m: int) -> list[int]:
     return np.flatnonzero(~composite).tolist()
 
 
-def _usable_cpus() -> list[int]:
-    """The CPUs the calling thread may run on now, ascending; [] where the
-    platform cannot set a thread's CPUs (no os.sched_setaffinity)."""
-    return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
-
-
-@contextmanager
-def pinned_helper():
-    """One helper thread on the last of the caller's CPUs, the caller on the others.
-
-    Yields submit(fn, *args), which hands fn(*args) to a one-worker
-    ThreadPoolExecutor and returns wait(): wait blocks until that call is
-    done and returns its value or raises its exception.  The helper runs
-    calls in the order submitted.  On exit it finishes what is queued and
-    stops, and the caller's CPUs are restored, also when the body raises.
-    With one usable CPU, or on a platform without os.sched_setaffinity, it
-    yields None, starts no thread and imports no executor.  Left to the
-    scheduler, the helper was often woken on the caller's CPU, where the
-    two take turns; so each has CPUs of its own.
-    """
-    cpus = _usable_cpus()
-    if len(cpus) < 2:
-        yield None
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(1) as pool:
-        # Pinned by its first call rather than an initializer, so that a
-        # failure raises its own OSError here, not BrokenThreadPool.
-        pool.submit(os.sched_setaffinity, 0, cpus[-1:]).result()
-        os.sched_setaffinity(0, cpus[:-1])
-        try:
-            yield lambda fn, *args: pool.submit(fn, *args).result
-        finally:
-            os.sched_setaffinity(0, cpus)
-
-
-class _Scratch:
-    """One sieve thread's buffers, allocated once per build: the segment's
-    smooth part, the scatter's indices and past-the-end flags (one per
-    template entry), and three arrays that a slice's scatter and
-    large-prime pass use in turn."""
-
-    def __init__(self, segment: int, entries: int, slots: int):
-        self.smooth = np.empty(segment, dtype=np.int32)
-        self.idx, self.past = np.empty(entries, dtype=np.intp), np.empty(entries, dtype=bool)
-        self.ints, self.flags, self.floats = (np.empty(slots, dtype=t) for t in (np.int32, bool, np.float64))
-
-    def slot_views(self, length: int) -> tuple[np.ndarray, ...]:
-        """ints, flags and floats cut to length."""
-        return self.ints[:length], self.flags[:length], self.floats[:length]
-
-
 def _first(d: int, lo: int) -> int:
     """Offset from lo of the first multiple of d that is >= max(d, lo)."""
     return max(d, -(-lo // d) * d) - lo
@@ -266,8 +204,6 @@ def build_sieve(n_max: int) -> ArithmeticTable:
 def _sieve(n_max: int):
     """mu, mubar and upsilon, slot 0 not yet reset, and the prime powers
     and Lambda at each as lists of per-segment arrays."""
-    # Each segment sets its own slices to 1, so the two threads share the
-    # first touch of the pages too.
     mu = np.empty(n_max + 1, dtype=np.int8)
     mubar = np.empty(n_max + 1)
     upsilon = np.empty(n_max + 1)
@@ -281,9 +217,8 @@ def _sieve(n_max: int):
     # The primes with p^3 > n_max divide an index at most twice.  In a
     # width-index slice each has at most ceil(width/p) multiples: entry e
     # of the template is the j-th of them, step[e] = j p past the first,
-    # for the prime big[which[e]].  2^15-index slices keep a thread's slice
-    # buffers near 0.5 MB; 2^16 ran no faster at 10^7 and, on two threads,
-    # lifted a 10^6 build's peak above the one-thread sieve's.
+    # for the prime big[which[e]].  2^15-index slices keep the slice
+    # buffers near 0.5 MB; 2^16 ran no faster at 10^7.
     big = np.array(primes[cubed:], dtype=np.int64)
     big_root = np.sqrt(big.astype(np.float64))
     width = min(2**15, n_max + 1)
@@ -292,16 +227,20 @@ def _sieve(n_max: int):
     step = (big[which] * (np.arange(len(which)) - np.repeat(np.cumsum(runs) - runs, runs))).astype(np.int32)
     sq_e = (big * big).astype(np.int32)[which]
     iota = np.arange(width, dtype=np.int32)
+    # The segment's smooth part; the scatter's indices and past-the-end flags,
+    # one per template entry; three arrays a slice's two passes use in turn.
+    smooth = np.empty(min(SEGMENT, n_max + 1), dtype=np.int32)
+    idx, past = np.empty(len(which), dtype=np.intp), np.empty(len(which), dtype=bool)
+    slots = [np.empty(max(width, len(which)), dtype=t) for t in (np.int32, bool, np.float64)]
 
-    def scatter(lo, m, mb, up, sm, buf):
+    def scatter(lo, m, mb, up, sm):
         """Multiply in the big primes' factors at the slice lo:lo + len(m).
 
         np.multiply.at applies the entries in template order, so each index
         takes its factors in increasing p.  Entries past the slice's end
         point at its first index with factor 1, which changes nothing.
         """
-        idx, past = buf.idx, buf.past
-        ints, flags, floats = buf.slot_views(len(which))
+        ints, flags, floats = (a[: len(which)] for a in slots)
         first = np.maximum(-(-lo // big) * big, big) - lo
         np.add(np.take(first, which, out=idx, mode="clip"), step, out=idx)
         np.greater_equal(idx, len(m), out=past)
@@ -323,7 +262,7 @@ def _sieve(n_max: int):
         np.copyto(floats, 1.0, where=past)
         np.multiply.at(up, idx, floats)
 
-    def large_primes(lo, m, mb, up, sm, buf):
+    def large_primes(lo, m, mb, up, sm):
         """Multiply in the factor at the one prime q > sqrt(n_max) of each n, if any.
 
         What is left of n = lo + i is 1 or that q.  Each factor is exactly 1
@@ -332,7 +271,7 @@ def _sieve(n_max: int):
         reset by the caller.  sm is left -1 where n > 1 is itself prime
         (its smooth part was 1, so q = n) and q elsewhere.
         """
-        n, one, f = buf.slot_views(len(m))
+        n, one, f = (a[: len(m)] for a in slots)
         np.add(iota[: len(m)], lo, out=n)
         q = np.floor_divide(n, sm, out=sm)
         np.equal(q, 1, out=one)
@@ -349,18 +288,18 @@ def _sieve(n_max: int):
             one[:2] = False
         np.copyto(sm, -1, where=one)
 
-    def sieve(lo, buf):
-        """Segment [lo, lo + SEGMENT): mu, mubar and upsilon, and in buf.smooth
+    def sieve(lo):
+        """Segment [lo, lo + SEGMENT): mu, mubar and upsilon, and in smooth
         -1 at the primes > sqrt(n_max)."""
         hi = min(lo + SEGMENT, n_max + 1)
-        m, mb, up, sm = mu[lo:hi], mubar[lo:hi], upsilon[lo:hi], buf.smooth[: hi - lo]
+        m, mb, up, sm = mu[lo:hi], mubar[lo:hi], upsilon[lo:hi], smooth[: hi - lo]
         for a in (m, mb, up):
             a.fill(1)
         # Local factors at p^a: mu -1, then 0 from a = 2; upsilon 1 - sqrt(p);
         # mubar -(1 + sqrt(p)), then sqrt(p) at a = 2 and 0 from a = 3.  Until
         # the smooth part is formed below, its buffer holds mubar's values at
         # the multiples of p^2: at most len/4 + 1 of them, in len//2 float64.
-        at_p2 = buf.smooth[: len(buf.smooth) // 2 * 2].view(np.float64)
+        at_p2 = smooth[: len(smooth) // 2 * 2].view(np.float64)
         for p in strided:
             s = sqrt(p)
             a1, a2, a3 = _first(p, lo), _first(p * p, lo), _first(p**3, lo)
@@ -379,10 +318,10 @@ def _sieve(n_max: int):
                 pa *= p
         for a in range(0, hi - lo, width):
             part = slice(a, a + width)
-            scatter(lo + a, m[part], mb[part], up[part], sm[part], buf)
-            large_primes(lo + a, m[part], mb[part], up[part], sm[part], buf)
+            scatter(lo + a, m[part], mb[part], up[part], sm[part])
+            large_primes(lo + a, m[part], mb[part], up[part], sm[part])
 
-    def collect(lo, smooth):
+    def collect(lo):
         """Append the segment's prime powers, int32 until they are joined: its
         primes > sqrt(n_max), with Lambda = log n, and the powers of the
         smaller primes that fall in it."""
@@ -392,19 +331,9 @@ def _sieve(n_max: int):
         prime_powers.append(np.insert(n, at, small_pp[inside]))
         lam.append(np.insert(np.log(n), at, small_lam[inside]))
 
-    segments = range(0, n_max + 1, SEGMENT)
     prime_powers, lam = [], []
-    with pinned_helper() if len(segments) > 1 else nullcontext() as submit:
-        threads = 2 if submit else 1
-        # The helper allocates nothing large: its buffers come from here.
-        bufs = [_Scratch(min(SEGMENT, n_max + 1), len(which), max(width, len(which))) for _ in range(threads)]
-        for j in range(0, len(segments), threads):
-            pair = segments[j : j + threads]
-            odd = submit(sieve, pair[1], bufs[1]) if len(pair) > 1 else None
-            sieve(pair[0], bufs[0])
-            collect(pair[0], bufs[0].smooth)
-            if odd is not None:
-                odd()
-                collect(pair[1], bufs[1].smooth)
+    for lo in range(0, n_max + 1, SEGMENT):
+        sieve(lo)
+        collect(lo)
 
     return mu, mubar, upsilon, prime_powers, lam

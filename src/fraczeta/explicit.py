@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import functools
 import math
-from contextlib import nullcontext
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import ArithmeticTable, pinned_helper
+from .arith import ArithmeticTable
 from .bernpoly import ik_envelope, integral_ik_array
 from .zeta import (
     EULER_GAMMA,
@@ -104,6 +104,12 @@ class TruncatedSum:
             raise ValueError("tail and rounding bounds must be finite and nonnegative")
 
 
+def _usable_cpus() -> list[int]:
+    """The CPUs the calling thread may run on now, ascending; [] where the
+    platform cannot set a thread's CPUs (no os.sched_setaffinity)."""
+    return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+
+
 def weighted_sums(points, coef, factor, xs, factor_max) -> list[tuple[float, float]]:
     """sum over n in points of coef(n) factor(n, x): one (value, round_bound) per x in xs.
 
@@ -118,21 +124,25 @@ def weighted_sums(points, coef, factor, xs, factor_max) -> list[tuple[float, flo
     np.einsum, numpy's own loop and not BLAS, fuses the products with the
     block sum s_j = sum c_i f_i.
 
-    With two or more x and two or more CPUs the caller may run on, one
-    helper thread, started for the call, takes the odd blocks and the
-    caller the even ones; each forms its blocks' n and coef and sweeps
-    every x over them with a buffer pair of its own, and numpy releases
-    the GIL inside the ufuncs, so the halves run at once.  For the call
-    the helper runs on the last of the caller's CPUs and the caller on the
-    others (arith.pinned_helper).  An exception factor raises in either
-    thread reaches the caller.  A single x or block, one usable CPU, or a
-    platform without os.sched_setaffinity starts no thread.  Each thread
-    holds four block arrays (n, coef, y, v), so a 6-x profile at N = 10^6
-    peaks near 3.7 MB traced, inside the 4 MB its per-call memory tests
-    allow: SUM_BLOCK = 7 * 2^13 is the largest multiple of 2^13 that fits,
-    and shorter blocks lose more to the GIL hand-off between ufunc calls.
-    The split changes no value: each block sum is the same computation
-    whichever thread forms it, and the fsum below is correctly rounded.
+    With two or more x and two or more CPUs the caller may run on, the
+    worker of a one-worker ThreadPoolExecutor, started for the call and
+    pinned to the last of the caller's CPUs (the caller to the others; left
+    to the scheduler, the two often took turns on one), takes the odd
+    blocks and the caller the even ones.  Each forms its blocks' n and coef
+    and sweeps every x over them with a buffer pair of its own; numpy
+    releases the GIL inside the ufuncs, so the halves run at once.  A half
+    that raises (Ctrl-C included), or a caller that leaves while it waits,
+    sets a flag both read before each block, so the other half stops at
+    its next one; the exception reaches the caller, whose CPUs are
+    restored.  A single x or block, one usable CPU, or a platform without
+    os.sched_setaffinity starts no thread and imports no executor.  Each
+    thread holds four block arrays (n, coef, y, v), so a 6-x profile at
+    N = 10^6 peaks near 3.7 MB traced, inside the 4 MB its per-call memory
+    tests allow: SUM_BLOCK = 7 * 2^13 is the largest multiple of 2^13
+    that fits, and shorter blocks lose more to the GIL hand-off between
+    ufunc calls.  The split changes no value: each block sum is the same
+    computation whichever thread forms it, and the fsum below is
+    correctly rounded.
 
     factor_max is a proven bound on |factor| for every value factor
     computes (rounding included), at every x.  Each block also np.sums
@@ -162,19 +172,24 @@ def weighted_sums(points, coef, factor, xs, factor_max) -> list[tuple[float, flo
     starts = range(0, len(points), SUM_BLOCK)
     sums = [[0.0] * len(starts) for _ in xs]  # per x: the block sums
     coef_sums = [0.0] * len(starts)  # per block: np.sum of |coef|
-    with pinned_helper() if len(xs) > 1 and len(starts) > 1 else nullcontext() as submit:
-        threads = 2 if submit else 1
-        # Each thread has its own buffer pair, every row on a 64-byte boundary.
-        # Where the allocator left them 16 bytes off one, a 20-x mubar pass over
-        # 10^7 terms ran ~15% slower, so its speed hung on the heap's history.
-        width = -(-min(len(points), SUM_BLOCK) // 8) * 8
-        raw = np.empty(2 * threads * width + 8)
-        start = (-raw.ctypes.data % 64) // 8
-        buffers = raw[start : start + 2 * threads * width].reshape(threads, 2, width)
+    cpus = _usable_cpus() if len(xs) > 1 and len(starts) > 1 else []
+    threads = 2 if len(cpus) > 1 else 1
+    # Each thread has its own buffer pair, every row on a 64-byte boundary.
+    # Where the allocator left them 16 bytes off one, a 20-x mubar pass over
+    # 10^7 terms ran ~15% slower, so its speed hung on the heap's history.
+    width = -(-min(len(points), SUM_BLOCK) // 8) * 8
+    raw = np.empty(2 * threads * width + 8)
+    start = (-raw.ctypes.data % 64) // 8
+    buffers = raw[start : start + 2 * threads * width].reshape(threads, 2, width)
+    stop = False  # set when a half raises or the caller leaves
 
-        def sweep(part):
-            """Thread part's blocks: those at positions part, part + threads, ... of starts."""
+    def sweep(part):
+        """Thread part's blocks: those at positions part, part + threads, ... of starts."""
+        nonlocal stop
+        try:
             for j in range(part, len(starts), threads):
+                if stop:
+                    return
                 block = points[starts[j] : starts[j] + SUM_BLOCK]
                 if isinstance(block, range):
                     n = np.arange(block.start, block.stop, dtype=np.float64)
@@ -187,10 +202,27 @@ def weighted_sums(points, coef, factor, xs, factor_max) -> list[tuple[float, flo
                     f = factor(n, x, y, v)
                     sums[i][j] = float(np.einsum("i,i->" if np.ndim(f) else "i,->", c, f))
                 del n, c  # before the next block's are formed
+        except BaseException:
+            stop = True
+            raise
 
-        helper = submit(sweep, 1) if submit else lambda: None
+    if threads == 1:
         sweep(0)
-        helper()
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(1) as pool:
+            # Pinned by its first call rather than an initializer, so that a
+            # failure raises its own OSError here, not BrokenThreadPool.
+            pool.submit(os.sched_setaffinity, 0, cpus[-1:]).result()
+            os.sched_setaffinity(0, cpus[:-1])
+            try:
+                helper = pool.submit(sweep, 1)
+                sweep(0)
+                helper.result()
+            finally:
+                stop = True  # the helper is done, or stops at its next block
+                os.sched_setaffinity(0, cpus)
     m = (SUM_BLOCK + 1) * UNIT_ROUNDOFF
     gamma = m / (1.0 - m)
     bound = gamma * factor_max * math.fsum(coef_sums) / (1.0 - gamma)

@@ -200,16 +200,14 @@ def _loggamma(z: np.ndarray):
     return value, bound
 
 
-def _zeta_batch(s: np.ndarray, deriv: bool = False):
-    """zeta over a 1-d complex array (domain pre-validated); with deriv, (zeta, zeta').
+def _zeta_batch(s: np.ndarray) -> np.ndarray:
+    """zeta over a 1-d complex array (domain pre-validated).
 
-    deriv needs Re s >= -1/2 throughout (_check_deriv_domain).  For
-    Re s < -1/2, zeta alone is the expansion at 1-s pulled back through the
+    For Re s < -1/2 it is the expansion at 1-s pulled back through the
     functional equation zeta(s) = chi(s) zeta(1-s), chi in log space with
     _loggamma's log Gamma(1-s); direct summation there would cancel.
+    _zeta_direct(s, True) gives (zeta, zeta') where Re s >= -1/2.
     """
-    if deriv:
-        return _zeta_direct(s, True)
     z = np.empty_like(s)
     left = s.real < -0.5
     if np.any(left):
@@ -336,7 +334,7 @@ def zeta_deriv(s):
     if np.any(np.abs(arr - 1.0) <= 0.1):
         raise DomainError("zeta_deriv needs |s - 1| > 0.1")
     _check_deriv_domain(arr)
-    return _unbatch(_zeta_batch(arr, deriv=True)[1], scalar)
+    return _unbatch(_zeta_direct(arr, True)[1], scalar)
 
 
 def _neg_zld_near_pole(s: np.ndarray) -> np.ndarray:
@@ -371,7 +369,7 @@ def neg_zeta_log_deriv(s):
         out[near] = _neg_zld_near_pole(arr[near])
     far = ~near
     if np.any(far):
-        zs, dzs = _zeta_batch(arr[far], deriv=True)
+        zs, dzs = _zeta_direct(arr[far], True)
         if np.any(np.abs(zs) <= 1e-12):
             raise PoleProximityError("zeta(s) within 1e-12 of zero")
         out[far] = -dzs / zs
@@ -579,7 +577,7 @@ def refine_table(table: ZeroTable, count: int | None = None) -> ZeroTable:
     residual = np.empty(seeds.size)
     todo = np.arange(seeds.size)
     for _ in range(50):
-        z, dz = _zeta_batch(s[todo], deriv=True)
+        z, dz = _zeta_direct(s[todo], True)
         residual[todo] = np.abs(z)
         more = residual[todo] > 1e-10
         todo, z, dz = todo[more], z[more], dz[more]

@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import inspect
 import math
 import os
 import random
@@ -25,6 +24,15 @@ def lam_at(t, n):
     """Lambda(n) from the table's sparse Lambda: 0 unless n is a prime power."""
     i = np.searchsorted(t.prime_powers, n)
     return t.lam[i] if i < len(t.prime_powers) and t.prime_powers[i] == n else 0.0
+
+
+def _digest(t):
+    """sha256 over the table's five arrays, names and bytes."""
+    h = hashlib.sha256()
+    for name, a in t.arrays().items():
+        h.update(name.encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
 
 
 class TestBuildSieve:
@@ -115,84 +123,18 @@ class TestBuildSieve:
                 first = lo + arith._first(d, lo)
                 assert first % d == 0 and max(d, lo) <= first < max(d, lo) + d, (lo, d)
 
+    def test_builds_start_no_thread(self, monkeypatch):
+        # The segments run in order on the caller's thread, one or many.
+        def refuse(thread):
+            raise RuntimeError("thread started")
 
-# The CPUs this process may run on, read before any test runs: a build
-# that failed to restore its caller's CPUs would leave fewer behind.
-CPUS = arith._usable_cpus()
-
-
-def _digest(t):
-    """sha256 over the table's five arrays, names and bytes."""
-    h = hashlib.sha256()
-    for name, a in t.arrays().items():
-        h.update(name.encode())
-        h.update(a.tobytes())
-    return h.hexdigest()
-
-
-class TestSieveThreads:
-    """Two segments or more are split between the caller and one pinned
-    helper thread; one segment, or one usable CPU, starts no thread."""
-
-    def test_one_cpu_route_matches(self):
-        cpus = CPUS
-        if len(cpus) < 2:
-            pytest.skip("needs two usable CPUs")
-        sizes = (2**18 + 1, 2**19 + 7, 10**6 + 3)
-        script = (
-            "import hashlib, os\n"
-            f"os.sched_setaffinity(0, {{{cpus[0]}}})\n"
-            "from fraczeta import arith\n"
-            "assert len(arith._usable_cpus()) == 1\n"
-            f"{inspect.getsource(_digest)}\n"
-            f"print([_digest(arith.build_sieve(n)) for n in {sizes}])\n"
-        )
-        src = os.path.dirname(os.path.dirname(arith.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                              timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == repr([_digest(build_sieve(n)) for n in sizes])
-
-    def test_one_segment_starts_no_thread(self, monkeypatch):
-        started = []
-        start = threading.Thread.start
-
-        def counted(thread):
-            started.append(thread)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", counted)
-        # Slots 0..n_max: one segment up to n_max = SEGMENT - 1.
-        build_sieve(10**5)
-        build_sieve(arith.SEGMENT - 1)
-        assert started == []
-        build_sieve(arith.SEGMENT)
-        assert len(started) == (1 if len(CPUS) > 1 else 0)
-        assert arith._usable_cpus() == CPUS
-
-    def test_helper_exception_reaches_caller(self, monkeypatch):
-        # The helper sieves the odd segments; a failure there is raised in the
-        # caller, whose CPUs are restored, and the helper is joined.
-        if len(CPUS) < 2:
-            pytest.skip("needs two usable CPUs")
-        first = arith._first
-
-        def failing(d, lo):
-            if threading.current_thread() is not threading.main_thread():
-                raise ZeroDivisionError("helper segment")
-            return first(d, lo)
-
-        baseline = threading.active_count()
-        monkeypatch.setattr(arith, "_first", failing)
-        with pytest.raises(ZeroDivisionError, match="helper segment"):
-            build_sieve(2 * arith.SEGMENT)
-        assert arith._usable_cpus() == CPUS
-        assert threading.active_count() == baseline
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        build_sieve(arith.SEGMENT + 1)
+        build_sieve(10**6)
 
     def test_concurrent_builds_under_fast_switching(self):
-        # Three builds at once, each with its helper: more threads than
-        # CPUs, switching every microsecond; each table matches a lone build.
+        # Three builds at once, switching every microsecond; each table
+        # matches a lone build.
         n_max = 2**19 + 7
         expected = _digest(build_sieve(n_max))
         results = []
@@ -209,28 +151,6 @@ class TestSieveThreads:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
         assert results == [expected] * 3
-        assert arith._usable_cpus() == CPUS
-
-    def test_pinned_helper(self):
-        cpus = CPUS
-        baseline = threading.active_count()
-        with arith.pinned_helper() as submit:
-            if len(cpus) < 2:
-                assert submit is None
-                return
-            assert submit(os.sched_getaffinity, 0)() == set(cpus[-1:])
-            assert os.sched_getaffinity(0) == set(cpus[:-1])
-            wait = submit(math.sqrt, -1.0)
-            with pytest.raises(ValueError):
-                wait()
-        assert arith._usable_cpus() == cpus
-        assert threading.active_count() == baseline
-        with pytest.raises(KeyError):
-            with arith.pinned_helper() as submit:
-                submit(math.sqrt, 4.0)
-                raise KeyError("caller")
-        assert arith._usable_cpus() == cpus
-        assert threading.active_count() == baseline
 
 
 class TestVonMangoldt:
@@ -280,8 +200,8 @@ class TestMubarUpsilon:
         # Each index takes its local factors in increasing p from 1.0, and a
         # cube of p sets mubar to +0.0 before the larger primes multiply in:
         # the same steps in Python floats give every value bit for bit,
-        # signed zeros included.  At 2^19 + 7 (three segments, two threads
-        # where there are two CPUs) 83 is the first prime with p^3 > n_max.
+        # signed zeros included.  At 2^19 + 7 (three segments) 83 is the
+        # first prime with p^3 > n_max.
         n_max = 2**19 + 7
         t = build_sieve(n_max)
         rng = random.Random(7)

@@ -572,20 +572,21 @@ def test_numpy_only_start_up():
 
 
 def test_executor_loads_only_with_a_helper(tmp_path):
-    # A one-segment table and a one-x sum start no helper thread, so they
-    # import neither concurrent.futures nor the logging it pulls in; a
-    # two-segment sieve on two usable CPUs starts one and loads both.
+    # The sieve of a 10^6 table and one-x sums start no helper thread, so
+    # they import neither concurrent.futures nor the logging it pulls in; a
+    # 6-point profile on two usable CPUs starts one and loads both.
     script = (
         "import sys\n"
-        "from fraczeta import arith, cli\n"
-        "runs = [['verify', 'th2-mu', '--x', '2', '--nterms', '100000'],\n"
+        "from fraczeta import cli, explicit\n"
+        "runs = [['verify', 'th2-mu', '--nterms', '1000000'],\n"
         "        ['verify', 'th1', '--k', '2', '--x', '5.5', '--nterms', '100000'], ['selftest']]\n"
         "codes = [cli.main(args) for args in runs]\n"
         "assert codes == [0] * len(runs), codes\n"
         "names = ('concurrent.futures', 'logging')\n"
         "assert not any(m in sys.modules for m in names), [m for m in names if m in sys.modules]\n"
-        "if len(arith._usable_cpus()) > 1:\n"
-        "    arith.build_sieve(2**18 + 1)\n"
+        "if len(explicit._usable_cpus()) > 1:\n"
+        "    args = ['rh-explore', '--xmin', '5', '--xmax', '20', '--points', '6', '--nterms', '1000000']\n"
+        "    assert cli.main(args) == 0\n"
         "    assert all(m in sys.modules for m in names), [m for m in names if m not in sys.modules]\n"
         "    print('helper')\n"
     )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraczeta import arith, explicit
+from fraczeta import explicit
 from fraczeta.bernpoly import integral_ik_array
 from fraczeta.explicit import (
     SUM_BLOCK,
@@ -243,7 +243,7 @@ class TestHelperThread:
         self.sums([1.0])
         # Nor does a single block, which leaves the helper nothing to sweep.
         weighted_sums(range(SUM_BLOCK), lambda m, at: m, unit_factor, [1.0, 2.0], 1.0)
-        if len(arith._usable_cpus()) > 1:
+        if len(explicit._usable_cpus()) > 1:
             with pytest.raises(RuntimeError, match="thread started"):
                 self.sums([1.0, 2.0])
 
@@ -256,17 +256,19 @@ class TestHelperThread:
             return np.multiply(m, x, out=v)
 
         self.sums([1.0, 2.0, 3.0], factor)
-        assert len(rows) == (2 if len(arith._usable_cpus()) > 1 else 1)
+        assert len(rows) == (2 if len(explicit._usable_cpus()) > 1 else 1)
         addresses = [a for pair in rows.values() for a in pair]
         assert len(set(addresses)) == 2 * len(rows)
         assert all(a % 64 == 0 for a in addresses)
 
     def test_threads_on_separate_cpus(self):
         # Each thread runs on CPUs of its own during the call; the caller's
-        # CPUs are restored after it, also when factor raises.
-        cpus = arith._usable_cpus()
+        # CPUs are restored and the helper joined after it, also when factor
+        # raises.
+        cpus = explicit._usable_cpus()
         if len(cpus) < 2:
             pytest.skip("needs two usable CPUs")
+        baseline = threading.active_count()
         seen = {}
 
         def factor(m, x, y, v):
@@ -278,10 +280,11 @@ class TestHelperThread:
         self.sums([1.0, 2.0, 3.0], factor)
         assert len(seen) == 2
         assert set(seen.values()) == {frozenset(cpus[:-1]), frozenset(cpus[-1:])}
-        assert arith._usable_cpus() == cpus
+        assert explicit._usable_cpus() == cpus
         with pytest.raises(ValueError, match="last x"):
             self.sums([1.0, 2.0, 3.0, 4.0], factor)
-        assert arith._usable_cpus() == cpus
+        assert explicit._usable_cpus() == cpus
+        assert threading.active_count() == baseline
 
     def test_helper_exception_reaches_caller(self):
         raised_in = []
@@ -294,8 +297,29 @@ class TestHelperThread:
 
         with pytest.raises(ZeroDivisionError, match="helper block"):
             self.sums([1.0, 2.0, 3.0], factor)
-        if len(arith._usable_cpus()) > 1:
+        if len(explicit._usable_cpus()) > 1:
             assert raised_in[0] is not threading.main_thread()
+
+    def test_caller_error_stops_helper(self):
+        # The caller raises on its first block; the helper, which reads the
+        # flag before each of its blocks, stops after the one it is in
+        # instead of sweeping all eight.  Its first call waits for the
+        # caller's, so a caller slow to start cannot let it run ahead.
+        if len(explicit._usable_cpus()) < 2:
+            pytest.skip("needs two usable CPUs")
+        caller, raising, helper_blocks = threading.get_ident(), threading.Event(), set()
+
+        def factor(m, x, y, v):
+            if threading.get_ident() == caller:
+                raising.set()
+                raise ZeroDivisionError("caller block")
+            helper_blocks.add(int(m[0]) // SUM_BLOCK)
+            raising.wait(timeout=60)
+            return np.multiply(m, x, out=v)
+
+        with pytest.raises(ZeroDivisionError, match="caller block"):
+            weighted_sums(range(16 * SUM_BLOCK), lambda m, at: m, factor, [0.5 * j for j in range(1, 21)], 1.0)
+        assert len(helper_blocks) <= 2, sorted(helper_blocks)
 
     def test_concurrent_calls_under_fast_switching(self):
         # Four callers at once, each with its helper: more threads than

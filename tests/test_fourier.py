@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fraczeta import arith, cli, fourier
+from fraczeta import cli, explicit, fourier
 from fraczeta.bernpoly import ik_envelope, integral_ik_array, sdot_array
 from fraczeta.zeta import zeta_deriv
 from fraczeta.explicit import SUM_BLOCK, UNIT_ROUNDOFF, TruncatedSum, lhs_theorem1, weighted_sums
@@ -354,16 +354,16 @@ class TestDecayProfile:
     def test_one_cpu_route_matches(self, table_1e6):
         # With two CPUs a helper thread sweeps the odd-indexed blocks; pinned
         # to one, the caller sweeps them all.  The profiles agree bit for bit.
-        cpus = arith._usable_cpus()
+        cpus = explicit._usable_cpus()
         if len(cpus) < 2:
             pytest.skip("needs two usable CPUs")
         ns = (1, SUM_BLOCK - 1, 3 * SUM_BLOCK + 5, 10**6)
         script = (
             "import os\n"
             f"os.sched_setaffinity(0, {{{cpus[0]}}})\n"
-            "from fraczeta import arith, cli\n"
+            "from fraczeta import cli, explicit\n"
             "from fraczeta.fourier import rh_decay_profile\n"
-            "assert len(arith._usable_cpus()) == 1\n"
+            "assert len(explicit._usable_cpus()) == 1\n"
             "t = cli.get_table(10**6)\n"
             f"print(repr([rh_decay_profile(t, 5.0, 20.0, 5, N) for N in {ns}]))\n"
         )

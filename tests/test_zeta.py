@@ -287,13 +287,13 @@ class TestRefineTable:
 
     def test_one_pass_when_every_seed_converged(self, monkeypatch):
         passes = []
-        batch = zeta_module._zeta_batch
+        direct = zeta_module._zeta_direct
 
-        def counting(s, deriv=False):
+        def counting(s, deriv):
             passes.append((len(s), deriv))
-            return batch(s, deriv)
+            return direct(s, deriv)
 
-        monkeypatch.setattr(zeta_module, "_zeta_batch", counting)
+        monkeypatch.setattr(zeta_module, "_zeta_direct", counting)
         refined = refine_table(load_zero_table(bundled_zeros_path()), 100)
         assert passes == [(100, True)]
         assert max(e.residual for e in refined.entries) <= 1e-10
