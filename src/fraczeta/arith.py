@@ -10,7 +10,9 @@ Builds the tables of the four weights used by the series identities:
   Dirichlet series zeta(s)/zeta(s-1/2)
 
 mu, mubar and upsilon are multiplicative, so one sieve over the primes
-p <= sqrt(n_max) multiplies in their local factors at p^a; sqrt(p) is
+p <= sqrt(n_max) multiplies in their local factors at p^a.  A table holds
+Lambda, mu and mubar; the same sieve forms upsilon on the table's first
+read of it, as only Theorem 4 and the selftest read it.  sqrt(p) is
 taken in binary64, which keeps every downstream tolerance (>= 1e-8) with
 several orders of headroom.  The sieve runs over SEGMENT-index segments
 (the usual segmented layout, as in Oliveira e Silva, Herzog and Pardi,
@@ -47,14 +49,13 @@ __all__ = [
     "dirichlet_convolve",
 ]
 
-# Peak resident bytes per table index during construction.  Live at the
-# peak are mu(1) + mubar(8) + upsilon(8) and the sparse Lambda, 16 bytes
-# for each of the ~6.7% of indices that are prime powers at 10^7: 18.
-# The sieve's buffers, ~1.5 MB at full segments, do not grow with n_max.
-# The VmHWM of a fresh process grows by 19.1 B/index at 10^7 and by 21.6
-# at 10^6, where the buffers weigh more.  44 stays: it leaves room for the
-# allocator and numpy's buffers, and keeps the largest table under
-# MEM_BUDGET (below) where it is.
+# Peak resident bytes per table index.  A build holds mu(1) + mubar(8)
+# and the sparse Lambda, 16 bytes for each of the ~6.7% of indices that
+# are prime powers at 10^7: 10.  upsilon, formed on its first read, adds
+# 8.  The sieve's buffers, ~1.5 MB at full segments, do not grow with
+# n_max.  44 stays: it leaves room for the allocator, numpy's buffers and
+# a later upsilon, and keeps the largest table under MEM_BUDGET (below)
+# where it is.
 _BYTES_PER_INDEX = 44
 
 # 2 GiB: the largest table is n_max = 48806446 (~4.88e7).  It also keeps
@@ -67,8 +68,7 @@ MEM_BUDGET = 2 * 2**30
 SEGMENT = 2**18
 
 # The arrays every ArithmeticTable holds, and their dtypes.
-_DTYPES = {"prime_powers": np.int64, "lam": np.float64,
-           "mu": np.int8, "mubar_arr": np.float64, "upsilon_arr": np.float64}
+_DTYPES = {"prime_powers": np.int64, "lam": np.float64, "mu": np.int8, "mubar_arr": np.float64}
 
 
 class CapacityError(ValueError):
@@ -83,8 +83,8 @@ class ArithmeticTable:
     lam holds Lambda at each: lam[i] = Lambda(prime_powers[i]).  mu (the
     Moebius function, int8), mubar_arr and upsilon_arr (the two
     sqrt-weighted convolutions, float64) are indexed 0..n_max, slot 0
-    unused.  Callers index the read-only arrays directly, singly or by
-    slice.
+    unused; upsilon_arr is sieved on its first read.  Callers index the
+    read-only arrays directly, singly or by slice.
     """
 
     n_max: int
@@ -92,7 +92,6 @@ class ArithmeticTable:
     lam: np.ndarray
     mu: np.ndarray
     mubar_arr: np.ndarray
-    upsilon_arr: np.ndarray
 
     def __post_init__(self):
         # Loaded tables pass through here too: a wrong dtype or length, or
@@ -116,7 +115,7 @@ class ArithmeticTable:
             raise ValueError(f"N must be in 1..{self.n_max}")
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """The five arrays by field name."""
+        """The four arrays the table holds, by field name."""
         return {name: getattr(self, name) for name in _DTYPES}
 
     @cached_property
@@ -130,6 +129,14 @@ class ArithmeticTable:
             del found  # before the next segment's is formed
         out.setflags(write=False)
         return out
+
+    @cached_property
+    def upsilon_arr(self) -> np.ndarray:
+        """upsilon indexed 0..n_max, slot 0 unused, read-only float64 (cached)."""
+        up, _, _ = _sieve(self.n_max, upsilon=True)
+        up[0] = 0.0
+        up.setflags(write=False)
+        return up
 
 
 def dirichlet_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -177,7 +184,7 @@ def _first(d: int, lo: int) -> int:
 
 
 def build_sieve(n_max: int) -> ArithmeticTable:
-    """Sieve all four weights up to n_max.
+    """Sieve Lambda, mu and mubar up to n_max (upsilon waits for its first read).
 
     Raises CapacityError, before allocating, when n_max < 1 or the
     estimated peak memory would exceed MEM_BUDGET.
@@ -192,21 +199,20 @@ def build_sieve(n_max: int) -> ArithmeticTable:
     # Each list is rebound to its concatenation at once, so the pieces of
     # one go before the other is joined; the sieve's buffers went with
     # _sieve's frame.
-    mu, mubar, upsilon, prime_powers, lam = _sieve(n_max)
+    mu, mubar, prime_powers, lam = _sieve(n_max)
     prime_powers = np.concatenate(prime_powers, dtype=np.int64)
     lam = np.concatenate(lam)
     mu[0] = 0
-    mubar[0] = upsilon[0] = 0.0
-    return ArithmeticTable(n_max=n_max, prime_powers=prime_powers, lam=lam, mu=mu, mubar_arr=mubar,
-                           upsilon_arr=upsilon)
+    mubar[0] = 0.0
+    return ArithmeticTable(n_max=n_max, prime_powers=prime_powers, lam=lam, mu=mu, mubar_arr=mubar)
 
 
-def _sieve(n_max: int):
-    """mu, mubar and upsilon, slot 0 not yet reset, and the prime powers
-    and Lambda at each as lists of per-segment arrays."""
-    mu = np.empty(n_max + 1, dtype=np.int8)
-    mubar = np.empty(n_max + 1)
-    upsilon = np.empty(n_max + 1)
+def _sieve(n_max: int, upsilon: bool = False):
+    """The dense arrays, slot 0 not yet reset: mu and mubar, or upsilon
+    alone if upsilon; then the prime powers and Lambda at each as lists of
+    per-segment arrays, empty if upsilon.  The smooth part and the
+    large-prime pass run either way."""
+    dense = [np.empty(n_max + 1)] if upsilon else [np.empty(n_max + 1, dtype=np.int8), np.empty(n_max + 1)]
     primes = _primes_upto(isqrt(n_max))
     # The powers p^a <= n_max of these primes, ascending, and Lambda at each.
     small = sorted((p**a, log(p)) for p in primes for a in range(1, n_max.bit_length()) if p**a <= n_max)
@@ -233,8 +239,8 @@ def _sieve(n_max: int):
     idx, past = np.empty(len(which), dtype=np.intp), np.empty(len(which), dtype=bool)
     slots = [np.empty(max(width, len(which)), dtype=t) for t in (np.int32, bool, np.float64)]
 
-    def scatter(lo, m, mb, up, sm):
-        """Multiply in the big primes' factors at the slice lo:lo + len(m).
+    def scatter(lo, d, sm):
+        """Multiply in the big primes' factors at the slice lo:lo + len(sm).
 
         np.multiply.at applies the entries in template order, so each index
         takes its factors in increasing p.  Entries past the slice's end
@@ -243,42 +249,45 @@ def _sieve(n_max: int):
         ints, flags, floats = (a[: len(which)] for a in slots)
         first = np.maximum(-(-lo // big) * big, big) - lo
         np.add(np.take(first, which, out=idx, mode="clip"), step, out=idx)
-        np.greater_equal(idx, len(m), out=past)
+        np.greater_equal(idx, len(sm), out=past)
         np.copyto(idx, 0, where=past)
         np.equal(np.remainder(np.add(idx, lo, out=ints), sq_e, out=ints), 0, out=flags)
         at = np.flatnonzero(flags)
         # At p^2: mu 0, smooth part p^2, mubar sqrt(p); at p: -1, p, -(1 + sqrt(p)).
-        signs = np.subtract(flags.view(np.int8), 1, out=flags.view(np.int8))
+        # upsilon 1 - sqrt(p) at both.
         np.take(big, which, out=ints, mode="clip")
         ints[at] *= ints[at]
-        for target, factor in ((m, signs), (sm, ints)):
+        factors = [(sm, ints), (d[-1], floats)]  # d[-1]: mubar, or upsilon
+        if upsilon:
+            np.subtract(1.0, np.take(big_root, which, out=floats, mode="clip"), out=floats)
+        else:
+            np.negative(np.take(big_root + 1.0, which, out=floats, mode="clip"), out=floats)
+            floats[at] = big_root[which[at]]
+            factors.append((d[0], np.subtract(flags.view(np.int8), 1, out=flags.view(np.int8))))
+        for target, factor in factors:
             np.copyto(factor, 1, where=past)
             np.multiply.at(target, idx, factor)
-        np.negative(np.take(big_root + 1.0, which, out=floats, mode="clip"), out=floats)
-        floats[at] = big_root[which[at]]
-        np.copyto(floats, 1.0, where=past)
-        np.multiply.at(mb, idx, floats)
-        np.subtract(1.0, np.take(big_root, which, out=floats, mode="clip"), out=floats)
-        np.copyto(floats, 1.0, where=past)
-        np.multiply.at(up, idx, floats)
 
-    def large_primes(lo, m, mb, up, sm):
+    def large_primes(lo, d, sm):
         """Multiply in the factor at the one prime q > sqrt(n_max) of each n, if any.
 
         What is left of n = lo + i is 1 or that q.  Each factor is exactly 1
         where q = 1: 1.0 * x and x + 0.0 (x != 0) are exact, so the values
         equal those of multiplying only where q > 1.  Slot 0 (q = 0) is
-        reset by the caller.  sm is left -1 where n > 1 is itself prime
-        (its smooth part was 1, so q = n) and q elsewhere.
+        reset by the caller.  For the table, sm is left -1 where n > 1 is
+        itself prime (its smooth part was 1, so q = n) and q elsewhere.
         """
-        n, one, f = (a[: len(m)] for a in slots)
-        np.add(iota[: len(m)], lo, out=n)
+        n, one, f = (a[: len(sm)] for a in slots)
+        np.add(iota[: len(sm)], lo, out=n)
         q = np.floor_divide(n, sm, out=sm)
         np.equal(q, 1, out=one)
         # upsilon (1 - sqrt(q)) + [q = 1]; mu 2 [q = 1] - 1, made in one's
         # place; mubar ((1 + sqrt(q)) - [q = 1]) (2 [q = 1] - 1).
-        np.add(np.subtract(1.0, np.sqrt(q, out=f), out=f), one, out=f)
-        np.multiply(up, f, out=up)
+        if upsilon:
+            np.add(np.subtract(1.0, np.sqrt(q, out=f), out=f), one, out=f)
+            np.multiply(d[0], f, out=d[0])
+            return
+        m, mb = d
         np.subtract(np.add(1.0, np.sqrt(q, out=f), out=f), one, out=f)
         sign = np.subtract(np.multiply(one.view(np.int8), 2, out=one.view(np.int8)), 1, out=one.view(np.int8))
         np.multiply(m, sign, out=m)
@@ -289,11 +298,11 @@ def _sieve(n_max: int):
         np.copyto(sm, -1, where=one)
 
     def sieve(lo):
-        """Segment [lo, lo + SEGMENT): mu, mubar and upsilon, and in smooth
-        -1 at the primes > sqrt(n_max)."""
+        """Segment [lo, lo + SEGMENT) of the dense arrays, and for the table
+        -1 in smooth at the primes > sqrt(n_max)."""
         hi = min(lo + SEGMENT, n_max + 1)
-        m, mb, up, sm = mu[lo:hi], mubar[lo:hi], upsilon[lo:hi], smooth[: hi - lo]
-        for a in (m, mb, up):
+        d, sm = [a[lo:hi] for a in dense], smooth[: hi - lo]
+        for a in d:
             a.fill(1)
         # Local factors at p^a: mu -1, then 0 from a = 2; upsilon 1 - sqrt(p);
         # mubar -(1 + sqrt(p)), then sqrt(p) at a = 2 and 0 from a = 3.  Until
@@ -303,9 +312,12 @@ def _sieve(n_max: int):
         for p in strided:
             s = sqrt(p)
             a1, a2, a3 = _first(p, lo), _first(p * p, lo), _first(p**3, lo)
+            if upsilon:
+                d[0][a1::p] *= 1.0 - s
+                continue
+            m, mb = d
             m[a1::p] *= -1
             m[a2 :: p * p] = 0
-            up[a1::p] *= 1.0 - s
             kept = np.multiply(mb[a2 :: p * p], s, out=at_p2[: len(range(a2, hi - lo, p * p))])
             mb[a1::p] *= -(1.0 + s)
             mb[a2 :: p * p] = kept
@@ -318,8 +330,8 @@ def _sieve(n_max: int):
                 pa *= p
         for a in range(0, hi - lo, width):
             part = slice(a, a + width)
-            scatter(lo + a, m[part], mb[part], up[part], sm[part])
-            large_primes(lo + a, m[part], mb[part], up[part], sm[part])
+            scatter(lo + a, [x[part] for x in d], sm[part])
+            large_primes(lo + a, [x[part] for x in d], sm[part])
 
     def collect(lo):
         """Append the segment's prime powers, int32 until they are joined: its
@@ -334,6 +346,7 @@ def _sieve(n_max: int):
     prime_powers, lam = [], []
     for lo in range(0, n_max + 1, SEGMENT):
         sieve(lo)
-        collect(lo)
+        if not upsilon:
+            collect(lo)
 
-    return mu, mubar, upsilon, prime_powers, lam
+    return *dense, prime_powers, lam

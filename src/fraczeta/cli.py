@@ -93,13 +93,14 @@ def _cache_dir() -> Path:
 def get_table(n_max: int) -> ArithmeticTable:
     """Sieve table for n_max, memoized in process and cached on disk.
 
-    The cache file is an uncompressed .npz of the table's five arrays,
+    The cache file is an uncompressed .npz of the table's four arrays,
     written through a temporary file in the same directory and renamed
     into place; a failed write leaves no file behind.  A file that does
     not load (not an archive, truncated, a member failing its zip CRC) or
     does not make a table (a field missing or extra, a wrong dtype or
     length, prime powers out of order) is silently rebuilt; so is a file
-    in the earlier layout with a dense lam.
+    in an earlier layout, with a dense lam or with upsilon_arr (a table
+    sieves upsilon on its first read).
     """
     if n_max in _TABLES:
         return _TABLES[n_max]
@@ -481,7 +482,7 @@ def sieve_identities():
 def sieve_determinism():
     a = build_sieve(3000)
     b = build_sieve(3000)
-    for x, y in zip(a.arrays().values(), b.arrays().values()):
+    for x, y in zip([*a.arrays().values(), a.upsilon_arr], [*b.arrays().values(), b.upsilon_arr]):
         _require(np.array_equal(x, y), "sieve not deterministic")
 
 
@@ -490,9 +491,9 @@ def dirichlet_series_cross_check():
     z3, z25 = zeta.zeta_em(np.array([3.0, 2.5])).real
     n3 = np.arange(1, SELFTEST_N + 1, dtype=np.float64) ** 3
     tail = 2.8 / SELFTEST_N**1.5
-    partial = math.fsum((tab.mubar_arr[1:] / n3).tolist())
+    partial = np.sum(tab.mubar_arr[1:] / n3)
     _require(abs(partial - 1.0 / (z3 * z25)) <= 1e3 * tail, "mubar Dirichlet series")
-    partial_u = math.fsum((tab.upsilon_arr[1:] / n3).tolist())
+    partial_u = np.sum(tab.upsilon_arr[1:] / n3)
     _require(abs(partial_u - z3 / z25) <= 1e3 * tail, "upsilon Dirichlet series")
 
 

@@ -159,7 +159,7 @@ def _sdot_sums(t: ArithmeticTable, weight: str, p: float, N: int, xs: list[float
     def twice_sdot(n, x, y, v):
         np.divide(n, x, out=y)
         fr = np.subtract(y, np.floor(y, out=v), out=y)
-        return np.subtract(np.multiply(fr, fr, out=v), fr, out=v)
+        return np.subtract(np.square(fr, out=v), fr, out=v)
 
     sums = weighted_sums(points, coef, twice_sdot, xs, 2.0 * SDOT_FACTOR_MAX)
     return [TruncatedSum(value, len(points), tail, round_bound=err) for value, err in sums]

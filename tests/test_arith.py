@@ -27,12 +27,78 @@ def lam_at(t, n):
 
 
 def _digest(t):
-    """sha256 over the table's five arrays, names and bytes."""
+    """sha256 over the table's four arrays and upsilon, names and bytes."""
     h = hashlib.sha256()
-    for name, a in t.arrays().items():
+    for name, a in [*t.arrays().items(), ("upsilon_arr", t.upsilon_arr)]:
         h.update(name.encode())
         h.update(a.tobytes())
     return h.hexdigest()
+
+
+# sha256 of mu, mubar_arr and upsilon_arr at each n_max, taken from the
+# sieve that still formed upsilon with the table.  Lambda is left out:
+# libm and numpy log may differ by an ulp across platforms.
+_PINNED_DIGESTS = {
+    2: (
+        "26a66b061e8f48f39927c312f25293959729eee95978e2892d49d3512a5cc092",
+        "17fe7746811364de31d9bc37bf93557b78dd9c20dc35f1bea685785833c76410",
+        "ac2f7f160fbe7b43b1035fdbe532fff56fc2b477e2f2286da0a17557f35dc96c",
+    ),
+    3: (
+        "a6e2d3a090c0fafbc927e4fa9b68bda495eb93a471fc60145213e2a27f198c52",
+        "1450bf5daa9d9f83d570d16ce90fd8847f6f0562e64d193fff8a6717b49c0490",
+        "d3a6db808ff727ed6ece0512d08dda6ed58fee4e0875e3a0709e5917deac806e",
+    ),
+    100: (
+        "92fb6073cdb1ae73bfb75b1848fb3b45da7cc9fd6ff50f4a1e08c7ec86245282",
+        "a195a807fc60a0960546ee65f72182382c589115dab0c9a3e4ef1001b1bf1dad",
+        "51e6f4ba6e0591d7317e94f33a6a733d71ec918d6b72c198968a938b46bece9a",
+    ),
+    23**3: (
+        "b5120d6e6764dd5025a5fce88010a160fcbf3f44f30972d274038c8dd270e765",
+        "2e0c0e54f6d17e0ed880b0bbd01b66f6067c393549a3906881d74d8c7a6c12d8",
+        "a1952d510f69cba42f8691877f7036f26c4e7be933efa3322b304b7da5ff05af",
+    ),
+    2**18 - 1: (
+        "b93cf65b18c3f5cd28e1cc03bd021ee3c95da39ff9fad35a8206c37ffea7699d",
+        "67c7daa64ba48a2ec90484eeb88b96b2b3d4a9b40280683756e2227a8e547425",
+        "f99cb65d419a6be017de673bf44d7bbfb02f7c931b3dc21bce2718a647ced936",
+    ),
+    2**18: (
+        "4592ee22893f827ce0bfb8bb4a57cac576c40ae8491c21f5d161fa0f409972ec",
+        "6ccd752d650fbb5735559add8ea13658fa129fe6a39c12b7a76efcad9d353914",
+        "4c3da415298596c62e1518379f3c328a88941bd106b58c223fe2e43c18076eb1",
+    ),
+    2**18 + 1: (
+        "f664eb3d607436270d302a3b92999ec9acb344fbf0528097525f1ecd5e060d5c",
+        "f6f77df74e4d7ab2a1f09daaf272838486927375a46e59d22c167202babee468",
+        "6a8bd588caef2d79cb0daf9578b9d7640981a967d4b164ddc3fd9b263cb44852",
+    ),
+    10**6 + 3: (
+        "24be3a59a45fbfac7e5662b6046d1d641a86863e6442d8e1e0193b6ee7e8ad72",
+        "0dad16ba6e948dbe8b41d984538bb1263b3b4ea665c81538a085a5bc705a53fa",
+        "e8b72bcfbc922992bc5ab56781cc28495cccf962c437c8ef578de034ab700d4f",
+    ),
+}
+
+
+def _peak_growth_kib(setup, measured=None):
+    """How far a fresh process's VmHWM grows, in KiB, over running setup
+    (from its imports on), or, given measured, over running measured after
+    setup."""
+    src = os.path.dirname(os.path.dirname(arith.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "from fraczeta.arith import build_sieve\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
+        + (f"{setup}\nbase = peak()\n{measured}\n" if measured else f"base = peak()\n{setup}\n")
+        + "print(peak() - base)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return int(out.stdout)
 
 
 class TestBuildSieve:
@@ -65,24 +131,29 @@ class TestBuildSieve:
         # A fresh process's peak RSS, VmHWM in KiB, grows past its imports by
         # what one build adds.  ru_maxrss would not do: on Linux a child
         # keeps its parent's peak across exec, and hides the build under it.
-        # At 10^7 the dense mu, mubar and upsilon (17 B/index) and the sparse
-        # Lambda (~1 B/index) dominate, and a build adds ~20 B/index; 24
-        # catches a table-long smooth part or a dense Lambda (29.5 B/index).
-        src = os.path.dirname(os.path.dirname(arith.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        for n_max, bytes_per_index in [(10**6, arith._BYTES_PER_INDEX), (10**7, 24)]:
-            script = (
-                "from fraczeta.arith import build_sieve\n"
-                "def peak():\n"
-                "    with open('/proc/self/status') as fh:\n"
-                "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
-                "base = peak()\n"
-                f"build_sieve({n_max})\n"
-                "print(peak() - base)\n"
-            )
-            out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                                 text=True, check=True, timeout=120)
-            assert int(out.stdout) * 1024 <= n_max * bytes_per_index, n_max
+        # At 10^7 the dense mu and mubar (9 B/index) and the sparse Lambda
+        # (~1 B/index) dominate, and a build adds ~11.1 B/index; 13 catches
+        # a table-long smooth part (14.1), a dense Lambda (19.1) or an
+        # upsilon formed with the table (19.1).
+        for n_max, bytes_per_index in [(10**6, arith._BYTES_PER_INDEX), (10**7, 13)]:
+            grown = _peak_growth_kib(f"build_sieve({n_max})")
+            assert grown * 1024 <= n_max * bytes_per_index, n_max
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_upsilon_on_demand_peak(self):
+        # A table's first upsilon read adds upsilon (8 B/index) and the
+        # sieve's buffers (~1.6 MB at 10^7) to the peak the build left.
+        n_max = 10**7
+        grown = _peak_growth_kib(f"t = build_sieve({n_max})", "t.upsilon_arr")
+        assert grown * 1024 <= 8 * (n_max + 1) + 2 * 2**20
+
+    @pytest.mark.parametrize("n_max", sorted(_PINNED_DIGESTS))
+    def test_pinned_digests(self, n_max):
+        # Across every segment and slice edge these cross, each value, upsilon
+        # sieved on its first read included, is bit for bit the pinned one.
+        t = build_sieve(n_max)
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (t.mu, t.mubar_arr, t.upsilon_arr))
+        assert digests == _PINNED_DIGESTS[n_max]
 
     def test_small_tables_match_large(self):
         # Every n_max crosses the sqrt(n_max) boundary where the large-prime
@@ -117,7 +188,7 @@ class TestBuildSieve:
         # d start at the first multiple of d that is >= max(d, lo).
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            build_sieve(3 * 10**5)
+            build_sieve(3 * 10**5).upsilon_arr
         for lo in (0, 1, arith.SEGMENT, 3 * arith.SEGMENT):
             for d in (2, 7, 49, 343, 2**17, 2**18 + 1):
                 first = lo + arith._first(d, lo)
@@ -129,20 +200,27 @@ class TestBuildSieve:
             raise RuntimeError("thread started")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        build_sieve(arith.SEGMENT + 1)
-        build_sieve(10**6)
+        build_sieve(arith.SEGMENT + 1).upsilon_arr
+        build_sieve(10**6).upsilon_arr
 
     def test_concurrent_builds_under_fast_switching(self):
-        # Three builds at once, switching every microsecond; each table
-        # matches a lone build.
+        # Three builds at once, switching every microsecond, each also
+        # reading upsilon of one shared table that has not sieved it yet;
+        # each table, and each read, matches a lone build.
         n_max = 2**19 + 7
-        expected = _digest(build_sieve(n_max))
-        results = []
+        lone = build_sieve(n_max)
+        expected = _digest(lone)
+        shared = build_sieve(n_max)
+        results, reads = [], []
+
+        def build_and_read():
+            results.append(_digest(build_sieve(n_max)))
+            reads.append(shared.upsilon_arr.tobytes() == lone.upsilon_arr.tobytes())
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            callers = [threading.Thread(target=lambda: results.append(_digest(build_sieve(n_max))))
-                       for _ in range(3)]
+            callers = [threading.Thread(target=build_and_read) for _ in range(3)]
             for t in callers:
                 t.start()
             for t in callers:
@@ -150,7 +228,7 @@ class TestBuildSieve:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
-        assert results == [expected] * 3
+        assert results == [expected] * 3 and reads == [True] * 3
 
 
 class TestVonMangoldt:

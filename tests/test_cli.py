@@ -288,8 +288,15 @@ def save_npz(path, arrays):
 
 def missing_field(path):
     arrays = build_sieve(3000).arrays()
-    del arrays["upsilon_arr"]
+    del arrays["mubar_arr"]
     save_npz(path, arrays)
+
+
+def five_member_file(path):
+    # The earlier layout that stored upsilon with the table, here a wrong
+    # one: a table sieves upsilon itself, so the file is rebuilt.
+    t = build_sieve(3000)
+    save_npz(path, dict(t.arrays(), upsilon_arr=2.0 * t.upsilon_arr))
 
 
 def dense_lambda(path):
@@ -325,8 +332,8 @@ class TestTableCache:
             assert not arr.flags.writeable
         cli._TABLES.clear()
 
-    @pytest.mark.parametrize("corrupt", [flip_byte, truncate, other_n_max, parent_format,
-                                         missing_field, dense_lambda, unsorted_prime_powers])
+    @pytest.mark.parametrize("corrupt", [flip_byte, truncate, other_n_max, parent_format, missing_field,
+                                         five_member_file, dense_lambda, unsorted_prime_powers])
     def test_corrupt_cache_rebuilt(self, tmp_path, monkeypatch, corrupt):
         monkeypatch.setenv("FRACZETA_CACHE_DIR", str(tmp_path))
         cli._TABLES.clear()
@@ -339,6 +346,8 @@ class TestTableCache:
             assert np.array_equal(arr, getattr(ref, name)), name
             assert not arr.flags.writeable
         assert abs(t.upsilon_arr[6] - (1 - math.sqrt(2)) * (1 - math.sqrt(3))) < 1e-12
+        with np.load(tmp_path / "table_3000.npz") as archive:
+            assert sorted(archive.files) == sorted(ref.arrays())
         cli._TABLES.clear()
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fraczeta import cli, explicit, fourier
+from fraczeta import arith, cli, explicit, fourier
 from fraczeta.bernpoly import ik_envelope, integral_ik_array, sdot_array
 from fraczeta.zeta import zeta_deriv
 from fraczeta.explicit import SUM_BLOCK, UNIT_ROUNDOFF, TruncatedSum, lhs_theorem1, weighted_sums
@@ -196,6 +196,32 @@ class TestRhsTheorem4:
         ts = rhs_th4_upsilon(table_1e6, 3.0, 1)
         expected = (math.cos(2.0 * math.pi / 3.0) - 1.0) / (2.0 * math.pi**2)
         assert ts.value == pytest.approx(expected, rel=1e-14)
+
+    def test_forms_upsilon_once(self, monkeypatch):
+        # The table's first upsilon read sieves it; a second call reuses it.
+        t = arith.build_sieve(10**4)
+        sieves, sieve = [], arith._sieve
+
+        def recording(*args, **kwargs):
+            sieves.append(kwargs)
+            return sieve(*args, **kwargs)
+
+        monkeypatch.setattr(arith, "_sieve", recording)
+        first = rhs_th4_upsilon(t, 4.6, 10**4)
+        upsilon = t.upsilon_arr
+        assert rhs_th4_upsilon(t, 4.6, 10**4).value == first.value
+        assert sieves == [{"upsilon": True}] and t.upsilon_arr is upsilon
+
+    def test_other_sums_leave_upsilon_unformed(self):
+        # Only th4 reads upsilon: the mubar profile, every sdot weight and
+        # Theorem 1's sum never make the table sieve it.
+        t, N = arith.build_sieve(10**4), 10**4
+        rh_decay_profile(t, 5.0, 20.0, 6, N)
+        for weight, p in sorted(fourier._SUPPORTED):
+            lhs_weighted_sdot(t, weight, p, 7.5, N)
+        for k in (1, 2, 3, 4):
+            lhs_theorem1(t, k, 7.5, N)
+        assert "upsilon_arr" not in t.__dict__
 
     def test_tail_bound(self, table_1e6):
         ts = rhs_th4_upsilon(table_1e6, 4.6, 10**6)
@@ -395,6 +421,10 @@ class TestStreamedMemory:
         assert traced_peak_bytes(lambda: rhs_th2_log(3.7, 10**6)) <= 4e6
 
     def test_th4_peak(self, table_1e6, traced_peak_bytes):
+        # upsilon is sieved on the table's first read of it, 8 MB here,
+        # once per table (the VmHWM test in test_arith bounds that); this
+        # bounds what each th4 call holds.
+        table_1e6.upsilon_arr
         assert traced_peak_bytes(lambda: rhs_th4_upsilon(table_1e6, 4.6, 10**6)) <= 4e6
 
 
