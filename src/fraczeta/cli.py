@@ -13,16 +13,17 @@ IDENTITIES; run_identity is the one path that runs them.  A flag the
 identity does not take is a usage error.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 IO/format
-error.  Reports serialize to JSON or CSV with numbers at 17 significant
-digits.  Sieve tables are cached on disk as table_<n_max>.npz, checked
-on load and rebuilt when they fail (override the location with
-FRACZETA_CACHE_DIR).
+error.  Reports serialize to JSON or CSV, each float written as the
+shortest string that reads back to it.  Sieve tables are cached on disk
+as table_<n_max>.npz, checked on load and rebuilt when they fail
+(override the location with FRACZETA_CACHE_DIR).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
 import os
 import sys
@@ -340,39 +341,8 @@ def run_identity(identity_id: str, params: dict) -> IdentityReport | list[Identi
 
 
 # ---------------------------------------------------------------------------
-# Report serialization (17 significant digits)
+# Report serialization
 # ---------------------------------------------------------------------------
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
-def _json_value(v, indent: int) -> str:
-    pad = "  " * indent
-    if isinstance(v, dict):
-        if not v:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  "{k}": {_json_value(val, indent + 1)}' for k, val in v.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(v, (list, tuple)):
-        if not v:
-            return "[]"
-        items = ",\n".join(f"{pad}  {_json_value(x, indent + 1)}" for x in v)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if v is None:
-        return "null"
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            return "null"
-        return _fmt(v)
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return '"' + str(v).replace("\\", "\\\\").replace('"', '\\"') + '"'
-
 
 # The report layout, in output order: (CSV column, JSON path, IdentityReport
 # attribute).  A dotted JSON path nests the leaf under its leading keys.
@@ -407,20 +377,19 @@ def _report_dict(r: IdentityReport) -> dict:
 
 
 def _csv_cell(v):
-    """params as k=v;k=v, floats at 17 significant digits, None empty."""
+    """params as k=v;k=v, None empty; csv.writer writes each float as repr."""
     if isinstance(v, dict):
         return ";".join(f"{k}={val}" for k, val in v.items())
-    if isinstance(v, float):
-        return _fmt(v)
     return "" if v is None else v
 
 
 def emit_report(reports: list[IdentityReport], fmt: str, path: str | Path) -> Path:
-    """Serialize reports to JSON or CSV with 17-significant-digit numbers."""
+    """Serialize reports to JSON or CSV, each float in its shortest round-trip
+    form (its repr); a nan or inf in JSON raises ValueError and writes no file."""
     path = Path(path)
     try:
         if fmt == "json":
-            doc = _json_value([_report_dict(r) for r in reports], 0) + "\n"
+            doc = json.dumps([_report_dict(r) for r in reports], indent=2, allow_nan=False) + "\n"
             path.write_text(doc, encoding="utf-8")
         elif fmt == "csv":
             with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -3,7 +3,6 @@ import dataclasses
 import json
 import math
 import os
-import re
 import struct
 import subprocess
 import sys
@@ -227,12 +226,40 @@ class TestEmitReport:
             for (path, leaf), cell in zip(leaves(doc), row, strict=True):
                 assert parse(cell, leaf) == leaf, (path, cell)
 
-    def test_json_17_significant_digits(self, tmp_path):
+    def test_numbers_shortest_round_trip(self, tmp_path):
+        # 0.1 is written as 0.1, not 0.10000000000000001, and integral
+        # floats read back as floats, not ints.
+        r = self._sample_report()
+        r.lhs = TruncatedSum(0.1, 607, 0.0)
+        rh = dataclasses.replace(r, identity_id="rh-slope",
+                                 params={"x_min": 5.0, "x_max": 20.0, "points": 6, "N": 1000})
+        emit_report([r, rh], "json", tmp_path / "r.json")
+        emit_report([r, rh], "csv", tmp_path / "r.csv")
+        text = (tmp_path / "r.json").read_text()
+        assert '"value": 0.1,' in text
+        docs = json.loads(text)
+        assert type(docs[0]["lhs"]["tail_bound"]) is float
+        assert type(docs[1]["params"]["x_min"]) is float
+        with open(tmp_path / "r.csv", newline="") as fh:
+            row = next(csv.DictReader(fh))
+        assert (row["lhs_value"], row["lhs_tail_bound"]) == ("0.1", "0.0")
+
+    def test_non_finite_json_raises_and_writes_nothing(self, tmp_path):
+        r = self._sample_report()
+        r.abs_diff = math.nan
         p = tmp_path / "r.json"
-        emit_report([self._sample_report()], "json", p)
-        text = p.read_text()
-        m = re.search(r'"value": (-0\.\d+)', text)
-        assert m and len(m.group(1).replace("-0.", "")) == 17
+        with pytest.raises(ValueError):
+            emit_report([r], "json", p)
+        assert not p.exists()
+
+    def test_non_finite_report_exits_1(self, tmp_path, monkeypatch, capsys):
+        r = self._sample_report()
+        r.abs_diff = math.inf
+        monkeypatch.setattr(cli, "run_identity", lambda identity_id, params: r)
+        p = tmp_path / "r.json"
+        assert cli.main(["verify", "th2-mu", "--json", str(p)]) == EXIT_VERIFY
+        assert not p.exists()
+        assert "verification error" in capsys.readouterr().err
 
     def test_empty_list(self, tmp_path):
         p = tmp_path / "empty.json"
