@@ -15,21 +15,27 @@ Lambda, mu and mubar; the same sieve forms upsilon on the table's first
 read of it, as only Theorem 4 and the selftest read it.  sqrt(p) is
 taken in binary64, which keeps every downstream tolerance (>= 1e-8) with
 several orders of headroom.  The sieve runs over SEGMENT-index segments
-(the usual segmented layout, as in Oliveira e Silva, Herzog and Pardi,
-Math. Comp. 83 (2014)), so its working state, the smooth part of each
-index, is one segment long.  In a segment the primes with p^3 <= n_max
-update strided slices one prime at a time.  The others divide an index
-at most twice, and each 2^15-index slice takes all of them in one
-np.multiply.at per array, over a template that lists their multiples
-prime by prime, just before the slice's pass for the one prime factor
-above sqrt(n_max).  Both routes give each index its factors in
-increasing order of p, and floating products are rounded in that order,
-so the values depend neither on the segment size nor on the route a
-prime takes.  The segments run in order on the calling thread, and
-their buffers are allocated once per build.  Lambda is log p at the
-powers of the primes p <= sqrt(n_max), listed up front, and log n at
-the n > sqrt(n_max) whose smooth part is 1, which the large-prime pass
-marks.
+in order on the calling thread (the usual segmented layout, as in
+Oliveira e Silva, Herzog and Pardi, Math. Comp. 83 (2014)), so its
+working state, the smooth part of each index, is one segment long.  The
+factors of the wheel primes 2, 3 and 5 (those with p^3 <= n_max) depend
+on n mod 2^3 3^3 5^3 = 27000 alone: a segment forms its first 27000
+indices and copies them over the rest.  The other primes with
+p^3 <= n_max update strided slices one prime at a time.  The others
+divide an index at most twice, and each 2^15-index slice takes all of
+them in one np.multiply.at per array, over a template that lists their
+multiples prime by prime with their factors, formed once per build; a
+slice patches only the entries at p^2 and past its end, and restores
+them after.  Every route gives each index its factors in increasing
+order of p, and floating products are rounded in that order, so the
+values depend neither on the segment size nor on the route a prime
+takes.  A last pass per slice takes the one prime factor q > sqrt(n_max)
+of n as the binary64 quotient q = n / (smooth part), exact as the smooth
+part divides n < 2^31.  Lambda is log p at the powers of the primes
+p <= sqrt(n_max) and log n at the n > sqrt(n_max) whose smooth part is
+1; each segment writes its prime powers and Lambda straight into the
+table's arrays, allocated once at a bound on their count and trimmed in
+place, so pages past the last one written are never touched.
 dirichlet_convolve is the independent O(N log N) oracle the selftest
 and the tests check the sieve against.
 """
@@ -38,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import isqrt, log, sqrt
+from math import isqrt, log, prod, sqrt
 
 import numpy as np
 
@@ -52,10 +58,11 @@ __all__ = [
 # Peak resident bytes per table index.  A build holds mu(1) + mubar(8)
 # and the sparse Lambda, 16 bytes for each of the ~6.7% of indices that
 # are prime powers at 10^7: 10.  upsilon, formed on its first read, adds
-# 8.  The sieve's buffers, ~1.5 MB at full segments, do not grow with
-# n_max.  44 stays: it leaves room for the allocator, numpy's buffers and
-# a later upsilon, and keeps the largest table under MEM_BUDGET (below)
-# where it is.
+# 8.  The sieve's buffers, ~2 MB at full segments, do not grow with
+# n_max: a build's VmHWM grows by 13.6 B/index at 10^6 and 10.4 at 10^7,
+# the prime powers written in place, never joined.  44 stays: it leaves
+# room for the allocator, numpy's buffers and a later upsilon, and keeps
+# the largest table under MEM_BUDGET (below) where it is.
 _BYTES_PER_INDEX = 44
 
 # 2 GiB: the largest table is n_max = 48806446 (~4.88e7).  It also keeps
@@ -196,48 +203,65 @@ def build_sieve(n_max: int) -> ArithmeticTable:
             f"n_max={n_max} needs ~{n_max * _BYTES_PER_INDEX / 2**30:.2f} GiB, "
             f"budget is {MEM_BUDGET / 2**30:.2f} GiB"
         )
-    # Each list is rebound to its concatenation at once, so the pieces of
-    # one go before the other is joined; the sieve's buffers went with
-    # _sieve's frame.
     mu, mubar, prime_powers, lam = _sieve(n_max)
-    prime_powers = np.concatenate(prime_powers, dtype=np.int64)
-    lam = np.concatenate(lam)
     mu[0] = 0
     mubar[0] = 0.0
     return ArithmeticTable(n_max=n_max, prime_powers=prime_powers, lam=lam, mu=mu, mubar_arr=mubar)
 
 
+def _ranks(runs: np.ndarray) -> np.ndarray:
+    """0, 1, ..., runs[i] - 1 for each i in turn."""
+    return np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)
+
+
 def _sieve(n_max: int, upsilon: bool = False):
     """The dense arrays, slot 0 not yet reset: mu and mubar, or upsilon
-    alone if upsilon; then the prime powers and Lambda at each as lists of
-    per-segment arrays, empty if upsilon.  The smooth part and the
-    large-prime pass run either way."""
+    alone if upsilon; then the prime powers and Lambda at each, empty if
+    upsilon.  The smooth part and the large-prime pass run either way."""
     dense = [np.empty(n_max + 1)] if upsilon else [np.empty(n_max + 1, dtype=np.int8), np.empty(n_max + 1)]
     primes = _primes_upto(isqrt(n_max))
     # The powers p^a <= n_max of these primes, ascending, and Lambda at each.
     small = sorted((p**a, log(p)) for p in primes for a in range(1, n_max.bit_length()) if p**a <= n_max)
-    small_pp = np.array([pa for pa, _ in small], dtype=np.int32)
+    small_pp = np.array([pa for pa, _ in small], dtype=np.int64)
     small_lam = np.array([lam for _, lam in small])
+    # Room for every prime power: pi(x) < 1.25506 x / log x (Rosser and
+    # Schoenfeld, 1962) and the powers of the small primes.  Pages past
+    # the last one written are never touched, and the arrays are trimmed
+    # in place at the end.
+    cap = 0 if upsilon or n_max < 2 else int(1.25506 * n_max / log(n_max)) + 1 + len(small)
+    prime_powers, lam = np.empty(cap, dtype=np.int64), np.empty(cap)
     cubed = sum(p**3 <= n_max for p in primes)
     strided = primes[:cubed]
+    # The wheel: the strided primes among 2, 3 and 5, whose factors at an
+    # index depend on it modulo period = prod p^3 alone.
+    wheel = [p for p in strided if p <= 5]
+    period = prod(p**3 for p in wheel)
     # The primes with p^3 > n_max divide an index at most twice.  In a
-    # width-index slice each has at most ceil(width/p) multiples: entry e
-    # of the template is the j-th of them, step[e] = j p past the first,
-    # for the prime big[which[e]].  2^15-index slices keep the slice
+    # width-index slice each has at most runs = ceil(width/p) multiples:
+    # entry e of the template is the j-th of them, step[e] = j p past the
+    # first, for the prime big[which[e]].  2^15-index slices keep the slice
     # buffers near 0.5 MB; 2^16 ran no faster at 10^7.
     big = np.array(primes[cubed:], dtype=np.int64)
     big_root = np.sqrt(big.astype(np.float64))
     width = min(2**15, n_max + 1)
     runs = -(-width // big)
-    which = np.repeat(np.arange(len(big)), runs)
-    step = (big[which] * (np.arange(len(which)) - np.repeat(np.cumsum(runs) - runs, runs))).astype(np.int32)
-    sq_e = (big * big).astype(np.int32)[which]
+    which = np.repeat(np.arange(len(big), dtype=np.int32), runs)
+    step = (big[which] * _ranks(runs)).astype(np.int32)
+    # A slice holds at most ceil(width/p^2) multiples of p^2, p entries apart.
+    sq = big * big
+    which2 = np.repeat(np.arange(len(big)), -(-width // sq))
+    step2 = big[which2] * _ranks(-(-width // sq))
+    starts2, runs2 = (np.cumsum(runs) - runs)[which2], runs[which2]
+    # The factors of the template's entries, formed once per build: smooth
+    # part p, mubar -(1 + sqrt(p)) (upsilon 1 - sqrt(p)) and mu -1.  A slice
+    # patches the entries at p^2 and past its end and then restores them.
+    per_prime = [big.astype(np.int32), 1.0 - big_root if upsilon else -(big_root + 1.0)]
+    per_prime += [] if upsilon else [np.full(len(big), -1, np.int8)]
+    tpl = [v[which] for v in per_prime]
     iota = np.arange(width, dtype=np.int32)
-    # The segment's smooth part; the scatter's indices and past-the-end flags,
-    # one per template entry; three arrays a slice's two passes use in turn.
+    # The segment's smooth part; the large-prime pass's quotient and q = 1 flags.
     smooth = np.empty(min(SEGMENT, n_max + 1), dtype=np.int32)
-    idx, past = np.empty(len(which), dtype=np.intp), np.empty(len(which), dtype=bool)
-    slots = [np.empty(max(width, len(which)), dtype=t) for t in (np.int32, bool, np.float64)]
+    quot, ones = np.empty(width), np.empty(width, dtype=bool)
 
     def scatter(lo, d, sm):
         """Multiply in the big primes' factors at the slice lo:lo + len(sm).
@@ -246,85 +270,93 @@ def _sieve(n_max: int, upsilon: bool = False):
         takes its factors in increasing p.  Entries past the slice's end
         point at its first index with factor 1, which changes nothing.
         """
-        ints, flags, floats = (a[: len(which)] for a in slots)
         first = np.maximum(-(-lo // big) * big, big) - lo
-        np.add(np.take(first, which, out=idx, mode="clip"), step, out=idx)
-        np.greater_equal(idx, len(sm), out=past)
-        np.copyto(idx, 0, where=past)
-        np.equal(np.remainder(np.add(idx, lo, out=ints), sq_e, out=ints), 0, out=flags)
-        at = np.flatnonzero(flags)
-        # At p^2: mu 0, smooth part p^2, mubar sqrt(p); at p: -1, p, -(1 + sqrt(p)).
-        # upsilon 1 - sqrt(p) at both.
-        np.take(big, which, out=ints, mode="clip")
-        ints[at] *= ints[at]
-        factors = [(sm, ints), (d[-1], floats)]  # d[-1]: mubar, or upsilon
-        if upsilon:
-            np.subtract(1.0, np.take(big_root, which, out=floats, mode="clip"), out=floats)
-        else:
-            np.negative(np.take(big_root + 1.0, which, out=floats, mode="clip"), out=floats)
-            floats[at] = big_root[which[at]]
-            factors.append((d[0], np.subtract(flags.view(np.int8), 1, out=flags.view(np.int8))))
-        for target, factor in factors:
-            np.copyto(factor, 1, where=past)
+        idx = np.repeat(first, runs)
+        idx += step
+        past = np.flatnonzero(idx >= len(sm))
+        idx[past] = 0
+        # The first multiple of p^2 in the slice is the j0-th of p's entries.
+        j = ((np.maximum(-(-lo // sq), 1) * sq - lo - first) // big)[which2] + step2
+        at = (starts2 + j)[j < runs2]
+        # At p^2: smooth part p^2, mubar sqrt(p), mu 0; upsilon 1 - sqrt(p) at both.
+        tpl[0][at] *= tpl[0][at]
+        if not upsilon:
+            tpl[1][at], tpl[2][at] = big_root[which[at]], 0
+        for factor in tpl:
+            factor[past] = 1
+        for target, factor in zip([sm, *d[::-1]], tpl):
             np.multiply.at(target, idx, factor)
+        del idx  # before the restores, which a short last slice makes long
+        for factor, v in zip(tpl, per_prime):
+            factor[at] = v[which[at]]
+            factor[past] = v[which[past]]
 
     def large_primes(lo, d, sm):
         """Multiply in the factor at the one prime q > sqrt(n_max) of each n, if any.
 
-        What is left of n = lo + i is 1 or that q.  Each factor is exactly 1
-        where q = 1: 1.0 * x and x + 0.0 (x != 0) are exact, so the values
-        equal those of multiplying only where q > 1.  Slot 0 (q = 0) is
-        reset by the caller.  For the table, sm is left -1 where n > 1 is
-        itself prime (its smooth part was 1, so q = n) and q elsewhere.
+        What is left of n = lo + i is q = n / sm, 1 or that prime, exact in
+        binary64 as sm divides n < 2^31.  Each factor is exactly 1 where
+        q = 1: 1.0 * x and x + 0.0 (x != 0) are exact, so the values equal
+        those of multiplying only where q > 1.  Slot 0 (q = 0) is reset by
+        the caller.
         """
-        n, one, f = (a[: len(sm)] for a in slots)
-        np.add(iota[: len(sm)], lo, out=n)
-        q = np.floor_divide(n, sm, out=sm)
-        np.equal(q, 1, out=one)
+        q, one = quot[: len(sm)], ones[: len(sm)]
+        np.divide(np.add(iota[: len(sm)], float(lo), out=q), sm, out=q)
+        np.equal(q, 1.0, out=one)
         # upsilon (1 - sqrt(q)) + [q = 1]; mu 2 [q = 1] - 1, made in one's
         # place; mubar ((1 + sqrt(q)) - [q = 1]) (2 [q = 1] - 1).
         if upsilon:
-            np.add(np.subtract(1.0, np.sqrt(q, out=f), out=f), one, out=f)
-            np.multiply(d[0], f, out=d[0])
+            np.add(np.subtract(1.0, np.sqrt(q, out=q), out=q), one, out=q)
+            np.multiply(d[0], q, out=d[0])
             return
         m, mb = d
-        np.subtract(np.add(1.0, np.sqrt(q, out=f), out=f), one, out=f)
+        np.subtract(np.add(1.0, np.sqrt(q, out=q), out=q), one, out=q)
         sign = np.subtract(np.multiply(one.view(np.int8), 2, out=one.view(np.int8)), 1, out=one.view(np.int8))
         np.multiply(m, sign, out=m)
-        np.multiply(mb, np.multiply(f, sign, out=f), out=mb)
-        np.equal(q, n, out=one)
-        if lo == 0:
-            one[:2] = False
-        np.copyto(sm, -1, where=one)
+        np.multiply(mb, np.multiply(q, sign, out=q), out=mb)
+
+    def local(d, p, first, end):
+        """Multiply in p's local factors at d[:end], from the offsets first(p^a):
+        mu -1, then 0 from a = 2; upsilon 1 - sqrt(p); mubar -(1 + sqrt(p)),
+        then sqrt(p) at a = 2 and 0 from a = 3.  quot holds mubar's values at
+        the multiples of p^2 meanwhile, at most end/p^2 + 1 <= width of them:
+        a segment longer than width has the wheel, so end <= 27000 or p >= 7."""
+        s = sqrt(p)
+        a1, a2, a3 = first(p), first(p * p), first(p**3)
+        if upsilon:
+            d[0][a1:end:p] *= 1.0 - s
+            return
+        m, mb = d
+        m[a1:end:p] *= -1
+        m[a2:end : p * p] = 0
+        kept = np.multiply(mb[a2:end : p * p], s, out=quot[: len(range(a2, end, p * p))])
+        mb[a1:end:p] *= -(1.0 + s)
+        mb[a2:end : p * p] = kept
+        mb[a3:end : p**3] = 0.0
 
     def sieve(lo):
-        """Segment [lo, lo + SEGMENT) of the dense arrays, and for the table
-        -1 in smooth at the primes > sqrt(n_max)."""
+        """Segment [lo, lo + SEGMENT) of the dense arrays and its smooth part."""
         hi = min(lo + SEGMENT, n_max + 1)
         d, sm = [a[lo:hi] for a in dense], smooth[: hi - lo]
-        for a in d:
-            a.fill(1)
-        # Local factors at p^a: mu -1, then 0 from a = 2; upsilon 1 - sqrt(p);
-        # mubar -(1 + sqrt(p)), then sqrt(p) at a = 2 and 0 from a = 3.  Until
-        # the smooth part is formed below, its buffer holds mubar's values at
-        # the multiples of p^2: at most len/4 + 1 of them, in len//2 float64.
-        at_p2 = smooth[: len(smooth) // 2 * 2].view(np.float64)
+        # The wheel primes' factors, and their powers up to p^3 in the smooth
+        # part, are formed in the segment's first period from their first
+        # multiples >= lo (0 included) and copied over the rest; the other
+        # factors from the first multiples of p^a that are >= max(p^a, lo).
+        pat = min(period, hi - lo)
+        for a in (*d, sm):
+            a[:pat].fill(1)
+        for p in wheel:
+            local(d, p, lambda pa: -lo % pa, pat)
+            for pa in (p, p * p, p**3):
+                sm[-lo % pa : pat : pa] *= p
+        for a in (*d, sm):
+            whole = len(a) // pat * pat
+            a[pat:whole].reshape(-1, pat)[:] = a[:pat]
+            a[whole:] = a[: len(a) - whole]
+        for p in strided[len(wheel) :]:
+            local(d, p, lambda pa: _first(pa, lo), hi - lo)
         for p in strided:
-            s = sqrt(p)
-            a1, a2, a3 = _first(p, lo), _first(p * p, lo), _first(p**3, lo)
-            if upsilon:
-                d[0][a1::p] *= 1.0 - s
-                continue
-            m, mb = d
-            m[a1::p] *= -1
-            m[a2 :: p * p] = 0
-            kept = np.multiply(mb[a2 :: p * p], s, out=at_p2[: len(range(a2, hi - lo, p * p))])
-            mb[a1::p] *= -(1.0 + s)
-            mb[a2 :: p * p] = kept
-            mb[a3 :: p**3] = 0.0
-        sm.fill(1)
-        for p in strided:
-            pa = p
+            pa = p**4 if p in wheel else p
             while pa < hi:
                 sm[_first(pa, lo) :: pa] *= p
                 pa *= p
@@ -333,20 +365,26 @@ def _sieve(n_max: int, upsilon: bool = False):
             scatter(lo + a, [x[part] for x in d], sm[part])
             large_primes(lo + a, [x[part] for x in d], sm[part])
 
-    def collect(lo):
-        """Append the segment's prime powers, int32 until they are joined: its
-        primes > sqrt(n_max), with Lambda = log n, and the powers of the
-        smaller primes that fall in it."""
-        n = np.flatnonzero(smooth[: min(SEGMENT, n_max + 1 - lo)] == -1).astype(np.int32) + np.int32(lo)
+    def collect(lo, end):
+        """Write the segment's prime powers and Lambda from index end on, and
+        return the new end: the n > 1 whose smooth part is 1, Lambda log n,
+        and the powers of the smaller primes in it, marked alike, log p."""
+        sm = smooth[: min(SEGMENT, n_max + 1 - lo)]
         inside = slice(*np.searchsorted(small_pp, (lo, lo + SEGMENT)))
-        at = np.searchsorted(n, small_pp[inside])
-        prime_powers.append(np.insert(n, at, small_pp[inside]))
-        lam.append(np.insert(np.log(n), at, small_lam[inside]))
+        sm[small_pp[inside] - lo] = 1
+        if lo == 0:
+            sm[:2] = 0
+        found = np.flatnonzero(sm == 1)
+        n = np.add(found, lo, out=prime_powers[end : end + len(found)])
+        np.log(n, out=lam[end : end + len(found)])
+        lam[end + np.searchsorted(n, small_pp[inside])] = small_lam[inside]
+        return end + len(found)
 
-    prime_powers, lam = [], []
+    end = 0
     for lo in range(0, n_max + 1, SEGMENT):
         sieve(lo)
         if not upsilon:
-            collect(lo)
-
+            end = collect(lo, end)
+    prime_powers.resize(end, refcheck=False)
+    lam.resize(end, refcheck=False)
     return *dense, prime_powers, lam

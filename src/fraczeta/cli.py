@@ -385,18 +385,19 @@ def _csv_cell(v):
 
 def emit_report(reports: list[IdentityReport], fmt: str, path: str | Path) -> Path:
     """Serialize reports to JSON or CSV, each float in its shortest round-trip
-    form (its repr); a nan or inf in JSON raises ValueError and writes no file."""
+    form (its repr); a nan or inf raises ValueError and writes no file."""
     path = Path(path)
     try:
         if fmt == "json":
             doc = json.dumps([_report_dict(r) for r in reports], indent=2, allow_nan=False) + "\n"
             path.write_text(doc, encoding="utf-8")
         elif fmt == "csv":
+            rows = [[attrgetter(attr)(r) for _, _, attr in REPORT_FIELDS] for r in reports]
+            json.dumps(rows, allow_nan=False)  # JSON's ValueError at a nan or inf, params included
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 w = csv.writer(fh)
                 w.writerow([column for column, _, _ in REPORT_FIELDS])
-                for r in reports:
-                    w.writerow([_csv_cell(attrgetter(attr)(r)) for _, _, attr in REPORT_FIELDS])
+                w.writerows([_csv_cell(v) for v in row] for row in rows)
         else:
             raise UsageError(f"unknown report format {fmt!r}")
     except OSError as exc:

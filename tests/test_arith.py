@@ -36,7 +36,10 @@ def _digest(t):
 
 
 # sha256 of mu, mubar_arr and upsilon_arr at each n_max, taken from the
-# sieve that still formed upsilon with the table.  Lambda is left out:
+# sieve that still formed upsilon with the table, and at the edges of the
+# small-prime wheel (the cubes of 2, 3 and 5 and one below, the period
+# 30^3 alone and past the first SEGMENT) from the sieve that strided
+# every prime with p^3 <= n_max in every segment.  Lambda is left out:
 # libm and numpy log may differ by an ulp across platforms.
 _PINNED_DIGESTS = {
     2: (
@@ -49,15 +52,60 @@ _PINNED_DIGESTS = {
         "1450bf5daa9d9f83d570d16ce90fd8847f6f0562e64d193fff8a6717b49c0490",
         "d3a6db808ff727ed6ece0512d08dda6ed58fee4e0875e3a0709e5917deac806e",
     ),
+    7: (
+        "3df8873346960a9b8ee58b0ff07b177b0095740c74db83add7007b8e48fdeccf",
+        "64500dc4d7ea196669b101adac4ad8745fbbe3d1c64e9e791f73ecbf03adbbf2",
+        "3c2e549f1f2a45bc273684f2234af6f840f4b355739729211c21cc02cd6c5055",
+    ),
+    8: (
+        "093c1033692d3c935f454c723ca5ca1dbe2a0dc05730107ccefbd47eb5b01add",
+        "aa27ba770697b40d82c364d672a439d696e42ecbbe356a8f5641d9e566cad87e",
+        "9f3765639a1a543b56332a8a6dcf48e10d4ad3a4e2970acaca253da5f8ee69eb",
+    ),
+    26: (
+        "1e90f398a651fdd54bd359f230717bea114de7df70777dcf91ef9e9c56c16e61",
+        "d96bd54471506b53700608177d1bc7622ee0b9a03953714132eba27327b63632",
+        "d216e409f89750bdeb78fead018da1184cabce1cd2f26bb789e57b94e326435b",
+    ),
+    27: (
+        "3d5bef86d00383a2c42693ce23bcc1ce9652d4912a1411ac5a437582818606f5",
+        "1a21f995043dab800b856c26e9eea565abc8e45dae94836cc3dd4f892dfff144",
+        "2b212e63b7aaee5d9fa124b71183f25606ccf2df37b75385b548c8c87cc76ff5",
+    ),
     100: (
         "92fb6073cdb1ae73bfb75b1848fb3b45da7cc9fd6ff50f4a1e08c7ec86245282",
         "a195a807fc60a0960546ee65f72182382c589115dab0c9a3e4ef1001b1bf1dad",
         "51e6f4ba6e0591d7317e94f33a6a733d71ec918d6b72c198968a938b46bece9a",
     ),
+    124: (
+        "082aef2f6bfb7d084808e22bff403056707e0e65713d481abc7189dd8cbac3c6",
+        "0d9b0b2a2d5678da812618fdbde68d4e6b517fb9f3b233133b305f93f50b0782",
+        "9db6c59448209c653fa7a5fb65b48e5e8fa500b5399664bd7f7e7686c997fd7a",
+    ),
+    125: (
+        "3963224900e98a9d238f2b6892c21640466f02e38bd686ae8886f899e2eaed0d",
+        "ff9eabccd534e0b31805cc7121026a203ca2df8e7fae50a1025464c64f8ca042",
+        "cc072ae6a2ddb43c7685b2d0111233282c6f1c390f9ad253a943c195e3d65f30",
+    ),
     23**3: (
         "b5120d6e6764dd5025a5fce88010a160fcbf3f44f30972d274038c8dd270e765",
         "2e0c0e54f6d17e0ed880b0bbd01b66f6067c393549a3906881d74d8c7a6c12d8",
         "a1952d510f69cba42f8691877f7036f26c4e7be933efa3322b304b7da5ff05af",
+    ),
+    30**3 - 1: (
+        "c32fd0bb84f41b7b66cd4d1f829b31c86e7af21b79767d067896b40497ea579f",
+        "3a8655d9cc6a633a26814d09434f4b1aa421c9c5f7d2f3d1687c319b5a5486bb",
+        "2cc0a5804804b0933c14c4927f78877cf466a359cef7df5dcb60a42cb76fe8db",
+    ),
+    30**3: (
+        "ad69309c334e68916f2cc21c6b670bf06003235160e09d21fc815f3ccef2c0a6",
+        "276732008e5632e32320fb080c06b45549d6318b44ea494ea6a6b01354bd31ea",
+        "999db8750a54ddcea347c7962726260a0ae5f4ce54321c118bcf0389cff2cfe1",
+    ),
+    30**3 + 1: (
+        "5c552d062669baf3e4caa93ea02f618fc55c0e08109c6fae625d03c3598d8d60",
+        "1cb0ed50216f8806f55f5100dd9d2601ba135324b6c2270c556663b6e019f6b3",
+        "7fb940bf36335d354389d46b6ddf3c928a86f4724dd23d0bc73d83548163ec48",
     ),
     2**18 - 1: (
         "b93cf65b18c3f5cd28e1cc03bd021ee3c95da39ff9fad35a8206c37ffea7699d",
@@ -73,6 +121,11 @@ _PINNED_DIGESTS = {
         "f664eb3d607436270d302a3b92999ec9acb344fbf0528097525f1ecd5e060d5c",
         "f6f77df74e4d7ab2a1f09daaf272838486927375a46e59d22c167202babee468",
         "6a8bd588caef2d79cb0daf9578b9d7640981a967d4b164ddc3fd9b263cb44852",
+    ),
+    2**18 + 30**3: (
+        "fda74a10214e6f3717d4f929eb361b14b8bc920f65e09970771203ae20814be9",
+        "d0b1e8b604f6c79783be32a1d48e6cbc66e70831596164d32974a7e3ec774d3a",
+        "c7562e62b013e229f749a4191cc57ddae6b6454c1ef9c1591b484509041d3995",
     ),
     10**6 + 3: (
         "24be3a59a45fbfac7e5662b6046d1d641a86863e6442d8e1e0193b6ee7e8ad72",
@@ -132,12 +185,25 @@ class TestBuildSieve:
         # what one build adds.  ru_maxrss would not do: on Linux a child
         # keeps its parent's peak across exec, and hides the build under it.
         # At 10^7 the dense mu and mubar (9 B/index) and the sparse Lambda
-        # (~1 B/index) dominate, and a build adds ~11.1 B/index; 13 catches
-        # a table-long smooth part (14.1), a dense Lambda (19.1) or an
-        # upsilon formed with the table (19.1).
-        for n_max, bytes_per_index in [(10**6, arith._BYTES_PER_INDEX), (10**7, 13)]:
+        # (~1 B/index) dominate, and a build adds ~10.4 B/index; 11 catches
+        # per-segment prime-power pieces held until a join (11.1), a
+        # table-long smooth part (14.1), a dense Lambda (19.1) or an upsilon
+        # formed with the table (19.1).  At 10^6 a build adds ~13.6 B/index,
+        # the sieve's ~2 MB of fixed buffers included; 14 catches ~0.4 MB
+        # more of them (a per-build wheel pattern of period 27000 is 0.35 MB).
+        for n_max, bytes_per_index in [(10**6, 14), (10**7, 11)]:
             grown = _peak_growth_kib(f"build_sieve({n_max})")
             assert grown * 1024 <= n_max * bytes_per_index, n_max
+
+    def test_upsilon_sieve_traced_peak(self, traced_peak_bytes):
+        # The upsilon route's working set beyond its 8 B/index output: the
+        # smooth part (1 MB), the template, the slice buffers and their
+        # transients.  The sieve that strided 2, 3 and 5 in every segment,
+        # with int64 template indices and per-slice factor copies, peaked
+        # 2,078,368 B beyond it.
+        n_max = 10**6
+        peak = traced_peak_bytes(lambda: arith._sieve(n_max, upsilon=True))
+        assert peak <= 8 * (n_max + 1) + 2_078_368
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
     def test_upsilon_on_demand_peak(self):
@@ -154,6 +220,15 @@ class TestBuildSieve:
         t = build_sieve(n_max)
         digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (t.mu, t.mubar_arr, t.upsilon_arr))
         assert digests == _PINNED_DIGESTS[n_max]
+
+    def test_pinned_digests_1e7(self, table_1e7):
+        # The session's 10^7 table, built or loaded from its cache: mu and
+        # mubar across all 39 segments, pinned without a second build.
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (table_1e7.mu, table_1e7.mubar_arr))
+        assert digests == (
+            "1f95bb925dc59b5fd3629d0430615db0876a73228766803b5f5db0e05107e7b7",
+            "fb2a748a532a3ba47d85cd648834fc38e9b572141bc845fa298acac6fb5f192e",
+        )
 
     def test_small_tables_match_large(self):
         # Every n_max crosses the sqrt(n_max) boundary where the large-prime
@@ -183,9 +258,10 @@ class TestBuildSieve:
             assert np.max(np.abs(t.upsilon_arr - ref.upsilon_arr[: n_max + 1])) <= 1e-12, n_max
 
     def test_no_runtime_warning(self):
-        # No strided update reaches index 0, whose products would overflow
-        # (upsilon's, from n_max ~4e6 on): in every segment the updates for
-        # d start at the first multiple of d that is >= max(d, lo).
+        # Index 0 takes only the wheel's factors (2, 3 and 5) and a large-prime
+        # quotient 0; more would overflow (upsilon's, from n_max ~4e6 on, which
+        # CI checks at 10^7): past the wheel, in every segment the updates
+        # for d start at the first multiple of d that is >= max(d, lo).
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             build_sieve(3 * 10**5).upsilon_arr

@@ -252,12 +252,32 @@ class TestEmitReport:
             emit_report([r], "json", p)
         assert not p.exists()
 
+    def test_non_finite_csv_raises_and_writes_nothing(self, tmp_path):
+        # A nan in a float column, or an inf among the params, as in JSON.
+        r = self._sample_report()
+        r.abs_diff = math.nan
+        inf_param = dataclasses.replace(self._sample_report(), params={"x": math.inf})
+        for i, reports in enumerate([[r], [self._sample_report(), inf_param]]):
+            p = tmp_path / f"r{i}.csv"
+            with pytest.raises(ValueError):
+                emit_report(reports, "csv", p)
+            assert not p.exists()
+
     def test_non_finite_report_exits_1(self, tmp_path, monkeypatch, capsys):
         r = self._sample_report()
         r.abs_diff = math.inf
         monkeypatch.setattr(cli, "run_identity", lambda identity_id, params: r)
         p = tmp_path / "r.json"
         assert cli.main(["verify", "th2-mu", "--json", str(p)]) == EXIT_VERIFY
+        assert not p.exists()
+        assert "verification error" in capsys.readouterr().err
+
+    def test_non_finite_csv_report_exits_1(self, tmp_path, monkeypatch, capsys):
+        r = self._sample_report()
+        r.abs_diff = math.inf
+        monkeypatch.setattr(cli, "run_identity", lambda identity_id, params: r)
+        p = tmp_path / "r.csv"
+        assert cli.main(["verify", "th2-mu", "--csv", str(p)]) == EXIT_VERIFY
         assert not p.exists()
         assert "verification error" in capsys.readouterr().err
 
