@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,25 +125,26 @@ def weighted_sums(points, coef, factor, xs, factor_max) -> list[tuple[float, flo
     np.einsum, numpy's own loop and not BLAS, fuses the products with the
     block sum s_j = sum c_i f_i.
 
-    With two or more x and two or more CPUs the caller may run on, the
-    worker of a one-worker ThreadPoolExecutor, started for the call and
-    pinned to the last of the caller's CPUs (the caller to the others; left
-    to the scheduler, the two often took turns on one), takes the odd
+    With three or more blocks, at any number of x, and two or more CPUs
+    the caller may run on, a helper threading.Thread started for the call
+    and pinned to the last of the caller's CPUs (the caller to the others;
+    left to the scheduler, the two often took turns on one) takes the odd
     blocks and the caller the even ones.  Each forms its blocks' n and coef
     and sweeps every x over them with a buffer pair of its own; numpy
     releases the GIL inside the ufuncs, so the halves run at once.  A half
     that raises (Ctrl-C included), or a caller that leaves while it waits,
     sets a flag both read before each block, so the other half stops at
-    its next one; the exception reaches the caller, whose CPUs are
-    restored.  A single x or block, one usable CPU, or a platform without
-    os.sched_setaffinity starts no thread and imports no executor.  Each
-    thread holds four block arrays (n, coef, y, v), so a 6-x profile at
-    N = 10^6 peaks near 3.7 MB traced, inside the 4 MB its per-call memory
-    tests allow: SUM_BLOCK = 7 * 2^13 is the largest multiple of 2^13
-    that fits, and shorter blocks lose more to the GIL hand-off between
-    ufunc calls.  The split changes no value: each block sum is the same
-    computation whichever thread forms it, and the fsum below is
-    correctly rounded.
+    its next one (nothing else sets it: a joined helper swept all its
+    blocks); the exception reaches the caller, whose CPUs are restored.
+    Two blocks (theorem 1's 57344 + ~21000 prime powers at N = 10^6) ran
+    slower split; they, one usable CPU, or no os.sched_setaffinity start
+    no thread.  Each thread holds four block arrays (n, coef, y, v; three
+    where coef writes over n), so a 6-x profile at N = 10^6 peaks near
+    3.7 MB traced, inside the 4 MB its per-call memory tests allow:
+    SUM_BLOCK = 7 * 2^13 is the largest multiple of 2^13 that fits, and
+    shorter blocks lose more to the GIL hand-off between ufunc calls.  The
+    split changes no value: each block sum is the same computation
+    whichever thread forms it, and the fsum below is correctly rounded.
 
     factor_max is a proven bound on |factor| for every value factor
     computes (rounding included), at every x.  Each block also np.sums
@@ -172,7 +174,7 @@ def weighted_sums(points, coef, factor, xs, factor_max) -> list[tuple[float, flo
     starts = range(0, len(points), SUM_BLOCK)
     sums = [[0.0] * len(starts) for _ in xs]  # per x: the block sums
     coef_sums = [0.0] * len(starts)  # per block: np.sum of |coef|
-    cpus = _usable_cpus() if len(xs) > 1 and len(starts) > 1 else []
+    cpus = _usable_cpus() if len(starts) > 2 else []
     threads = 2 if len(cpus) > 1 else 1
     # Each thread has its own buffer pair, every row on a 64-byte boundary.
     # Where the allocator left them 16 bytes off one, a 20-x mubar pass over
@@ -181,12 +183,14 @@ def weighted_sums(points, coef, factor, xs, factor_max) -> list[tuple[float, flo
     raw = np.empty(2 * threads * width + 8)
     start = (-raw.ctypes.data % 64) // 8
     buffers = raw[start : start + 2 * threads * width].reshape(threads, 2, width)
-    stop = False  # set when a half raises or the caller leaves
+    stop, raised = False, []  # the flag, and what the halves raised
 
     def sweep(part):
         """Thread part's blocks: those at positions part, part + threads, ... of starts."""
         nonlocal stop
         try:
+            if part:
+                os.sched_setaffinity(0, cpus[-1:])
             for j in range(part, len(starts), threads):
                 if stop:
                     return
@@ -202,27 +206,25 @@ def weighted_sums(points, coef, factor, xs, factor_max) -> list[tuple[float, flo
                     f = factor(n, x, y, v)
                     sums[i][j] = float(np.einsum("i,i->" if np.ndim(f) else "i,->", c, f))
                 del n, c  # before the next block's are formed
-        except BaseException:
+        except BaseException as exc:
             stop = True
-            raise
+            raised.append(exc)
 
     if threads == 1:
         sweep(0)
     else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(1) as pool:
-            # Pinned by its first call rather than an initializer, so that a
-            # failure raises its own OSError here, not BrokenThreadPool.
-            pool.submit(os.sched_setaffinity, 0, cpus[-1:]).result()
+        helper = threading.Thread(target=sweep, args=(1,))
+        helper.start()
+        try:
             os.sched_setaffinity(0, cpus[:-1])
-            try:
-                helper = pool.submit(sweep, 1)
-                sweep(0)
-                helper.result()
-            finally:
-                stop = True  # the helper is done, or stops at its next block
-                os.sched_setaffinity(0, cpus)
+            sweep(0)
+            helper.join()
+        finally:
+            stop = True  # the helper is joined, or stops at its next block
+            helper.join()
+            os.sched_setaffinity(0, cpus)
+    if raised:
+        raise raised[0]
     m = (SUM_BLOCK + 1) * UNIT_ROUNDOFF
     gamma = m / (1.0 - m)
     bound = gamma * factor_max * math.fsum(coef_sums) / (1.0 - gamma)

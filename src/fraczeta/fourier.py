@@ -29,6 +29,7 @@ diagnostic only.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,8 +152,9 @@ def _sdot_sums(t: ArithmeticTable, weight: str, p: float, N: int, xs: list[float
 
     def coef(n, at):
         w_at = np.take(t.mu, points[at]) if w is None else w[at]
-        if p != 2.0:
-            return np.multiply(w_at * n**-p, 0.5)
+        if p != 2.0:  # one block temporary: w = +-1 and the halving are exact
+            c = n**-p
+            return np.multiply(np.multiply(c, w_at, out=c), 0.5, out=c)
         c = np.square(n)  # exact: n^2 < 2^53
         return np.divide(w_at, np.multiply(c, 2.0, out=c), out=c)
 
@@ -259,17 +261,18 @@ def rhs_th4_upsilon(t: ArithmeticTable, x: float, N: int) -> TruncatedSum:
     sin_j = np.sin(rot[0], out=rot[1])
     cos_j = np.cos(rot[0], out=rot[0])
 
+    first = threading.local()  # the first point of the block each thread is on
     def cos_minus_one(n, x, y, v):
-        a = 2.0 * math.pi * float(n[0]) / x
+        a = 2.0 * math.pi * first.point / x
         np.multiply(cos_j[: len(n)], math.cos(a), out=v)
         np.subtract(v, np.multiply(sin_j[: len(n)], math.sin(a), out=y), out=v)
         return np.subtract(v, 1.0, out=v)
 
     upsilon = t.upsilon_arr[1 : N + 1]
 
-    def coef(n, at):  # upsilon(n)/n^2 in one block-sized temporary, to leave room for rot
-        c = np.square(n)
-        return np.divide(upsilon[at], c, out=c)
+    def coef(n, at):  # upsilon(n)/n^2 over n: each thread holds three block arrays beside rot
+        first.point = at.start + 1.0
+        return np.divide(upsilon[at], np.square(n, out=n), out=n)
 
     [(value, err)] = weighted_sums(range(1, N + 1), coef, cos_minus_one, [x], ROTATION_FACTOR_MAX)
     # sqrt majorant

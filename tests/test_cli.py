@@ -627,24 +627,20 @@ def test_numpy_only_start_up():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_executor_loads_only_with_a_helper(tmp_path):
-    # The sieve of a 10^6 table and one-x sums start no helper thread, so
-    # they import neither concurrent.futures nor the logging it pulls in; a
-    # 6-point profile on two usable CPUs starts one and loads both.
+def test_no_run_imports_executor_or_logging(tmp_path):
+    # The helper thread is a plain threading.Thread: table builds, one-x
+    # sums (split over two CPUs from three blocks on) and a 6-point profile
+    # import neither concurrent.futures nor the logging it pulls in.
     script = (
         "import sys\n"
-        "from fraczeta import cli, explicit\n"
-        "runs = [['verify', 'th2-mu', '--nterms', '1000000'],\n"
-        "        ['verify', 'th1', '--k', '2', '--x', '5.5', '--nterms', '100000'], ['selftest']]\n"
+        "from fraczeta import cli\n"
+        "runs = [['verify', 'th2-mu', '--nterms', '1000000'], ['verify', 'th4', '--nterms', '1000000'],\n"
+        "        ['verify', 'th1', '--k', '2', '--x', '5.5', '--nterms', '100000'], ['selftest'],\n"
+        "        ['rh-explore', '--xmin', '5', '--xmax', '20', '--points', '6', '--nterms', '1000000']]\n"
         "codes = [cli.main(args) for args in runs]\n"
         "assert codes == [0] * len(runs), codes\n"
         "names = ('concurrent.futures', 'logging')\n"
         "assert not any(m in sys.modules for m in names), [m for m in names if m in sys.modules]\n"
-        "if len(explicit._usable_cpus()) > 1:\n"
-        "    args = ['rh-explore', '--xmin', '5', '--xmax', '20', '--points', '6', '--nterms', '1000000']\n"
-        "    assert cli.main(args) == 0\n"
-        "    assert all(m in sys.modules for m in names), [m for m in names if m not in sys.modules]\n"
-        "    print('helper')\n"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, FRACZETA_CACHE_DIR=str(tmp_path),
@@ -652,5 +648,3 @@ def test_executor_loads_only_with_a_helper(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    if "helper" not in proc.stdout:
-        pytest.skip("the helper half needs two usable CPUs")

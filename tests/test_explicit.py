@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -116,7 +117,8 @@ class TestBlockedSum:
     @pytest.mark.parametrize("n", [1, SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1])
     def test_lengths_and_block_sizes(self, n):
         # A range and an index array over the same points give the same
-        # blocks, the same position slices and the same sum.
+        # blocks, the same position slices and the same sum.  Blocks may
+        # come from two threads, so they are compared in position order.
         rng = np.random.default_rng(n)
         v = rng.standard_normal(n) * 10.0 ** rng.uniform(-20, 20, n)
         w = np.arange(n, dtype=np.float64)
@@ -125,11 +127,11 @@ class TestBlockedSum:
             seen = []
 
             def coef(m, at):
-                seen.append(len(m))
+                seen.append((at.start, len(m)))
                 return v[at]
 
             [(value, bound)] = weighted_sums(points, coef, lambda m, x, y, out: m, [0.0], float(n))
-            assert seen == [SUM_BLOCK] * (n // SUM_BLOCK) + ([n % SUM_BLOCK] if n % SUM_BLOCK else [])
+            assert sorted(seen) == [(lo, min(SUM_BLOCK, n - lo)) for lo in range(0, n, SUM_BLOCK)]
             assert abs(exact_excess(value, v * w)) <= bound
             assert bound > 0.0 or not np.any(v * w)
             results.append((value, bound))
@@ -225,7 +227,8 @@ class TestBlockedSum:
 
 class TestHelperThread:
     """weighted_sums hands the odd-indexed blocks to one helper thread when
-    there are two or more x and two or more usable CPUs."""
+    there are three or more blocks and two or more usable CPUs, at any
+    number of x."""
 
     N = 3 * SUM_BLOCK + 5
 
@@ -235,17 +238,42 @@ class TestHelperThread:
         n = TestHelperThread.N
         return weighted_sums(range(n), lambda m, at: 1.0 / (m + 1.0), factor, xs, 5.0 * n)
 
-    def test_single_x_starts_no_thread(self, monkeypatch):
+    @pytest.mark.parametrize("n", [1, SUM_BLOCK, SUM_BLOCK + 1, 2 * SUM_BLOCK])
+    def test_one_or_two_blocks_start_no_thread(self, monkeypatch, n):
+        # One block leaves a helper nothing to sweep; two ran slower split.
         def refuse(thread):
             raise RuntimeError("thread started")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        self.sums([1.0])
-        # Nor does a single block, which leaves the helper nothing to sweep.
-        weighted_sums(range(SUM_BLOCK), lambda m, at: m, unit_factor, [1.0, 2.0], 1.0)
-        if len(explicit._usable_cpus()) > 1:
-            with pytest.raises(RuntimeError, match="thread started"):
-                self.sums([1.0, 2.0])
+        for xs in ([1.0], [1.0, 2.0]):
+            weighted_sums(range(n), lambda m, at: m, unit_factor, xs, 1.0)
+
+    @pytest.mark.parametrize("n", [2 * SUM_BLOCK + 1, N])
+    def test_one_x_over_blocks_starts_one_thread(self, monkeypatch, n):
+        if len(explicit._usable_cpus()) < 2:
+            pytest.skip("needs two usable CPUs")
+        started, start = [], threading.Thread.start
+
+        def counting(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        weighted_sums(range(n), lambda m, at: m, unit_factor, [1.0], 1.0)
+        assert len(started) == 1
+
+    def test_slow_helper_sweeps_all_its_blocks(self):
+        # The caller finishes its blocks long before the helper, which must
+        # still sweep every one of its own: the sum counts each point once.
+        caller = threading.get_ident()
+
+        def factor(m, x, y, v):
+            if threading.get_ident() != caller:
+                time.sleep(0.02)
+            return 1.0
+
+        [(value, _)] = weighted_sums(range(7 * SUM_BLOCK + 3), lambda m, at: np.ones(len(m)), factor, [0.0], 1.0)
+        assert value == 7 * SUM_BLOCK + 3
 
     def test_helper_buffers_own_and_aligned(self):
         # Each thread sweeps in its own buffer pair, every row 64-byte aligned.
@@ -295,10 +323,11 @@ class TestHelperThread:
                 raise ZeroDivisionError("helper block")
             return np.multiply(m, x, out=v)
 
-        with pytest.raises(ZeroDivisionError, match="helper block"):
-            self.sums([1.0, 2.0, 3.0], factor)
+        for xs in ([1.0], [1.0, 2.0, 3.0]):
+            with pytest.raises(ZeroDivisionError, match="helper block"):
+                self.sums(xs, factor)
         if len(explicit._usable_cpus()) > 1:
-            assert raised_in[0] is not threading.main_thread()
+            assert all(t is not threading.main_thread() for t in raised_in)
 
     def test_caller_error_stops_helper(self):
         # The caller raises on its first block; the helper, which reads the

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -407,15 +408,59 @@ class TestDecayProfile:
         assert cli.main(argv) == cli.EXIT_VERIFY
 
 
+def test_one_cpu_table_checks_match():
+    # Each one-x sum of three or more blocks splits its blocks over two
+    # threads; pinned to one CPU, the caller sweeps them all.  Every table
+    # check at N = 10^6 (th2-mu, th2-log with both right-side routes, both
+    # sides of th4, theorem 1 at k = 1..4) gives the same value and
+    # round_bound bit for bit.
+    cpus = explicit._usable_cpus()
+    if len(cpus) < 2:
+        pytest.skip("needs two usable CPUs")
+    script = (
+        "import os, sys\n"
+        "if sys.argv[1:]:\n"
+        "    os.sched_setaffinity(0, {int(sys.argv[1])})\n"
+        "from fraczeta import cli, explicit\n"
+        "from fraczeta.explicit import lhs_theorem1\n"
+        "from fraczeta.fourier import lhs_weighted_sdot, rhs_th2_log, rhs_th4_upsilon\n"
+        "assert len(explicit._usable_cpus()) == (1 if sys.argv[1:] else 2)\n"
+        "t, N = cli.get_table(10**6), 10**6\n"
+        "sums = [lhs_weighted_sdot(t, 'mu', 2.0, x, N) for x in (2.0, 3.7)]\n"
+        "sums += [lhs_weighted_sdot(t, 'lambda', 2.0, 3.7, N), rhs_th2_log(3.7, N), rhs_th2_log(1.0, N)]\n"
+        "sums += [lhs_weighted_sdot(t, 'mu', 1.5, 4.6, N), rhs_th4_upsilon(t, 4.6, N)]\n"
+        "sums += [lhs_theorem1(t, k, x, N) for k, x in ((1, 10.5), (2, 5.5), (3, 5.5), (4, 7.5))]\n"
+        "print(repr([(float(s.value), float(s.round_bound)) for s in sums]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = []
+    for pin in ([], [str(cpus[0])]):
+        proc = subprocess.run([sys.executable, "-c", script, *pin], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert len(ast.literal_eval(out[0])) == 11
+    assert out[0] == out[1]
+
+
 class TestStreamedMemory:
     # tracemalloc sees numpy's buffers.  At N = 10^6 one N-length float64
-    # temporary alone is 8 MB; the streamed kernel holds four SUM_BLOCK-term
-    # block arrays per thread (0.46 MB each).
+    # temporary alone is 8 MB; the streamed kernel holds at most four
+    # SUM_BLOCK-term block arrays per thread (0.46 MB each), on two threads
+    # whenever a sum has three or more blocks.
     def test_profile_peak(self, table_1e6, traced_peak_bytes):
         assert traced_peak_bytes(lambda: rh_decay_profile(table_1e6, 5.0, 20.0, 6, 10**6)) <= 4e6
 
     def test_single_sum_peak(self, table_1e6, traced_peak_bytes):
         assert traced_peak_bytes(lambda: lhs_weighted_sdot(table_1e6, "mubar", 2.0, 7.5, 10**6)) <= 4e6
+
+    def test_th4_lhs_peak(self, table_1e6, traced_peak_bytes):
+        # w n^-1.5 / 2 is formed in one block temporary, not three.  The
+        # squarefree list (2.4 MB here) is found once per table, on its first
+        # read; this bounds what each call holds.
+        table_1e6.squarefree
+        assert traced_peak_bytes(lambda: lhs_weighted_sdot(table_1e6, "mu", 1.5, 4.6, 10**6)) <= 4e6
 
     def test_th2_log_peak(self, traced_peak_bytes):
         assert traced_peak_bytes(lambda: rhs_th2_log(3.7, 10**6)) <= 4e6
