@@ -120,7 +120,7 @@ def _grid_majorant(values: Callable[[np.ndarray], np.ndarray], slope: float) -> 
     """A proven bound on max over [0, 1] of |values(u)|: the maximum on a
     grid of step 1e-5 plus 1e-5 times slope, a bound on |d/du values|."""
     u = np.linspace(0.0, 1.0, 100_001)
-    return float(np.max(np.abs(values(u)))) + 1e-5 * slope
+    return float(np.max(np.abs(values(u))) + 1e-5 * slope)
 
 
 def _abs_poly_bound(k: int) -> float:

@@ -119,11 +119,13 @@ def weighted_sums(points, coef, factor, xs, factor_max) -> list[tuple[float, flo
     once, as coef(n, at); at is the slice lo:lo+B of the block's positions
     in points, so it cuts the block from any array aligned with points
     (weights indexed by n itself are gathered at points[at]).  Every x then
-    runs over the block while it is in cache: factor(n, x, y, v) returns
-    the factor of each point (or one scalar) and may use the block buffers
-    y and v of the thread that calls it as scratch and output.  One
-    np.einsum, numpy's own loop and not BLAS, fuses the products with the
-    block sum s_j = sum c_i f_i.
+    runs over the block while it is in cache: factor(n, at, x, y, v)
+    returns the factor of each point (or one scalar).  It gets the same
+    slice at, so it can read the block's first point points[at.start] where
+    coef wrote over n, and it may use the block buffers y and v of the
+    thread that calls it as scratch and output.  One np.einsum, numpy's
+    own loop and not BLAS, fuses the products with the block sum
+    s_j = sum c_i f_i.
 
     With three or more blocks, at any number of x, and two or more CPUs
     the caller may run on, a helper threading.Thread started for the call
@@ -199,11 +201,12 @@ def weighted_sums(points, coef, factor, xs, factor_max) -> list[tuple[float, flo
                     n = np.arange(block.start, block.stop, dtype=np.float64)
                 else:
                     n = block.astype(np.float64)
-                c = coef(n, slice(starts[j], starts[j] + len(n)))
+                at = slice(starts[j], starts[j] + len(n))
+                c = coef(n, at)
                 y, v = buffers[part, :, : len(n)]
                 coef_sums[j] = float(np.sum(np.abs(c, out=v)))
                 for i, x in enumerate(xs):
-                    f = factor(n, x, y, v)
+                    f = factor(n, at, x, y, v)
                     sums[i][j] = float(np.einsum("i,i->" if np.ndim(f) else "i,->", c, f))
                 del n, c  # before the next block's are formed
         except BaseException as exc:
@@ -271,7 +274,7 @@ def lhs_theorem1(t: ArithmeticTable, k: int, x: float, N: int) -> TruncatedSum:
     [(value, err)] = weighted_sums(
         pp,
         lambda n, at: lam[at] * n ** (-(k + 1)),
-        lambda n, x, y, v: integral_ik_array(k, np.divide(n, x, out=y), out=v),
+        lambda n, at, x, y, v: integral_ik_array(k, np.divide(n, x, out=y), out=v),
         [x],
         mk,
     )

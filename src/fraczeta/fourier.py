@@ -12,12 +12,13 @@ pins down numerically (only odd n contribute sdot = -1/8 there, and
 sum_{n odd} mu(n)/n^2 = 8/pi^2, so the left side is exactly -1/pi^2).
 Report builders evaluate both constants and record which one matches.
 
-The two cosine right sides avoid a cosine per term where they can.  The
-Lambda form's sum_n log(n) n^-2 (cos(2 pi n/x) - 1) splits into zeta'(2)
-and a cosine sum whose tail Abel summation bounds by
+Both cosine right sides form cos(2 pi n/x) one way, by angle addition
+(_rotation): a table of cos and sin of 2 pi j/x per call turns each
+block's first point into the block's cosines, with no cosine per term.
+The Lambda form's sum_n log(n) n^-2 (cos(2 pi n/x) - 1) splits into
+zeta'(2) and a cosine sum whose tail Abel summation bounds by
 log(M+1)/(M+1)^2 / |sin(pi/x)|, so COS_TERMS terms replace 10^6 wherever
-sin(pi/x) is not small.  The upsilon form keeps every term and forms its
-cosines by angle addition from one table per call.
+sin(pi/x) is not small.  The upsilon form keeps every term.
 
 The decay explorer fits log|sum| against log x for the mubar-weighted
 sum; a slope near -1 is the behavior consistent with the Riemann
@@ -29,7 +30,6 @@ diagnostic only.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,13 +53,9 @@ SDOT_MAX = 0.125  # exact: max |({y}^2 - {y})/2| is 1/8 at half-integers
 # Proven bounds on the computed factors, rounding included, which the sums
 # pass to weighted_sums as factor_max (u = UNIT_ROUNDOFF).  sdot's is
 # derived in lhs_weighted_sdot (the sdot sums pass twice it, for 2 sdot),
-# the rotation's in rhs_th4_upsilon.  numpy holds float64 cos to 1 ulp of
-# the correctly rounded value (its umath accuracy tests), so |np.cos| <=
-# 1 + 2u; fl(cos - 1) then lies in [-(2 + 4u), 2u], since -(2 + 4u) is a
-# double and rounding is monotone.
+# the rotation's cosine and cosine minus one in _rotation.
 SDOT_FACTOR_MAX = SDOT_MAX + UNIT_ROUNDOFF / 2
-COS_FACTOR_MAX = 1.0 + 2.0 * UNIT_ROUNDOFF
-COS_MINUS_ONE_FACTOR_MAX = 2.0 + 4.0 * UNIT_ROUNDOFF
+COS_FACTOR_MAX = 1.0 + 11.0 * UNIT_ROUNDOFF
 ROTATION_FACTOR_MAX = 2.0 + 12.0 * UNIT_ROUNDOFF
 ZETA_PRIME_2 = -0.9375482543158438  # zeta'(2), correctly rounded
 COS_TERMS = 10**4  # cosine terms of rhs_th2_log's split route
@@ -158,7 +154,7 @@ def _sdot_sums(t: ArithmeticTable, weight: str, p: float, N: int, xs: list[float
         c = np.square(n)  # exact: n^2 < 2^53
         return np.divide(w_at, np.multiply(c, 2.0, out=c), out=c)
 
-    def twice_sdot(n, x, y, v):
+    def twice_sdot(n, at, x, y, v):
         np.divide(n, x, out=y)
         fr = np.subtract(y, np.floor(y, out=v), out=y)
         return np.subtract(np.square(fr, out=v), fr, out=v)
@@ -167,19 +163,48 @@ def _sdot_sums(t: ArithmeticTable, weight: str, p: float, N: int, xs: list[float
     return [TruncatedSum(value, len(points), tail, round_bound=err) for value, err in sums]
 
 
-def _cos(n, x, y, v):
-    """cos(2 pi n/x), formed in the block buffers."""
-    np.multiply(n, 2.0 * np.pi, out=y)
-    return np.cos(np.divide(y, x, out=y), out=v)
+def _rotation(points: range, x: float, minus_one: bool):
+    """The factor cos(2 pi n/x), or cos(2 pi n/x) - 1 with minus_one, of a
+    weighted_sums call over the consecutive points at this x, by angle addition.
 
+    With theta = 2 pi/x, a block starting at n0 = points[at.start] takes
+    cos theta(n0 + j) = cos theta n0 cos theta j - sin theta n0 sin theta j,
+    with cos theta j and sin theta j tabled here once for
+    j < min(len(points), SUM_BLOCK) and cos theta n0, sin theta n0 formed
+    per block.  The factor reads only len(n), so coef may write over n.
+    The rotation adds a few u of rounding per term; that evaluation error
+    is in no budget (round_bound covers the summation).
 
-def _cos_minus_one(n, x, y, v):
-    """cos(2 pi n/x) - 1, formed in the block buffers."""
-    return np.subtract(_cos(n, x, y, v), 1.0, out=v)
+    Its bounds, COS_FACTOR_MAX = 1 + 11u and ROTATION_FACTOR_MAX = 2 + 12u:
+    np.sin, np.cos, math.sin and math.cos are within 1 ulp of the correctly
+    rounded value, so each tabled or per-block value is within 3u of the
+    true one and the pairs (cos, sin) have norm at most 1 + 3 sqrt(2) u.
+    By Cauchy-Schwarz, |cos_j C| + |sin_j S| <= (1 + 3 sqrt(2) u)^2, so the
+    two products and their difference round to at most
+    (1 + 3 sqrt(2) u)^2 (1 + u)^2 < 1 + 11u, and subtracting 1 rounds into
+    [-(2 + 12u), 11u], as -(2 + 12u) is a double.
+    """
+    # One (2, B) array: the angles theta j in row 0, their sines into row 1,
+    # then their cosines over the angles.
+    rot = np.empty((2, min(len(points), SUM_BLOCK)))
+    np.multiply(np.arange(rot.shape[1], dtype=np.float64), 2.0 * np.pi, out=rot[0])
+    np.divide(rot[0], x, out=rot[0])
+    sin_j = np.sin(rot[0], out=rot[1])
+    cos_j = np.cos(rot[0], out=rot[0])
+
+    def factor(n, at, _, y, v):
+        a = 2.0 * math.pi * points[at.start] / x
+        np.multiply(cos_j[: len(n)], math.cos(a), out=v)
+        np.subtract(v, np.multiply(sin_j[: len(n)], math.sin(a), out=y), out=v)
+        return np.subtract(v, 1.0, out=v) if minus_one else v
+
+    return factor
 
 
 def _log_over_square(n, at):
-    return np.log(n) / n**2
+    """log(n)/n^2, formed over n beside one block temporary."""
+    square = np.square(n)
+    return np.divide(np.log(n, out=n), square, out=n)
 
 
 def rhs_th2_log(x: float, N: int) -> TruncatedSum:
@@ -210,14 +235,14 @@ def rhs_th2_log(x: float, N: int) -> TruncatedSum:
     abel = math.log(M + 1.0) / ((M + 1.0) ** 2 * s) / TWO_PI_SQ if s > 0.0 else math.inf
     const_err = 0.5 * math.ulp(ZETA_PRIME_2)
     if abel + const_err / TWO_PI_SQ < tail:
-        [(value, err)] = weighted_sums(range(2, M + 1), _log_over_square, _cos, [x], COS_FACTOR_MAX)
+        points = range(2, M + 1)
+        [(value, err)] = weighted_sums(points, _log_over_square, _rotation(points, x, False), [x], COS_FACTOR_MAX)
         total = value + ZETA_PRIME_2
         err += const_err + 0.5 * math.ulp(total)
         return TruncatedSum(total / TWO_PI_SQ, M - 1, abel, round_bound=err / TWO_PI_SQ)
 
-    [(value, err)] = weighted_sums(
-        range(2, N + 1), _log_over_square, _cos_minus_one, [x], COS_MINUS_ONE_FACTOR_MAX
-    )
+    points = range(2, N + 1)
+    [(value, err)] = weighted_sums(points, _log_over_square, _rotation(points, x, True), [x], ROTATION_FACTOR_MAX)
     return TruncatedSum(value / TWO_PI_SQ, N - 1, tail, round_bound=err / TWO_PI_SQ)
 
 
@@ -231,50 +256,18 @@ def rhs_th4_upsilon(t: ArithmeticTable, x: float, N: int) -> TruncatedSum:
     """(1/(2 pi^2)) sum_{n<=N} upsilon(n) n^-2 (cos(2 pi n/x) - 1).
 
     |upsilon(n)| <= sqrt(n) makes both sides absolutely convergent, so the
-    identity is checked unconditionally.
-
-    The cosines come by angle addition, theta = 2 pi/x: a block starting
-    at n0 takes cos theta(n0 + j) = cos theta n0 cos theta j
-    - sin theta n0 sin theta j, with cos theta j and sin theta j tabled
-    once per call for j < min(N, SUM_BLOCK) and cos theta n0, sin theta n0
-    formed per block.  The rotation adds a few u of rounding per term;
-    like the rounding of np.cos, that evaluation error is in no budget
-    (round_bound covers the summation).
-
-    factor_max is ROTATION_FACTOR_MAX = 2 + 12u.  np.sin, np.cos, math.sin
-    and math.cos are within 1 ulp of the correctly rounded value, so each
-    tabled or per-block value is within 3u of the true one and the pairs
-    (cos, sin) have norm at most 1 + 3 sqrt(2) u.  By Cauchy-Schwarz,
-    |cos_j C| + |sin_j S| <= (1 + 3 sqrt(2) u)^2, so the two products and
-    their difference round to at most (1 + 3 sqrt(2) u)^2 (1 + u)^2
-    < 1 + 11u, and subtracting 1 rounds into [-(2 + 12u), 11u], as
-    -(2 + 12u) is a double.
+    identity is checked unconditionally.  Its cosines come from _rotation,
+    with factor_max ROTATION_FACTOR_MAX.
     """
     _check_x(x)
     t.check_n(N)
-
-    # One (2, B) array: the angles theta j in row 0, their sines into row 1,
-    # then their cosines over the angles.
-    rot = np.empty((2, min(N, SUM_BLOCK)))
-    np.multiply(np.arange(rot.shape[1], dtype=np.float64), 2.0 * np.pi, out=rot[0])
-    np.divide(rot[0], x, out=rot[0])
-    sin_j = np.sin(rot[0], out=rot[1])
-    cos_j = np.cos(rot[0], out=rot[0])
-
-    first = threading.local()  # the first point of the block each thread is on
-    def cos_minus_one(n, x, y, v):
-        a = 2.0 * math.pi * first.point / x
-        np.multiply(cos_j[: len(n)], math.cos(a), out=v)
-        np.subtract(v, np.multiply(sin_j[: len(n)], math.sin(a), out=y), out=v)
-        return np.subtract(v, 1.0, out=v)
-
     upsilon = t.upsilon_arr[1 : N + 1]
 
-    def coef(n, at):  # upsilon(n)/n^2 over n: each thread holds three block arrays beside rot
-        first.point = at.start + 1.0
+    def coef(n, at):  # upsilon(n)/n^2 over n: each thread holds three block arrays beside the rotation's table
         return np.divide(upsilon[at], np.square(n, out=n), out=n)
 
-    [(value, err)] = weighted_sums(range(1, N + 1), coef, cos_minus_one, [x], ROTATION_FACTOR_MAX)
+    points = range(1, N + 1)
+    [(value, err)] = weighted_sums(points, coef, _rotation(points, x, True), [x], ROTATION_FACTOR_MAX)
     # sqrt majorant
     tail = (2.0 / math.sqrt(N)) * (1.0 + math.log(N)) / math.pi**2
     return TruncatedSum(value / TWO_PI_SQ, N, tail, round_bound=err / TWO_PI_SQ)

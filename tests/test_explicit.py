@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraczeta import explicit
-from fraczeta.bernpoly import integral_ik_array
+from fraczeta.bernpoly import bernoulli_envelope, ik_envelope, integral_ik_array
 from fraczeta.explicit import (
     SUM_BLOCK,
     UNIT_ROUNDOFF,
@@ -91,7 +91,7 @@ def exact_excess(value, terms):
     return math.fsum([value] + [-float(v) for v in terms])
 
 
-def unit_factor(n, x, y, v):
+def unit_factor(n, at, x, y, v):
     return 1.0
 
 
@@ -130,12 +130,27 @@ class TestBlockedSum:
                 seen.append((at.start, len(m)))
                 return v[at]
 
-            [(value, bound)] = weighted_sums(points, coef, lambda m, x, y, out: m, [0.0], float(n))
+            [(value, bound)] = weighted_sums(points, coef, lambda m, at, x, y, out: m, [0.0], float(n))
             assert sorted(seen) == [(lo, min(SUM_BLOCK, n - lo)) for lo in range(0, n, SUM_BLOCK)]
             assert abs(exact_excess(value, v * w)) <= bound
             assert bound > 0.0 or not np.any(v * w)
             results.append((value, bound))
         assert results[0] == results[1]
+
+    def test_factor_gets_coef_slice(self):
+        # factor gets the slice coef got, so it finds each block's first
+        # point where coef wrote over n.
+        points = range(3, 3 * SUM_BLOCK + 8)
+
+        def coef(m, at):
+            m.fill(1.0)
+            return m
+
+        def factor(m, at, x, y, v):
+            return np.add(np.arange(len(m), dtype=np.float64), points[at.start], out=v)
+
+        [(value, _)] = weighted_sums(points, coef, factor, [0.0], float(points[-1]))
+        assert value == sum(points)
 
     @pytest.mark.parametrize("n", [1, 7, SUM_BLOCK + 1])
     def test_buffers_64_byte_aligned(self, n):
@@ -143,7 +158,7 @@ class TestBlockedSum:
         # 16-byte offset, so both rows must start on a 64-byte boundary.
         offsets = []
 
-        def factor(m, x, y, v):
+        def factor(m, at, x, y, v):
             offsets.extend([y.ctypes.data % 64, v.ctypes.data % 64])
             return m
 
@@ -165,7 +180,7 @@ class TestBlockedSum:
             return weighted_sums(
                 range(n),
                 lambda m, at: v[at],
-                lambda m, s, y, out: np.multiply(np.add(m, s, out=y), s, out=out),
+                lambda m, at, s, y, out: np.multiply(np.add(m, s, out=y), s, out=out),
                 xs,
                 3.0 * (n + 3.0),  # |(m + s) s| for m < n and |s| <= 3
             )
@@ -178,7 +193,7 @@ class TestBlockedSum:
     def dot(c, f):
         """weighted_sums over range(len(c)) of c against the factor f."""
         return weighted_sums(
-            range(len(c)), lambda m, at: c[at], lambda m, x, y, v: f[int(m[0]) : int(m[0]) + len(m)],
+            range(len(c)), lambda m, at: c[at], lambda m, at, x, y, v: f[at],
             [0.0], float(np.max(np.abs(f), initial=0.0)),
         )[0]
 
@@ -233,7 +248,7 @@ class TestHelperThread:
     N = 3 * SUM_BLOCK + 5
 
     @staticmethod
-    def sums(xs, factor=lambda m, x, y, v: np.multiply(m, x, out=v)):
+    def sums(xs, factor=lambda m, at, x, y, v: np.multiply(m, x, out=v)):
         # |m x| < 5 N for the x below.
         n = TestHelperThread.N
         return weighted_sums(range(n), lambda m, at: 1.0 / (m + 1.0), factor, xs, 5.0 * n)
@@ -267,7 +282,7 @@ class TestHelperThread:
         # still sweep every one of its own: the sum counts each point once.
         caller = threading.get_ident()
 
-        def factor(m, x, y, v):
+        def factor(m, at, x, y, v):
             if threading.get_ident() != caller:
                 time.sleep(0.02)
             return 1.0
@@ -279,7 +294,7 @@ class TestHelperThread:
         # Each thread sweeps in its own buffer pair, every row 64-byte aligned.
         rows = {}
 
-        def factor(m, x, y, v):
+        def factor(m, at, x, y, v):
             rows.setdefault(threading.get_ident(), set()).update([y.ctypes.data, v.ctypes.data])
             return np.multiply(m, x, out=v)
 
@@ -299,7 +314,7 @@ class TestHelperThread:
         baseline = threading.active_count()
         seen = {}
 
-        def factor(m, x, y, v):
+        def factor(m, at, x, y, v):
             seen[threading.get_ident()] = frozenset(os.sched_getaffinity(0))
             if x == 4.0:
                 raise ValueError("last x")
@@ -317,7 +332,7 @@ class TestHelperThread:
     def test_helper_exception_reaches_caller(self):
         raised_in = []
 
-        def factor(m, x, y, v):
+        def factor(m, at, x, y, v):
             if m[0] // SUM_BLOCK % 2 == 1:  # an odd block: the helper's half
                 raised_in.append(threading.current_thread())
                 raise ZeroDivisionError("helper block")
@@ -338,7 +353,7 @@ class TestHelperThread:
             pytest.skip("needs two usable CPUs")
         caller, raising, helper_blocks = threading.get_ident(), threading.Event(), set()
 
-        def factor(m, x, y, v):
+        def factor(m, at, x, y, v):
             if threading.get_ident() == caller:
                 raising.set()
                 raise ZeroDivisionError("caller block")
@@ -375,7 +390,7 @@ class TestHelperThread:
         self.sums([1.0, 2.0])
         assert threading.active_count() == baseline
 
-        def factor(m, x, y, v):
+        def factor(m, at, x, y, v):
             raise ValueError("any x")
 
         with pytest.raises(ValueError):
@@ -392,6 +407,13 @@ class TestLhsTheorem1:
     def test_tail_bound_k2(self, table_1e6):
         ts = lhs_theorem1(table_1e6, 2, 5.5, 10**6)
         assert ts.tail_bound <= 1e-11
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_bounds_are_floats(self, table_small, k):
+        # Python floats, not numpy scalars, from the envelopes on.
+        assert type(ik_envelope(k)) is float and type(bernoulli_envelope(k)) is float
+        ts = lhs_theorem1(table_small, k, 7.5, 10**4)
+        assert type(ts.round_bound) is float and type(ts.tail_bound) is float
 
     def test_empty_range(self, table_1e6):
         with pytest.raises(ValueError):

@@ -11,11 +11,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from fraczeta import arith, cli, explicit, fourier
 from fraczeta.bernpoly import ik_envelope, integral_ik_array, sdot_array
 from fraczeta.zeta import zeta_deriv
-from fraczeta.explicit import SUM_BLOCK, UNIT_ROUNDOFF, TruncatedSum, lhs_theorem1, weighted_sums
+from fraczeta.explicit import SUM_BLOCK, UNIT_ROUNDOFF, lhs_theorem1, weighted_sums
 from fraczeta.fourier import (
     COS_FACTOR_MAX,
-    COS_MINUS_ONE_FACTOR_MAX,
     COS_TERMS,
+    ROTATION_FACTOR_MAX,
     SDOT_FACTOR_MAX,
     SDOT_MAX,
     TWO_PI_SQ,
@@ -37,10 +37,11 @@ def replay(points, coef, factor, xs, factor_max):
     the coefficients and the factors, in buffers of the block's length."""
     for lo in range(0, len(points), SUM_BLOCK):
         n = np.asarray(points[lo : lo + SUM_BLOCK], dtype=np.float64)
-        c = coef(n, slice(lo, lo + len(n)))
+        at = slice(lo, lo + len(n))
+        c = coef(n, at)
         for x in xs:
             y, v = np.empty((2, len(n)))
-            yield x, c, np.broadcast_to(factor(n, x, y, v), n.shape).copy()
+            yield x, c, np.broadcast_to(factor(n, at, x, y, v), n.shape).copy()
 
 
 def termwise_bound(call):
@@ -146,20 +147,24 @@ class TestRhsTheorem2Log:
             assert abs(math.fsum(terms[M - 1 :].tolist())) / TWO_PI_SQ <= ts.tail_bound, (x, N)
 
     @pytest.mark.parametrize("x", [1.0, 0.5, 1e9])
-    def test_full_sum_where_sin_vanishes_or_x_is_large(self, x):
+    def test_full_sum_where_sin_vanishes_or_x_is_large(self, x, weighted_sums_calls):
         # sin(pi/x) is 0 (up to rounding) at x = 1 and 1/2 and ~3e-9 at
         # x = 1e9, so the Abel tail is not below the full sum's tail: the
-        # result is the capped sum of cos - 1, bit for bit.
-        N = 10**3
-        [(value, err)] = weighted_sums(
-            range(2, N + 1),
-            lambda n, at: np.log(n) / n**2,
-            lambda n, x, y, v: np.cos(2.0 * np.pi * n / x) - 1.0,
-            [x],
-            COS_MINUS_ONE_FACTOR_MAX,
-        )
-        tail = (math.log(N) + 1.0) / (N * math.pi**2)
-        assert rhs_th2_log(x, N) == TruncatedSum(value / TWO_PI_SQ, N - 1, tail, err / TWO_PI_SQ)
+        # result is the capped sum of cos - 1, here against np.cos, in one
+        # block and over four (each rotated from its own first point).
+        for N in (10**3, 3 * SUM_BLOCK + 5):
+            ts = rhs_th2_log(x, N)
+            assert (ts.terms_used, ts.tail_bound) == (N - 1, (math.log(N) + 1.0) / (N * math.pi**2))
+            n = np.arange(2, N + 1, dtype=np.float64)
+            c = np.log(n) / n**2
+            oracle = math.fsum((c * (np.cos(2.0 * np.pi * n / x) - 1.0)).tolist())
+            # Not ts.round_bound, which factor_max widens: gamma_B sum |v_i| + u |value|.
+            allowed = termwise_bound(weighted_sums_calls.pop())
+            if x == 1e9:
+                # cos - 1 lies below the spacing of doubles near 1, where the
+                # two routes' per-term errors (outside round_bound) dominate.
+                allowed += 4.0 * UNIT_ROUNDOFF * float(np.sum(c))
+            assert abs(ts.value * TWO_PI_SQ - oracle) <= allowed, N
 
     def test_zeta_prime_2_constant(self):
         assert abs(ZETA_PRIME_2 - zeta_deriv(2.0).real) <= 1e-12
@@ -243,9 +248,9 @@ class TestRhsTheorem4:
             [(value, _)] = weighted_sums(
                 range(1, N + 1),
                 coef,
-                lambda n, x, y, v: np.cos(2.0 * np.pi * n / x) - 1.0,
+                lambda n, at, x, y, v: np.cos(2.0 * np.pi * n / x) - 1.0,
                 [x],
-                COS_MINUS_ONE_FACTOR_MAX,
+                ROTATION_FACTOR_MAX,  # bounds np.cos - 1 too
             )
             ts = rhs_th4_upsilon(table_1e6, x, N)
             # Not ts.round_bound, which factor_max widens: the allowance
@@ -462,8 +467,17 @@ class TestStreamedMemory:
         table_1e6.squarefree
         assert traced_peak_bytes(lambda: lhs_weighted_sdot(table_1e6, "mu", 1.5, 4.6, 10**6)) <= 4e6
 
+    def test_th2_mu_lhs_peak(self, table_1e6, traced_peak_bytes):
+        table_1e6.squarefree
+        assert traced_peak_bytes(lambda: lhs_weighted_sdot(table_1e6, "mu", 2.0, 3.7, 10**6)) <= 4e6
+
     def test_th2_log_peak(self, traced_peak_bytes):
         assert traced_peak_bytes(lambda: rhs_th2_log(3.7, 10**6)) <= 4e6
+
+    def test_th2_log_full_route_peak(self, traced_peak_bytes):
+        # At x = 1 all N terms are summed: log(n)/n^2 is formed over n beside
+        # one block temporary, and the rotation's table adds two block arrays.
+        assert traced_peak_bytes(lambda: rhs_th2_log(1.0, 10**6)) <= 4.6e6
 
     def test_th4_peak(self, table_1e6, traced_peak_bytes):
         # upsilon is sieved on the table's first read of it, 8 MB here,
@@ -512,17 +526,23 @@ class TestFactorMax:
             assert np.max(np.abs(integral_ik_array(k, y))) <= ik_envelope(k), k
 
     @settings(max_examples=100, deadline=None)
-    @given(st.floats(1e-3, 1e9, allow_nan=False) | st.sampled_from([0.5, 1.0, 2.0, 3.0, 1e9]))
-    def test_cosine_factors(self, x):
-        n = np.arange(1.0, 4097.0)
+    @given(
+        st.floats(1e-3, 1e9, allow_nan=False) | st.sampled_from([0.5, 1.0, 2.0, 3.0, 1e9]),
+        st.integers(1, 10**7),
+    )
+    def test_cosine_factors(self, x, n0):
+        # The rotation's cosine and cosine minus one over a 4096-point block
+        # from any first point n0.
+        points, at = range(1, n0 + 4096), slice(n0 - 1, n0 + 4095)
+        n = np.arange(n0, n0 + 4096, dtype=np.float64)
         y, v = np.empty((2, n.size))
-        assert np.max(np.abs(fourier._cos(n, x, y, v))) <= COS_FACTOR_MAX
-        assert np.max(np.abs(fourier._cos_minus_one(n, x, y, v))) <= COS_MINUS_ONE_FACTOR_MAX
+        for minus_one, bound in ((False, COS_FACTOR_MAX), (True, ROTATION_FACTOR_MAX)):
+            assert np.max(np.abs(fourier._rotation(points, x, minus_one)(n, at, x, y, v))) <= bound
 
     @pytest.mark.parametrize("x", [1.0, 2.0, 2.5, 4.6, 10.25, 1e9])
     def test_callers_at_n_1e6(self, table_1e6, x, weighted_sums_calls):
         # th2-log takes its full cos - 1 route at x = 1 and 1e9, and its
-        # cosine route elsewhere.
+        # split cosine route elsewhere; both rotate, as th4 does.
         t, N = table_1e6, 10**6
         for weight, p in (("lambda", 2.0), ("mu", 2.0), ("mu", 1.5), ("mubar", 2.0)):
             lhs_weighted_sdot(t, weight, p, x, N)
